@@ -86,5 +86,5 @@ __all__ = [
     "se3_pseudo_exp", "se3_pseudo_log", "so3_exp", "so3_exp_coordinate",
     "so3_exp_quat", "so3_log", "so3_log_quat", "step", "synth_graph",
     "transpose_permutation", "unvec", "vec", "vec12_to_pose", "vee3",
-    "wrap_angle", "write_g2o",
+    "wrap_angle", "write_g2o", "ypr_to_matrix", "ypr_to_quat",
 ]

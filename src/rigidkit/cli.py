@@ -24,9 +24,10 @@ import numpy as np
 
 from . import __version__
 from . import g2o as g2o_io
-from .core import (EulerPose, GaussianPose, HomPose, HomPose2, QuatPose,
-                   convert_gaussian, matrix_to_quat, matrix_to_ypr, pose_kind,
-                   quat_to_matrix, quat_to_ypr, ypr_to_matrix, ypr_to_quat)
+from .core import (_KIND_DIM, EulerPose, GaussianPose, HomPose, HomPose2,
+                   QuatPose, convert_gaussian, matrix_to_quat, matrix_to_ypr,
+                   pose_kind, quat_to_matrix, quat_to_ypr, ypr_to_matrix,
+                   ypr_to_quat)
 from .errors import GeometryError
 from .geometry import (GaussianPoint3, compose_point_matrix, compose_point_quat,
                        compose_point_ypr, compose_pose_matrix, compose_pose_quat,
@@ -74,9 +75,6 @@ def _numbers(obj, count, where):
     return np.array(obj, dtype=float)
 
 
-_KIND_DIMS = {"ypr": 6, "quat": 7, "matrix": 12}
-
-
 def _pose_from_json(obj, where, degrees=False):
     if not isinstance(obj, dict):
         raise _InputError("%s must be an object with 'type' and 'data'" % where)
@@ -111,7 +109,7 @@ def _cov_from_json(obj, dim, where):
 
 def _gaussian_pose_from_json(obj, where):
     mean = _pose_from_json(obj, where)
-    cov = _cov_from_json(obj, _KIND_DIMS[pose_kind(mean)], where)
+    cov = _cov_from_json(obj, _KIND_DIM[pose_kind(mean)], where)
     try:
         return GaussianPose(mean, cov)
     except GeometryError as exc:

@@ -4,20 +4,34 @@ A graph holds vertices (poses indexed by integer id), relative-pose
 edges with information matrices, and a set of fixed vertices that pin
 the gauge freedom.  Optimization is on-manifold: each free vertex is
 updated multiplicatively, P <- P @ pseudo_exp(delta), with delta ordered
-translation-first, and the edge residuals/Jacobians come from
-:mod:`rigidkit.manifold_jac`.
+translation-first.
+
+The solver works on a packed copy of the graph: the vertex matrices as
+one (V, 4, 4) or (V, 3, 3) array in ascending id, each edge as the rows
+I, J of its endpoints, and the inverted measurements and information
+matrices stacked per edge.  One batched pass gives every edge residual
+and both Jacobians; they are the closed forms of
+:func:`rigidkit.manifold_jac.edge_error_se3` / ``edge_error_se2``, which
+stay the per-edge reference.  chi2 and the normal equations share that
+residual.  Poses inside a solve are plain arrays: they become HomPose /
+HomPose2 objects, and are validated, only in the graph a public call
+returns, and fixed vertices keep their original objects.  The public
+calls pack their argument on each call; :func:`optimize` packs once.
 
 chi2 is sum over edges of e^T Lambda e.  The normal equations accumulate
 H = sum J^T Lambda J and b = sum J^T Lambda e, so the gradient of chi2
 with respect to the stacked increments is exactly 2 b, and a step solves
 H delta = -b (Gauss-Newton) or (H + lambda I) delta = -b
-(Levenberg-Marquardt with multiplicative lambda schedule).
+(Levenberg-Marquardt with multiplicative lambda schedule).  The blocks
+are summed into H through a scatter pattern computed once per graph from
+the edge endpoints.
 
 Problems up to 1500 free coordinates use a dense Cholesky solve; larger
-ones assemble H sparsely and use a sparse factorization.
+ones assemble H as CSR and use a sparse factorization.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +40,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .core import HomPose, HomPose2
-from .errors import GeometryError, RankDeficiencyError
-from .lie import se2_pseudo_exp, se2_pseudo_log, se3_pseudo_exp, so3_log
-from .manifold_jac import _inverse_se2, edge_error_se2, edge_error_se3
+from .errors import GeometryError, NearPiRotationError, RankDeficiencyError
+from .lie import _PI_EDGE, _TAYLOR_EPS, se2_pseudo_exp, se3_pseudo_exp, so3_log
+from .manifold_jac import _inverse_se2
 from .matderiv import inverse_rt
 
 _DENSE_LIMIT = 1500
@@ -152,27 +166,287 @@ class PoseGraph:
 
 
 # ---------------------------------------------------------------------------
-# residuals and objective
+# batched edge kernel
 
-def _residual(kind, delta, pi, pj):
-    """Edge residual value only (no Jacobians, no near-pi restriction)."""
-    if kind == "se3":
-        t = inverse_rt(delta.mat) @ inverse_rt(pi.mat) @ pj.mat
-        return np.concatenate([t[:3, 3], so3_log(t[:3, :3])])
-    t = _inverse_se2(delta.mat) @ _inverse_se2(pi.mat) @ pj.mat
-    return se2_pseudo_log(t)
+def _inverse_rigid(m):
+    """Closed-form inverses (R^T, -R^T t) of stacked (..., n, n) rigid transforms."""
+    k = m.shape[-1] - 1
+    rt = np.swapaxes(m[..., :k, :k], -1, -2)
+    out = np.zeros_like(m)
+    out[..., :k, :k] = rt
+    out[..., :k, k] = -np.einsum("...ij,...j->...i", rt, m[..., :k, k])
+    out[..., k, k] = 1.0
+    return out
 
+
+def _hat_rows(w):
+    """Skew matrices hat(w) of the rows of w, shape (N, 3, 3)."""
+    z = np.zeros(len(w))
+    return np.stack([z, -w[:, 2], w[:, 1],
+                     w[:, 2], z, -w[:, 0],
+                     -w[:, 1], w[:, 0], z], axis=1).reshape(-1, 3, 3)
+
+
+def _skew_part(r):
+    """(R21 - R12, R02 - R20, R10 - R01) of each rotation, shape (N, 3)."""
+    return np.stack([r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0],
+                     r[:, 1, 0] - r[:, 0, 1]], axis=1)
+
+
+def _so3_log_rows(r):
+    """:func:`so3_log` of every rotation in r (N, 3, 3).
+
+    The Taylor and generic branches are chosen per row by mask; rows
+    within 1e-6 of pi are handed to the scalar function.
+    """
+    tr = r[:, 0, 0] + r[:, 1, 1] + r[:, 2, 2]
+    theta = np.arccos(np.clip(0.5 * (tr - 1.0), -1.0, 1.0))
+    small = theta < _TAYLOR_EPS
+    near_pi = theta > _PI_EDGE
+    t2 = theta * theta
+    sin = np.where(small | near_pi, 1.0, np.sin(theta))
+    scale = np.where(small, 0.5 * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0),
+                     theta / (2.0 * sin))
+    w = scale[:, None] * _skew_part(r)
+    for k in np.flatnonzero(near_pi):
+        w[k] = so3_log(r[k])
+    return w
+
+
+def _relative(dinv, mi, mj):
+    """B = Pi^-1 Pj and the residual transform T = D^-1 B of every edge."""
+    b = _inverse_rigid(mi) @ mj
+    return b, dinv @ b
+
+
+def _residuals(kind, t):
+    """Pseudo-log residuals (E, d) of the residual transforms t."""
+    if kind == "se2":
+        return np.stack([t[:, 0, 2], t[:, 1, 2],
+                         np.arctan2(t[:, 1, 0], t[:, 0, 0])], axis=1)
+    return np.concatenate([t[:, :3, 3], _so3_log_rows(t[:, :3, :3])], axis=1)
+
+
+def _jacobians(kind, dinv, b, t):
+    """(E, 2, d, d) residual Jacobians w.r.t. right increments of Pi and Pj.
+
+    The closed forms of :func:`edge_error_se2` / :func:`edge_error_se3`.
+    For SE(3), with R = R_T, a right increment R hat(u) moves the
+    rotation residual by G u, G = b (tr(R) I - R^T) - k s s^T, where s is
+    the skew part of R and (b, k) are the coefficients of
+    :func:`dlog_so3` (0.5 and 0 where cos(theta) > 0.999999).  The
+    increment of Pi enters T as -R_T hat(R_B^T w), so its rotation block
+    is -G R_B^T.
+    """
+    n = len(t)
+    if kind == "se2":
+        rd = dinv[:, :2, :2]
+        perp = np.stack([-b[:, 1, 2], b[:, 0, 2]], axis=1)
+        jac = np.zeros((n, 2, 3, 3))
+        jac[:, 0, :2, :2] = -rd
+        jac[:, 0, :2, 2] = -np.einsum("eij,ej->ei", rd, perp)
+        jac[:, 0, 2, 2] = -1.0
+        jac[:, 1, :2, :2] = t[:, :2, :2]
+        jac[:, 1, 2, 2] = 1.0
+        return jac
+    r = t[:, :3, :3]
+    tr = r[:, 0, 0] + r[:, 1, 1] + r[:, 2, 2]
+    c = np.clip(0.5 * (tr - 1.0), -1.0, 1.0)
+    generic = c <= 0.999999
+    theta = np.arccos(c)
+    s = np.sqrt(np.where(generic, 1.0 - c * c, 1.0))
+    coef_b = np.where(generic, theta / (2.0 * s), 0.5)
+    coef_k = np.where(generic, (theta * c - s) / (4.0 * s ** 3), 0.0)
+    skew = _skew_part(r)
+    g = (coef_b[:, None, None] * (tr[:, None, None] * np.eye(3) - np.swapaxes(r, 1, 2))
+         - coef_k[:, None, None] * skew[:, :, None] * skew[:, None, :])
+    rd = dinv[:, :3, :3]
+    jac = np.zeros((n, 2, 6, 6))
+    jac[:, 0, :3, :3] = -rd
+    jac[:, 0, :3, 3:] = rd @ _hat_rows(b[:, :3, 3])
+    jac[:, 0, 3:, 3:] = -g @ np.swapaxes(b[:, :3, :3], 1, 2)
+    jac[:, 1, :3, :3] = r
+    jac[:, 1, 3:, 3:] = g
+    return jac
+
+
+def _linearize(kind, dinv, mi, mj):
+    """Residuals (E, d) and Jacobians (E, 2, d, d) of every edge."""
+    b, t = _relative(dinv, mi, mj)
+    return _residuals(kind, t), _jacobians(kind, dinv, b, t)
+
+
+def _pseudo_exp_rows(kind, v):
+    """pseudo_exp of every row of v (N, d), shape (N, n, n)."""
+    if kind == "se2":
+        out = np.zeros((len(v), 3, 3))
+        c, s = np.cos(v[:, 2]), np.sin(v[:, 2])
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c, -s, s, c
+        out[:, :2, 2] = v[:, :2]
+        out[:, 2, 2] = 1.0
+        return out
+    w = v[:, 3:]
+    theta = np.linalg.norm(w, axis=1)
+    small = theta < _TAYLOR_EPS
+    t2 = theta * theta
+    safe = np.where(small, 1.0, theta)
+    sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / safe)
+    cosc = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
+                    (1.0 - np.cos(theta)) / (safe * safe))
+    k = _hat_rows(w)
+    out = np.zeros((len(v), 4, 4))
+    out[:, :3, :3] = (np.eye(3) + sinc[:, None, None] * k
+                      + cosc[:, None, None] * (k @ k))
+    out[:, :3, 3] = v[:, :3]
+    out[:, 3, 3] = 1.0
+    return out
+
+
+# ---------------------------------------------------------------------------
+# packed solver state
+
+class _Scatter:
+    """Where every entry of the edges' H blocks and b segments is summed.
+
+    Built once per graph from the edge endpoints' coordinate blocks.  H
+    values are laid out per edge as (E, 2, 2, d, d) (blocks ii, ij, ji,
+    jj) and b values as (E, 2, d); ``h_pos`` / ``b_pos`` give each value's
+    index in the flat dense H (up to ``_DENSE_LIMIT`` coordinates) or in
+    the CSR data array, with entries that touch a fixed vertex sent to
+    one spare slot past the end.
+    """
+
+    def __init__(self, si, sj, d, nblocks):
+        ncoord = d * nblocks
+        off = np.arange(d)
+        rb = np.stack([si, si, sj, sj], axis=1)
+        cb = np.stack([si, sj, si, sj], axis=1)
+        keep = (rb >= 0) & (cb >= 0)
+        ends = np.stack([si, sj], axis=1)
+        self.b_pos = np.where((ends >= 0)[..., None], ends[..., None] * d + off, ncoord)
+        self.ncoord = ncoord
+        if ncoord <= _DENSE_LIMIT:
+            self.indices = self.indptr = None
+            self.size = ncoord * ncoord
+            rows = rb[..., None] * d + off
+            cols = cb[..., None] * d + off
+            pos = rows[..., :, None] * ncoord + cols[..., None, :]
+            self.h_pos = np.where(keep[..., None, None], pos, self.size)
+            return
+        # CSR: block (p, q) row r holds columns q*d .. q*d+d-1, blocks of a
+        # block row in ascending q
+        blocks, which = np.unique((rb * nblocks + cb)[keep], return_inverse=True)
+        brow, bcol = np.divmod(blocks, nblocks)
+        per_row = np.bincount(brow, minlength=nblocks)
+        first = np.cumsum(per_row) - per_row
+        self.indptr = np.concatenate([[0], np.cumsum(np.repeat(per_row * d, d))])
+        self.size = int(self.indptr[-1])
+        start = (self.indptr[:-1][brow[:, None] * d + off]
+                 + ((np.arange(len(blocks)) - first[brow]) * d)[:, None])
+        upos = start[:, :, None] + off
+        self.indices = np.empty(self.size, dtype=np.int32)
+        self.indices[upos] = (bcol[:, None] * d + off)[:, None, :]
+        self.indptr = self.indptr.astype(np.int32)
+        self.h_pos = np.full(rb.shape + (d, d), self.size)
+        self.h_pos[keep] = upos[which]
+
+    def assemble(self, h_vals, b_vals):
+        """(H, b) from per-edge values; H dense or CSR as the pattern is."""
+        h = np.bincount(self.h_pos.ravel(), h_vals.ravel(), self.size + 1)[:-1]
+        b = np.bincount(self.b_pos.ravel(), b_vals.ravel(), self.ncoord + 1)[:-1]
+        if self.indices is None:
+            return h.reshape(self.ncoord, self.ncoord), b
+        return scipy.sparse.csr_matrix((h, self.indices, self.indptr),
+                                       shape=(self.ncoord, self.ncoord)), b
+
+
+class _Packed:
+    """A PoseGraph as arrays: the solver's state between public calls.
+
+    ``mats`` stacks the vertex matrices in ascending id; ``I``/``J`` are
+    the rows of each edge's endpoints; ``dinv`` and ``info`` stack the
+    inverted measurements and the information matrices.  Free vertices,
+    in ascending id, get consecutive coordinate blocks.
+    """
+
+    def __init__(self, g):
+        self.graph = g
+        self.kind = g.kind
+        self.d = d = g.block_size
+        n = 3 if g.kind == "se2" else 4
+        self.ids = sorted(g.vertices)
+        row = {vid: k for k, vid in enumerate(self.ids)}
+        self.mats = np.array([g.vertices[v].mat for v in self.ids],
+                             dtype=float).reshape(-1, n, n)
+        self.I = np.array([row[e.i] for e in g.edges], dtype=np.intp)
+        self.J = np.array([row[e.j] for e in g.edges], dtype=np.intp)
+        self.dinv = _inverse_rigid(np.array([e.delta.mat for e in g.edges],
+                                            dtype=float).reshape(-1, n, n))
+        self.info = np.array([e.information for e in g.edges],
+                             dtype=float).reshape(-1, d, d)
+        self.free = np.flatnonzero([v not in g.fixed for v in self.ids])
+        self.slot = np.full(len(self.ids), -1)
+        self.slot[self.free] = np.arange(len(self.free))
+
+    @functools.cached_property
+    def scatter(self):
+        return _Scatter(self.slot[self.I], self.slot[self.J], self.d, len(self.free))
+
+    def residuals(self, mats):
+        """(E, d) edge residuals at the vertex matrices mats."""
+        _, t = _relative(self.dinv, mats[self.I], mats[self.J])
+        return _residuals(self.kind, t)
+
+    def chi2(self, mats):
+        r = self.residuals(mats)
+        return float(np.einsum("ei,eij,ej->e", r, self.info, r).sum())
+
+    def normal_equations(self, mats):
+        """(H, b) at mats; raises NearPiRotationError like edge_error_se3."""
+        r, jac = _linearize(self.kind, self.dinv, mats[self.I], mats[self.J])
+        if self.kind == "se3":
+            bad = np.flatnonzero(np.linalg.norm(r[:, 3:], axis=1) > _PI_EDGE)
+            if bad.size:
+                e = self.graph.edges[bad[0]]
+                raise NearPiRotationError(
+                    "edge (%d, %d): residual rotation within 1e-6 of pi" % (e.i, e.j))
+        jt_info = np.swapaxes(jac, -1, -2) @ self.info[:, None]
+        h_vals = jt_info[:, :, None] @ jac[:, None]
+        b_vals = jt_info @ r[:, None, :, None]
+        return self.scatter.assemble(h_vals, b_vals)
+
+    def retract(self, mats, delta):
+        """mats with each free P replaced by P @ pseudo_exp(its block of delta)."""
+        out = mats.copy()
+        out[self.free] = mats[self.free] @ _pseudo_exp_rows(
+            self.kind, delta.reshape(-1, self.d))
+        return out
+
+    def unpack(self, mats):
+        """The graph at mats: free vertices become validated pose objects.
+
+        Fixed vertices keep their objects; unchanged mats give the input
+        graph itself.
+        """
+        if mats is self.mats:
+            return self.graph
+        cls = HomPose if self.kind == "se3" else HomPose2
+        out = self.graph.copy()
+        for k in self.free:
+            out.vertices[self.ids[k]] = cls(mats[k])
+        return out
+
+
+# ---------------------------------------------------------------------------
+# objective and normal equations
 
 def chi2(g):
     """Sum over edges of e^T Lambda e at the current vertex estimates."""
-    total = 0.0
-    for e in g.edges:
-        r = _residual(g.kind, e.delta, g.vertices[e.i], g.vertices[e.j])
-        total += float(r @ e.information @ r)
-    return total
+    pk = _Packed(g)
+    return pk.chi2(pk.mats)
 
 
-def _check_gauge(g, free_ids):
+def _check_gauge(g):
     """Every component touching a free vertex must contain a fixed one."""
     if not g.vertices:
         raise GeometryError("PoseGraph: empty graph")
@@ -192,7 +466,7 @@ def _check_gauge(g, free_ids):
         if ri != rj:
             parent[ri] = rj
     anchored = {find(v) for v in g.fixed}
-    loose = sorted(v for v in free_ids if find(v) not in anchored)
+    loose = sorted(v for v in g.vertices if v not in g.fixed and find(v) not in anchored)
     if loose:
         raise RankDeficiencyError(
             "vertices not connected to any fixed vertex: %s"
@@ -211,51 +485,12 @@ def build_normal_equations(g):
     RankDeficiencyError
         If no vertex is fixed, or some free vertex has no path to a
         fixed one (the system would be singular by construction).
+    NearPiRotationError
+        If an SE(3) edge's residual rotation is within 1e-6 of pi.
     """
-    free_ids = sorted(v for v in g.vertices if v not in g.fixed)
-    _check_gauge(g, free_ids)
-    d = g.block_size
-    slot = {vid: k * d for k, vid in enumerate(free_ids)}
-    ncoord = d * len(free_ids)
-    b = np.zeros(ncoord)
-    dense = ncoord <= _DENSE_LIMIT
-    if dense:
-        h = np.zeros((ncoord, ncoord))
-        triplets = None
-    else:
-        h = None
-        triplets = ([], [], [])
-
-    def add_block(si, sj, block):
-        if dense:
-            h[si:si + d, sj:sj + d] += block
-        else:
-            ii, jj = np.meshgrid(np.arange(si, si + d),
-                                 np.arange(sj, sj + d), indexing="ij")
-            triplets[0].append(ii.ravel())
-            triplets[1].append(jj.ravel())
-            triplets[2].append(block.ravel())
-
-    err_fn = edge_error_se3 if g.kind == "se3" else edge_error_se2
-    for e in g.edges:
-        res = err_fn(e.delta, g.vertices[e.i], g.vertices[e.j])
-        lam_e = e.information @ res.error
-        for vid, jac in ((e.i, res.jac1), (e.j, res.jac2)):
-            if vid in slot:
-                b[slot[vid]:slot[vid] + d] += jac.T @ lam_e
-        for vid_a, jac_a in ((e.i, res.jac1), (e.j, res.jac2)):
-            if vid_a not in slot:
-                continue
-            for vid_b, jac_b in ((e.i, res.jac1), (e.j, res.jac2)):
-                if vid_b in slot:
-                    add_block(slot[vid_a], slot[vid_b],
-                              jac_a.T @ e.information @ jac_b)
-    if not dense:
-        h = scipy.sparse.coo_matrix(
-            (np.concatenate(triplets[2]),
-             (np.concatenate(triplets[0]), np.concatenate(triplets[1]))),
-            shape=(ncoord, ncoord)).tocsr()
-    return h, b
+    _check_gauge(g)
+    pk = _Packed(g)
+    return pk.normal_equations(pk.mats)
 
 
 # ---------------------------------------------------------------------------
@@ -293,36 +528,24 @@ def _damped(h, lam):
     return h + lam * np.eye(h.shape[0])
 
 
-def _apply_update(g, delta):
-    d = g.block_size
-    pexp = se3_pseudo_exp if g.kind == "se3" else se2_pseudo_exp
-    cls = HomPose if g.kind == "se3" else HomPose2
-    out = g.copy()
-    free_ids = sorted(v for v in g.vertices if v not in g.fixed)
-    for k, vid in enumerate(free_ids):
-        step_pose = pexp(delta[k * d:(k + 1) * d])
-        out.vertices[vid] = cls(g.vertices[vid].mat @ step_pose.mat)
-    return out
-
-
-def _step_core(g, cfg, h, b, lam):
+def _step_core(pk, mats, base, cfg, h, b, lam):
+    """One step from mats, whose chi2 is base; returns (mats, stats)."""
     if cfg.method == "gauss-newton":
         delta = _solve(h, -b, lm_hint=True)
-        out = _apply_update(g, delta)
-        return out, IterationStats(0, chi2(out), float(np.linalg.norm(delta)), 0.0)
-    base = chi2(g)
+        out = pk.retract(mats, delta)
+        return out, IterationStats(0, pk.chi2(out), float(np.linalg.norm(delta)), 0.0)
     while lam <= _LM_MAX_LAMBDA:
         try:
             delta = _solve(_damped(h, lam), -b, lm_hint=False)
         except RankDeficiencyError:
             lam *= cfg.lm_factor
             continue
-        trial = _apply_update(g, delta)
-        c = chi2(trial)
+        trial = pk.retract(mats, delta)
+        c = pk.chi2(trial)
         if c < base:
             return trial, IterationStats(0, c, float(np.linalg.norm(delta)), lam)
         lam *= cfg.lm_factor
-    return g, IterationStats(0, base, 0.0, lam)
+    return mats, IterationStats(0, base, 0.0, lam)
 
 
 def step(g, cfg, lambda_=None):
@@ -338,13 +561,19 @@ def step(g, cfg, lambda_=None):
     (PoseGraph, IterationStats)
         Fixed vertices are carried over untouched (same objects).
     """
-    h, b = build_normal_equations(g)
+    _check_gauge(g)
+    pk = _Packed(g)
+    h, b = pk.normal_equations(pk.mats)
     lam = cfg.lm_initial_lambda if lambda_ is None else float(lambda_)
-    return _step_core(g, cfg, h, b, lam)
+    mats, st = _step_core(pk, pk.mats, pk.chi2(pk.mats), cfg, h, b, lam)
+    return pk.unpack(mats), st
 
 
 def optimize(g, cfg):
     """Iterate :func:`step` until convergence or the iteration budget.
+
+    The graph is packed once; every step works on the packed arrays and
+    the poses are rebuilt (and validated) only for the returned graph.
 
     Termination: gradient max-norm below epsilon_gradient, update norm
     below epsilon_update, a Levenberg-Marquardt step that cannot decrease
@@ -355,18 +584,23 @@ def optimize(g, cfg):
     (PoseGraph, list of IterationStats)
         Stats begin with an iteration-0 entry holding the initial chi2;
         each later entry is one accepted step.  Under Levenberg-Marquardt
-        the chi2 column is non-increasing.
+        the chi2 column is non-increasing.  The input graph is not
+        modified.
     """
     lm = cfg.method == "levenberg-marquardt"
-    stats = [IterationStats(0, chi2(g), 0.0,
-                            cfg.lm_initial_lambda if lm else 0.0)]
-    cur = g
+    pk = _Packed(g)
+    mats = pk.mats
+    base = pk.chi2(mats)
+    stats = [IterationStats(0, base, 0.0, cfg.lm_initial_lambda if lm else 0.0)]
+    if cfg.max_iterations > 0:
+        _check_gauge(g)
     lam = cfg.lm_initial_lambda
     for it in range(1, cfg.max_iterations + 1):
-        h, b = build_normal_equations(cur)
+        h, b = pk.normal_equations(mats)
         if b.size == 0 or float(np.max(np.abs(b))) < cfg.epsilon_gradient:
             break
-        cur, st = _step_core(cur, cfg, h, b, lam)
+        mats, st = _step_core(pk, mats, base, cfg, h, b, lam)
+        base = st.chi2
         stats.append(dataclasses.replace(st, iteration=it))
         if lm:
             if st.update_norm == 0.0:
@@ -374,7 +608,7 @@ def optimize(g, cfg):
             lam = max(st.lambda_ / cfg.lm_factor, 1e-12)
         if st.update_norm < cfg.epsilon_update:
             break
-    return cur, stats
+    return pk.unpack(mats), stats
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,16 @@ _TAYLOR_EPS = 1e-4
 _PI_EDGE = np.pi - 1e-6
 
 
+def _mat4(m):
+    """Float ndarray of a pose object's matrix, or of a plain matrix."""
+    if hasattr(m, "mat"):
+        return np.asarray(m.mat, dtype=float)
+    return np.asarray(m, dtype=float)
+
+
+_mat3 = _mat4
+
+
 @dataclass(frozen=True)
 class AxisAngle:
     """Unit rotation axis and angle in [0, pi]."""
@@ -334,14 +344,3 @@ def se2_pseudo_log(m):
     m = _mat3(m)
     return np.array([m[0, 2], m[1, 2], np.arctan2(m[1, 0], m[0, 0])])
 
-
-def _mat4(m):
-    if hasattr(m, "mat"):
-        return np.asarray(m.mat, dtype=float)
-    return np.asarray(m, dtype=float)
-
-
-def _mat3(m):
-    if hasattr(m, "mat"):
-        return np.asarray(m.mat, dtype=float)
-    return np.asarray(m, dtype=float)

@@ -21,22 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearPiRotationError
-from .lie import se2_pseudo_log, so3_log
+from .lie import _PI_EDGE, _mat3, _mat4, se2_pseudo_log, so3_log
 from .matderiv import d_compose_wrt_A, hat3, inverse_rt, kron
-
-_PI_EDGE = np.pi - 1e-6
-
-
-def _mat4(m):
-    if hasattr(m, "mat"):
-        return np.asarray(m.mat, dtype=float)
-    return np.asarray(m, dtype=float)
-
-
-def _mat3(m):
-    if hasattr(m, "mat"):
-        return np.asarray(m.mat, dtype=float)
-    return np.asarray(m, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rigidkit import (GeometryError, HomPose, HomPose2, PoseGraph,
-                      RankDeficiencyError, SolverConfig, build_normal_equations,
-                      chi2, optimize, se2_exp, se2_pseudo_exp, se3_pseudo_exp,
-                      step, synth_graph)
-from rigidkit.graphslam import IterationStats
+from rigidkit import (GeometryError, HomPose, HomPose2, NearPiRotationError,
+                      PoseGraph, RankDeficiencyError, SolverConfig,
+                      build_normal_equations, chi2, edge_error_se2,
+                      edge_error_se3, optimize, se2_exp, se2_pseudo_exp,
+                      se3_pseudo_exp, so3_exp, so3_log, step, synth_graph)
+from rigidkit.graphslam import (_DENSE_LIMIT, IterationStats, _inverse_rigid,
+                                _linearize)
 
 INFO2 = np.diag([400.0, 400.0, 10000.0])
 
@@ -137,11 +141,10 @@ def test_synth_deterministic():
 def test_synth_dead_reckoning_zeroes_chain_edges():
     # odometry edges are exactly satisfied before any loop closure acts
     _, noisy = synth_graph("circle2d", 10, (0.05, 0.01), 3)
-    from rigidkit.graphslam import _residual
-    for e in noisy.edges:
+    from rigidkit.graphslam import _Packed
+    pk = _Packed(noisy)
+    for e, r in zip(noisy.edges, pk.residuals(pk.mats)):
         if e.j == e.i + 1:
-            r = _residual(noisy.kind, e.delta, noisy.vertices[e.i],
-                          noisy.vertices[e.j])
             assert np.abs(r).max() < 1e-12
 
 
@@ -298,3 +301,117 @@ def test_iteration_stats_fields():
 def test_empty_graph_rejected():
     with pytest.raises(GeometryError):
         build_normal_equations(PoseGraph())
+
+
+# ---------------------------------------------------------------------------
+# batched edge kernel against the scalar edge errors
+
+_unit = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 0.1)
+_vec3 = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+
+
+def _rot(axis, angle):
+    axis = np.asarray(axis) / np.linalg.norm(axis)
+    return so3_exp(angle * axis)
+
+
+def _kernel(delta, p1, p2):
+    kind = "se3" if isinstance(delta, HomPose) else "se2"
+    r, jac = _linearize(kind, _inverse_rigid(delta.mat[None]), p1.mat[None], p2.mat[None])
+    return r[0], jac[0, 0], jac[0, 1]
+
+
+def _assert_matches_oracle(got, ref):
+    for g, r in zip(got, (ref.error, ref.jac1, ref.jac2)):
+        assert np.abs(g - r).max() <= 1e-9 * (1.0 + np.abs(r).max())
+
+
+# residual angle ranges: the generic formulas; cos(theta) > 0.999999, where
+# dlog_so3 is the constant pattern; theta < 1e-4, where so3_log also takes
+# its Taylor branch
+@pytest.mark.parametrize("lo, hi", [(0.01, 3.0), (1.2e-4, 1.4e-3), (0.0, 9e-5)])
+@given(data=st.data())
+def test_batched_se3_edge_matches_edge_error_se3(lo, hi, data):
+    angle = data.draw(st.floats(lo, hi))
+    d = HomPose.from_rt(_rot(data.draw(_unit), data.draw(st.floats(0.0, 3.0))),
+                        data.draw(_vec3))
+    p1 = HomPose.from_rt(_rot(data.draw(_unit), data.draw(st.floats(0.0, 3.0))),
+                         data.draw(_vec3))
+    noise = HomPose.from_rt(_rot(data.draw(_unit), angle), data.draw(_vec3))
+    p2 = HomPose(p1.mat @ d.mat @ noise.mat)
+    ref = edge_error_se3(d, p1, p2)
+    assert lo - 1e-9 <= np.linalg.norm(ref.error[3:]) <= hi + 1e-9
+    _assert_matches_oracle(_kernel(d, p1, p2), ref)
+
+
+@given(st.lists(st.floats(-4.0, 4.0), min_size=9, max_size=9))
+def test_batched_se2_edge_matches_edge_error_se2(v):
+    d, p1, p2 = (se2_pseudo_exp(np.array(v[k:k + 3])) for k in (0, 3, 6))
+    _assert_matches_oracle(_kernel(d, p1, p2), edge_error_se2(d, p1, p2))
+
+
+def _loop_normal_equations(g):
+    """H and b edge by edge from the scalar edge errors, dense."""
+    free = sorted(v for v in g.vertices if v not in g.fixed)
+    d = g.block_size
+    slot = {v: k * d for k, v in enumerate(free)}
+    h = np.zeros((d * len(free), d * len(free)))
+    b = np.zeros(d * len(free))
+    err = edge_error_se3 if g.kind == "se3" else edge_error_se2
+    for e in g.edges:
+        res = err(e.delta, g.vertices[e.i], g.vertices[e.j])
+        ends = [(slot[v], jac) for v, jac in ((e.i, res.jac1), (e.j, res.jac2))
+                if v in slot]
+        for sa, ja in ends:
+            b[sa:sa + d] += ja.T @ e.information @ res.error
+            for sb, jb in ends:
+                h[sa:sa + d, sb:sb + d] += ja.T @ e.information @ jb
+    return h, b
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("circle2d", 40), ("circle2d", 600), ("sphere3d", 30), ("sphere3d", 300),
+    ("grid2d", 49), ("grid2d", 625)])
+def test_normal_equations_match_edge_loop(kind, n):
+    _, noisy = synth_graph(kind, n, (0.05, 0.01), 2)
+    g = _perturbed(noisy, 0.05, 1)
+    g.fix(3)
+    h, b = build_normal_equations(g)
+    ref_h, ref_b = _loop_normal_equations(g)
+    assert scipy.sparse.issparse(h) == (ref_b.size > _DENSE_LIMIT)
+    assert np.abs(_dense(h) - ref_h).max() <= 1e-12 * np.abs(ref_h).max()
+    assert np.abs(b - ref_b).max() <= 1e-12 * np.abs(ref_b).max()
+
+
+def test_near_pi_edge_chi2_and_build():
+    # chi2 takes so3_log's half-turn branch; the normal equations refuse
+    # the edge as edge_error_se3 does
+    info = np.diag([4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
+    g = PoseGraph()
+    g.add_vertex(0, HomPose(np.eye(4)), fixed=True)
+    g.add_vertex(1, HomPose.from_rt(_rot([1.0, 2.0, 3.0], np.pi - 1e-7), [1.0, 0.0, 0.0]))
+    g.add_vertex(2, HomPose.from_rt(_rot([0.0, 1.0, 0.0], 0.3), [0.0, 1.0, 0.0]))
+    g.add_edge(0, 1, HomPose(np.eye(4)), info)
+    g.add_edge(0, 2, HomPose.from_rt(_rot([0.0, 1.0, 0.0], 0.2), [0.0, 1.1, 0.0]), info)
+    near = np.concatenate([[1.0, 0.0, 0.0], so3_log(g.vertices[1].rotation)])
+    assert np.linalg.norm(near[3:]) > np.pi - 1e-6
+    ok = edge_error_se3(g.edges[1].delta, g.vertices[0], g.vertices[2]).error
+    assert chi2(g) == pytest.approx(near @ info @ near + ok @ info @ ok, rel=1e-12)
+    with pytest.raises(NearPiRotationError):
+        build_normal_equations(g)
+
+
+@pytest.mark.parametrize("kind, n", [("sphere3d", 40), ("circle2d", 600)])
+def test_optimize_is_deterministic_and_leaves_input_alone(kind, n):
+    _, noisy = synth_graph(kind, n, (0.05, 0.01), 4)
+    before = dict(noisy.vertices)
+    cfg = SolverConfig(max_iterations=10)
+    out_a, stats_a = optimize(noisy, cfg)
+    out_b, stats_b = optimize(noisy, cfg)
+    assert stats_a == stats_b
+    assert len(stats_a) > 1
+    for v in noisy.vertices:
+        assert np.array_equal(out_a.vertices[v].mat, out_b.vertices[v].mat)
+    assert noisy.vertices.keys() == before.keys()
+    assert all(noisy.vertices[v] is before[v] for v in before)
