@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, SingularConfigurationError
+from .lie import _mat4
 
 _GIMBAL_DELTA = 0.5 - 1e-7
 
@@ -361,6 +362,36 @@ def _angles_from_rotation(r):
     return yaw, pitch, roll
 
 
+def _quat_from_rotation(r):
+    """Unit quaternion (scalar-first, canonical qr >= 0) of a rotation.
+
+    Largest-pivot square-root form: algebraic only, so it stays exact
+    near gimbal orientations and keeps g2o write->read cycles stable to
+    the last printed digit, which a route through Euler angles cannot.
+    """
+    tr = r[0, 0] + r[1, 1] + r[2, 2]
+    k = int(np.argmax([tr, r[0, 0], r[1, 1], r[2, 2]]))
+    if k == 0:
+        s = math.sqrt(1.0 + tr) * 2.0
+        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
+                      (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
+    elif k == 1:
+        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
+        q = np.array([(r[2, 1] - r[1, 2]) / s, 0.25 * s,
+                      (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s])
+    elif k == 2:
+        s = math.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2]) * 2.0
+        q = np.array([(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s,
+                      0.25 * s, (r[1, 2] + r[2, 1]) / s])
+    else:
+        s = math.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2]) * 2.0
+        q = np.array([(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s,
+                      (r[1, 2] + r[2, 1]) / s, 0.25 * s])
+    if q[0] < 0:
+        q = -q
+    return q
+
+
 def _norm_jacobian(qvec):
     """4x4 derivative of q -> q/|q|."""
     n2 = float(np.dot(qvec, qvec))
@@ -512,8 +543,10 @@ def matrix_to_ypr(m):
 
 
 def matrix_to_quat(m):
-    """Homogeneous matrix pose -> quaternion pose, via the Euler route."""
-    return ypr_to_quat(matrix_to_ypr(m))
+    """Homogeneous matrix pose -> quaternion pose (largest-pivot extraction)."""
+    r = m.mat
+    qr, qx, qy, qz = _quat_from_rotation(r[:3, :3])
+    return QuatPose(r[0, 3], r[1, 3], r[2, 3], Quaternion(qr, qx, qy, qz))
 
 
 def jacobian_ypr_wrt_matrix(m):
@@ -528,7 +561,7 @@ def jacobian_ypr_wrt_matrix(m):
         When the pitch or roll extraction is at a singular configuration
         (first column aligned with z, or third row's yz part vanishing).
     """
-    r = np.asarray(m.mat if hasattr(m, "mat") else m, dtype=float)[:3, :3]
+    r = _mat4(m)[:3, :3]
     k = r[0, 0] * r[0, 0] + r[1, 0] * r[1, 0]
     m33 = r[2, 1] * r[2, 1] + r[2, 2] * r[2, 2]
     if k <= 1e-12 or m33 <= 1e-12:
@@ -550,30 +583,36 @@ def jacobian_ypr_wrt_matrix(m):
     return out
 
 
-def jacobian_matrix_wrt_ypr(p):
-    """12x6 derivative of :func:`ypr_to_matrix` in the 12-vector view."""
-    cy, sy = np.cos(p.yaw), np.sin(p.yaw)
-    cp, sp = np.cos(p.pitch), np.sin(p.pitch)
-    cr, sr = np.cos(p.roll), np.sin(p.roll)
-    d_yaw = np.array([
+def _rotation_ypr_rate(yaw, pitch, roll):
+    """9x3 derivative of vec(R(yaw, pitch, roll)), column-major vec."""
+    cy, sy = np.cos(yaw), np.sin(yaw)
+    cp, sp = np.cos(pitch), np.sin(pitch)
+    cr, sr = np.cos(roll), np.sin(roll)
+    d_yaw = [
         [-sy * cp, -sy * sp * sr - cy * cr, -sy * sp * cr + cy * sr],
         [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
         [0.0, 0.0, 0.0],
-    ])
-    d_pitch = np.array([
+    ]
+    d_pitch = [
         [-cy * sp, cy * cp * sr, cy * cp * cr],
         [-sy * sp, sy * cp * sr, sy * cp * cr],
         [-cp, -sp * sr, -sp * cr],
-    ])
-    d_roll = np.array([
+    ]
+    d_roll = [
         [0.0, cy * sp * cr + sy * sr, -cy * sp * sr + sy * cr],
         [0.0, sy * sp * cr - cy * sr, -sy * sp * sr - cy * cr],
         [0.0, cp * cr, -cp * sr],
-    ])
+    ]
+    # axes (angle, row, col) -> (col, row, angle): entry (i, j) of R lands
+    # on row 3j + i, the column-major vec index
+    return np.array([d_yaw, d_pitch, d_roll]).transpose(2, 1, 0).reshape(9, 3)
+
+
+def jacobian_matrix_wrt_ypr(p):
+    """12x6 derivative of :func:`ypr_to_matrix` in the 12-vector view."""
     out = np.zeros((12, 6))
     out[9:, :3] = np.eye(3)
-    for j, d in enumerate((d_yaw, d_pitch, d_roll)):
-        out[:9, 3 + j] = d.reshape(-1, order="F")
+    out[:9, 3:] = _rotation_ypr_rate(p.yaw, p.pitch, p.roll)
     return out
 
 
@@ -593,12 +632,18 @@ def _rotation_quat_rate(qr, qx, qy, qz):
     return np.array(rows, dtype=float)
 
 
+def _rotation_raw_quat_rate(q):
+    """9x4 derivative of vec(R(q / |q|)) at a raw, nonzero 4-vector q."""
+    # Python floats build the table faster than numpy scalars, same values
+    u = (q / np.linalg.norm(q)).tolist()
+    return _rotation_quat_rate(*u) @ _norm_jacobian(q)
+
+
 def jacobian_matrix_wrt_quat(p):
     """12x7 derivative of :func:`quat_to_matrix` (normalization chained)."""
-    u, jn = quat_normalize(p.q)
     out = np.zeros((12, 7))
     out[9:, :3] = np.eye(3)
-    out[:9, 3:] = _rotation_quat_rate(*u.vec) @ jn
+    out[:9, 3:] = _rotation_raw_quat_rate(p.q.vec)
     return out
 
 
@@ -625,22 +670,25 @@ def convert_gaussian(src, target):
     return GaussianPose(mean, 0.5 * (cov + cov.T))
 
 
-def _signed_quat_rows(p, jac):
-    """Align a raw-map Jacobian with the canonical (qr >= 0) mean.
+def _signed_quat_rows(p, jac, q):
+    """Align a raw-map Jacobian with the reported mean quaternion q.
 
-    The reported mean quaternion is sign-flipped whenever the raw
-    half-angle scalar comes out negative; a covariance propagated around
-    that mean must use the derivative of the flipped representative, or
-    the translation-rotation cross terms come out with the wrong sign.
+    The Jacobian differentiates the half-angle formulas at p; the mean is
+    that representative or its negative (the canonical qr >= 0 choice,
+    or, near qr = 0, whichever sign the extraction from a matrix gives).
+    A covariance propagated around q must use the derivative of q's own
+    representative, or the translation-rotation cross terms come out with
+    the wrong sign.
     """
-    if _quat_components_from_angles(p.yaw, p.pitch, p.roll)[0] < 0.0:
+    if np.dot(_quat_components_from_angles(p.yaw, p.pitch, p.roll), q.vec) < 0.0:
         jac = jac.copy()
         jac[3:, :] = -jac[3:, :]
     return jac
 
 
 def _conv_ypr_quat(p):
-    return ypr_to_quat(p), _signed_quat_rows(p, jacobian_ypr_to_quat(p))
+    mean = ypr_to_quat(p)
+    return mean, _signed_quat_rows(p, jacobian_ypr_to_quat(p), mean.q)
 
 
 def _conv_quat_ypr(p):
@@ -661,8 +709,9 @@ def _conv_quat_matrix(p):
 
 def _conv_matrix_quat(m):
     e = matrix_to_ypr(m)
-    jac = _signed_quat_rows(e, jacobian_ypr_to_quat(e)) @ jacobian_ypr_wrt_matrix(m)
-    return ypr_to_quat(e), jac
+    mean = matrix_to_quat(m)
+    jac = _signed_quat_rows(e, jacobian_ypr_to_quat(e), mean.q) @ jacobian_ypr_wrt_matrix(m)
+    return mean, jac
 
 
 _CONVERSIONS = {

@@ -22,13 +22,12 @@ Floats are written with 17 significant digits, which round-trips doubles
 exactly.
 """
 
-import math
 import sys
 
 import numpy as np
 
 from .core import HomPose, HomPose2, Quaternion, quat_normalize
-from .core import _rotation_from_unit_quat
+from .core import _quat_from_rotation, _rotation_from_unit_quat
 from .errors import GeometryError
 from .graphslam import PoseGraph
 
@@ -133,36 +132,6 @@ def read_g2o(source, auto_fix=True):
         sys.stderr.write(
             "note: g2o input has no FIX record; fixing vertex %d\n" % lowest)
     return g
-
-
-def _quat_from_rotation(r):
-    """Serialization-grade quaternion extraction (scalar-first).
-
-    Largest-pivot square-root form: algebraic only, so it stays exact
-    near gimbal orientations and keeps write->read cycles stable to the
-    last printed digit, which the angle-based conversion route cannot.
-    """
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
-    k = int(np.argmax([tr, r[0, 0], r[1, 1], r[2, 2]]))
-    if k == 0:
-        s = math.sqrt(1.0 + tr) * 2.0
-        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
-    elif k == 1:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = np.array([(r[2, 1] - r[1, 2]) / s, 0.25 * s,
-                      (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s])
-    elif k == 2:
-        s = math.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2]) * 2.0
-        q = np.array([(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s,
-                      0.25 * s, (r[1, 2] + r[2, 1]) / s])
-    else:
-        s = math.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2]) * 2.0
-        q = np.array([(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s,
-                      (r[1, 2] + r[2, 1]) / s, 0.25 * s])
-    if q[0] < 0:
-        q = -q
-    return q
 
 
 def _pose3_fields(pose):

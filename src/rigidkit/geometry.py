@@ -8,7 +8,12 @@ closed analytic derivative:
 * pose (+) pose       - composition
 * pose inverse
 
-Points are plain (3,) float ndarrays.  All returned Jacobians are
+Points are plain (3,) float ndarrays.  The rotation derivatives come
+from :mod:`rigidkit.core`, which has d vec(R) for each parameterization
+(``_rotation_ypr_rate`` and ``_rotation_raw_quat_rate``).  The pose
+Jacobians here contract them with the point by the chain rule:
+d(R a) = sum_j a_j d(col_j R), and d(R^T d) has row i equal to
+d . d(col_i R).  All returned Jacobians are
 derivatives of exactly what the functions compute: quaternion inputs are
 re-normalized internally and the normalization derivative is chained into
 the pose blocks (at unit norm it is the projector that removes the radial
@@ -27,8 +32,9 @@ import numpy as np
 from .core import (EulerPose, GaussianPose, HomPose, QuatPose,
                    _angles_from_rotation, _norm_jacobian,
                    _quat_components_from_angles, _rotation_from_angles,
-                   _rotation_from_unit_quat, _ypr_rate_block,
-                   jacobian_ypr_to_quat, quat_normalize)
+                   _rotation_from_unit_quat, _rotation_quat_rate,
+                   _rotation_raw_quat_rate, _rotation_ypr_rate,
+                   _ypr_rate_block, jacobian_ypr_to_quat, quat_normalize)
 from .errors import GeometryError
 from .matderiv import inverse_rt
 
@@ -65,49 +71,14 @@ def _point(a):
     return a
 
 
-def _rotate_rate_block(u, a):
-    """3x4 derivative of (rotation of point a) with respect to a unit q.
-
-    Written for the unit-sphere quadratic form with 1 - 2(...) diagonals;
-    composed with the normalization projector the radial difference to
-    the homogeneous form cancels exactly.
-    """
-    qr, qx, qy, qz = u
-    ax, ay, az = a
-    return 2.0 * np.array([
-        [-qz * ay + qy * az,
-         qy * ay + qz * az,
-         -2.0 * qy * ax + qx * ay + qr * az,
-         -2.0 * qz * ax - qr * ay + qx * az],
-        [qz * ax - qx * az,
-         qy * ax - 2.0 * qx * ay - qr * az,
-         qx * ax + qz * az,
-         qr * ax - 2.0 * qz * ay + qy * az],
-        [-qy * ax + qx * ay,
-         qz * ax + qr * ay - 2.0 * qx * az,
-         -qr * ax + qz * ay - 2.0 * qy * az,
-         qx * ax + qy * ay],
-    ])
+def _rotate_rate(dvec_r, a):
+    """d(R a)/dtheta from the 9xk d vec(R)/dtheta: sum_j a_j d(col_j R)/dtheta."""
+    return (a @ dvec_r.reshape(3, -1)).reshape(3, -1)
 
 
-def _inv_rotate_rate_block(u, d):
-    """3x4 derivative of (inverse rotation of offset d) w.r.t. a unit q."""
-    qr, qx, qy, qz = u
-    dx, dy, dz = d
-    return 2.0 * np.array([
-        [-qy * dz + qz * dy,
-         qy * dy + qz * dz,
-         qx * dy - 2.0 * qy * dx - qr * dz,
-         qx * dz + qr * dy - 2.0 * qz * dx],
-        [qx * dz - qz * dx,
-         qy * dx - 2.0 * qx * dy + qr * dz,
-         qx * dx + qz * dz,
-         -qr * dx - 2.0 * qz * dy + qy * dz],
-        [qy * dx - qx * dy,
-         qz * dx - qr * dy - 2.0 * qx * dz,
-         qz * dy + qr * dx - 2.0 * qy * dz,
-         qx * dx + qy * dy],
-    ])
+def _inv_rotate_rate(dvec_r, d):
+    """d(R^T d)/dtheta from the 9xk d vec(R)/dtheta: row i is d . d(col_i R)/dtheta."""
+    return d @ dvec_r.reshape(3, 3, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +94,10 @@ def compose_point_quat(p, a):
         jac_point (3, 3) = the rotation matrix.
     """
     a = _point(a)
-    u, jn = quat_normalize(p.q)
-    rot = _rotation_from_unit_quat(*u.vec)
+    q = p.q.vec
+    rot = _rotation_from_unit_quat(*(q / np.linalg.norm(q)).tolist())
     value = np.array([p.x, p.y, p.z]) + rot @ a
-    jac_pose = np.hstack([np.eye(3), _rotate_rate_block(u.vec, a) @ jn])
+    jac_pose = np.hstack([np.eye(3), _rotate_rate(_rotation_raw_quat_rate(q), a)])
     return value, jac_pose, rot
 
 
@@ -139,23 +110,9 @@ def compose_point_ypr(p, a):
         jac_pose (3, 6) w.r.t. (x, y, z, yaw, pitch, roll).
     """
     a = _point(a)
-    ax, ay, az = a
-    cy, sy = np.cos(p.yaw), np.sin(p.yaw)
-    cp, sp = np.cos(p.pitch), np.sin(p.pitch)
-    cr, sr = np.cos(p.roll), np.sin(p.roll)
     rot = _rotation_from_angles(p.yaw, p.pitch, p.roll)
     value = np.array([p.x, p.y, p.z]) + rot @ a
-    j = np.array([
-        [-ax * sy * cp + ay * (-sy * sp * sr - cy * cr) + az * (-sy * sp * cr + cy * sr),
-         -ax * cy * sp + ay * cy * cp * sr + az * cy * cp * cr,
-         ay * (cy * sp * cr + sy * sr) + az * (-cy * sp * sr + sy * cr)],
-        [ax * cy * cp + ay * (cy * sp * sr - sy * cr) + az * (cy * sp * cr + sy * sr),
-         -ax * sy * sp + ay * sy * cp * sr + az * sy * cp * cr,
-         ay * (sy * sp * cr - cy * sr) + az * (-sy * sp * sr - cy * cr)],
-        [0.0,
-         -ax * cp - ay * sp * sr - az * sp * cr,
-         ay * cp * cr - az * cp * sr],
-    ])
+    j = _rotate_rate(_rotation_ypr_rate(p.yaw, p.pitch, p.roll), a)
     return value, np.hstack([np.eye(3), j]), rot
 
 
@@ -191,11 +148,11 @@ def inv_compose_point_quat(a, p):
         value = R^T (a - t); jac_pose (3, 7); jac_point (3, 3) = R^T.
     """
     a = _point(a)
-    u, jn = quat_normalize(p.q)
-    rot = _rotation_from_unit_quat(*u.vec)
+    q = p.q.vec
+    rot = _rotation_from_unit_quat(*(q / np.linalg.norm(q)).tolist())
     d = a - np.array([p.x, p.y, p.z])
     value = rot.T @ d
-    jac_pose = np.hstack([-rot.T, _inv_rotate_rate_block(u.vec, d) @ jn])
+    jac_pose = np.hstack([-rot.T, _inv_rotate_rate(_rotation_raw_quat_rate(q), d)])
     return value, jac_pose, rot.T.copy()
 
 
@@ -253,9 +210,7 @@ def _compose_quat_vecs(v1, v2):
     n1 = np.linalg.norm(q1r)
     if n1 < 1e-12:
         raise GeometryError("pose composition: zero-norm quaternion operand")
-    u1 = q1r / n1
-    jn1 = _norm_jacobian(q1r)
-    rot1 = _rotation_from_unit_quat(*u1)
+    rot1 = _rotation_from_unit_quat(*(q1r / n1).tolist())
     t2 = v2[:3]
     t = v1[:3] + rot1 @ t2
 
@@ -267,7 +222,7 @@ def _compose_quat_vecs(v1, v2):
 
     j1 = np.zeros((7, 7))
     j1[:3, :3] = np.eye(3)
-    j1[:3, 3:] = _rotate_rate_block(u1, t2) @ jn1
+    j1[:3, 3:] = _rotate_rate(_rotation_raw_quat_rate(q1r), t2)
     j1[3:, 3:] = jn_h @ _hamilton_wrt_left(q2r)
 
     j2 = np.zeros((7, 7))
@@ -363,7 +318,7 @@ def inverse_pose_quat(p):
         -(rot.T @ t), [u.qr, -u.qx, -u.qy, -u.qz]]))
     jac = np.zeros((7, 7))
     jac[:3, :3] = -rot.T
-    jac[:3, 3:] = _inv_rotate_rate_block(u.vec, -t) @ jn
+    jac[:3, 3:] = _inv_rotate_rate(_rotation_quat_rate(*u.vec) @ jn, -t)
     jac[3:, 3:] = np.diag([1.0, -1.0, -1.0, -1.0]) @ jn
     return value, jac
 

@@ -510,8 +510,6 @@ def _solve(h, rhs, *, lm_hint):
         factor = scipy.linalg.cho_factor(h)
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(_singular_msg(lm_hint)) from exc
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - alias guard
-        raise RankDeficiencyError(_singular_msg(lm_hint)) from exc
     return scipy.linalg.cho_solve(factor, rhs)
 
 

@@ -33,9 +33,6 @@ def _mat4(m):
     return np.asarray(m, dtype=float)
 
 
-_mat3 = _mat4
-
-
 @dataclass(frozen=True)
 class AxisAngle:
     """Unit rotation axis and angle in [0, pi]."""
@@ -319,7 +316,7 @@ def se2_exp(v):
 
 def se2_log(m):
     """(dx, dy, dtheta) logarithm of a planar rigid transformation."""
-    m = _mat3(m)
+    m = _mat4(m)
     phi = np.arctan2(m[1, 0], m[0, 0])
     a = _half_cot_half(phi)
     h = 0.5 * phi
@@ -341,6 +338,6 @@ def se2_pseudo_exp(v):
 
 def se2_pseudo_log(m):
     """Inverse of :func:`se2_pseudo_exp`: (x, y, atan2-wrapped angle)."""
-    m = _mat3(m)
+    m = _mat4(m)
     return np.array([m[0, 2], m[1, 2], np.arctan2(m[1, 0], m[0, 0])])
 

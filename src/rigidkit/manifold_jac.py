@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearPiRotationError
-from .lie import _PI_EDGE, _mat3, _mat4, se2_pseudo_log, so3_log
+from .lie import _PI_EDGE, _mat4, se2_pseudo_log, so3_log
 from .matderiv import d_compose_wrt_A, hat3, inverse_rt, kron
 
 
@@ -79,7 +79,7 @@ def dlog_so3(r):
     elsewhere the trace-dependent rescaling adds terms on the diagonal
     entries' columns.
     """
-    r = _mat3(r)[:3, :3]
+    r = _mat4(r)[:3, :3]
     tr = r[0, 0] + r[1, 1] + r[2, 2]
     c = min(1.0, max(-1.0, 0.5 * (tr - 1.0)))
     if c > 0.999999:
@@ -211,20 +211,18 @@ def jacob_p_ominus_AexpeD_de(a, d, p):
 
 @dataclass(frozen=True)
 class EdgeErrorSE3:
-    """Residual of a measured relative pose and its two 6x6 Jacobians."""
+    """Residual of a measured relative pose and its two Jacobians.
+
+    The Jacobians are 6x6 for an SE(3) edge and 3x3 for a planar one;
+    ``EdgeErrorSE2`` is the same record under its planar name.
+    """
 
     error: np.ndarray
     jac1: np.ndarray
     jac2: np.ndarray
 
 
-@dataclass(frozen=True)
-class EdgeErrorSE2:
-    """Planar residual of a measured relative pose with 3x3 Jacobians."""
-
-    error: np.ndarray
-    jac1: np.ndarray
-    jac2: np.ndarray
+EdgeErrorSE2 = EdgeErrorSE3
 
 
 def edge_error_se3(d, p1, p2):
@@ -261,7 +259,7 @@ def edge_error_se3(d, p1, p2):
 
 def jacob_Dexpe_de_se2(d):
     """3x3 derivative of params(D @ exp(eps)) at eps = 0 for planar poses."""
-    m = _mat3(d)
+    m = _mat4(d)
     out = np.eye(3)
     out[:2, :2] = m[:2, :2]
     return out
@@ -269,8 +267,8 @@ def jacob_Dexpe_de_se2(d):
 
 def d_compose_se2_wrt_A(a, b):
     """3x3 derivative of params(A @ B) w.r.t. (x_A, y_A, phi_A)."""
-    ma = _mat3(a)
-    mb = _mat3(b)
+    ma = _mat4(a)
+    mb = _mat4(b)
     sa, ca = ma[1, 0], ma[0, 0]
     xb, yb = mb[0, 2], mb[1, 2]
     out = np.eye(3)
@@ -299,9 +297,9 @@ def edge_error_se2(d, p1, p2):
     already wrapped to (-pi, pi].  Jacobians follow right-multiplicative
     increments of P1 and P2.
     """
-    md = _mat3(d)
-    m1 = _mat3(p1)
-    m2 = _mat3(p2)
+    md = _mat4(d)
+    m1 = _mat4(p1)
+    m2 = _mat4(p2)
     d_inv = _inverse_se2(md)
     b = _inverse_se2(m1) @ m2
     t_err = d_inv @ b

@@ -72,7 +72,7 @@ def manifold_numeric_jacobian(f, base, side="left", h=1e-6):
         HomPose / HomPose2 or their raw matrices.
     side : {'left', 'right'}
     """
-    m = np.asarray(base.mat if hasattr(base, "mat") else base, dtype=float)
+    m = lie._mat4(base)
     if m.shape == (4, 4):
         dim, pexp = 6, lie.se3_pseudo_exp
     elif m.shape == (3, 3):

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError
+from .errors import BehindCameraError, GeometryError
+from .geometry import _point
 from .manifold_jac import jacob_p_ominus_expeD_de
 from .matderiv import hat3
 
@@ -29,14 +30,7 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
-
-
-def _point(p):
-    p = np.asarray(p, dtype=float)
-    if p.shape != (3,):
-        raise ValueError("expected a 3-vector point")
-    return p
+            raise GeometryError("focal lengths must be positive")
 
 
 def _check_depth(z, where):

@@ -14,7 +14,8 @@ from rigidkit import (EulerPose, GaussianPose, GeometryError, HomPose,
                       jacobian_quat_to_ypr, jacobian_ypr_to_quat,
                       jacobian_ypr_wrt_matrix, matrix_to_quat, matrix_to_ypr,
                       numeric_jacobian, quat_normalize, quat_to_matrix,
-                      quat_to_ypr, wrap_angle, ypr_to_matrix, ypr_to_quat)
+                      quat_to_ypr, so3_exp, wrap_angle, ypr_to_matrix,
+                      ypr_to_quat)
 from rigidkit.core import _quat_components_from_angles
 
 # frozen oracle literals (independent half-angle / axis-rotation evaluation)
@@ -178,6 +179,15 @@ def test_matrix_to_quat_equals_angle_route():
         assert np.abs(matrix_to_quat(m).q.vec - via_angles.q.vec).max() < 1e-9
 
 
+@given(st.sampled_from([-1.0, 1.0]), st.floats(1e-12, 1e-5),
+       st.floats(-3.1, 3.1), st.floats(-3.1, 3.1))
+def test_matrix_to_quat_round_trip_near_gimbal(side, gap, yaw, roll):
+    # an extraction through Euler angles loses ~1e-10 here; the
+    # algebraic one keeps the rotation to rounding
+    m = ypr_to_matrix(EulerPose(0.5, -1.0, 2.0, yaw, side * (0.5 * math.pi - gap), roll))
+    assert np.abs(quat_to_matrix(matrix_to_quat(m)).mat - m.mat).max() < 1e-12
+
+
 def test_quat_to_matrix_equals_angle_route():
     rng = np.random.default_rng(25)
     for _ in range(200):
@@ -299,6 +309,28 @@ def test_flipped_mean_covariance_round_trip():
     g = GaussianPose(p, cov)
     back = convert_gaussian(convert_gaussian(g, "quat"), "ypr")
     assert np.abs(back.cov - cov).max() < 1e-12
+
+
+def test_half_turn_covariance_round_trip_through_matrix():
+    # at a half turn qr is zero up to rounding, and the quaternion taken
+    # from the matrix may have the opposite sign to the half-angle one the
+    # Jacobian differentiates; the rows must follow the reported mean
+    rng = np.random.default_rng(98)
+    a = rng.normal(size=(6, 6)) * 1e-3
+    cov = a @ a.T
+    disagree = 0
+    for _ in range(200):
+        axis = rng.normal(size=3)
+        m = HomPose.from_rt(so3_exp(math.pi * axis / np.linalg.norm(axis)), [0.5, -1.0, 2.0])
+        p = matrix_to_ypr(m)
+        if abs(p.pitch) > 1.4:
+            continue
+        mean = matrix_to_quat(ypr_to_matrix(p)).q.vec
+        disagree += np.dot(_quat_components_from_angles(p.yaw, p.pitch, p.roll), mean) < 0
+        g = convert_gaussian(GaussianPose(p, cov), "matrix")
+        back = convert_gaussian(convert_gaussian(g, "quat"), "ypr")
+        assert np.abs(back.cov - cov).max() < 1e-10
+    assert disagree  # the sample reached the sign-ambiguous case
 
 
 def test_matrix_jacobians_match_fd():

@@ -11,12 +11,15 @@ from rigidkit import (EulerPose, GaussianPoint3, GaussianPose, GeometryError,
                       HomPose, QuatPose, SingularConfigurationError,
                       compose_point_matrix, compose_point_quat,
                       compose_point_ypr, compose_pose_matrix,
-                      compose_pose_quat, compose_pose_ypr,
-                      inv_compose_point_matrix, inv_compose_point_quat,
-                      inverse_pose_matrix, inverse_pose_quat, numeric_jacobian,
-                      propagate_binary, quat_to_matrix, ypr_to_matrix,
-                      ypr_to_quat)
+                      compose_pose_quat, compose_pose_ypr, d_apply_wrt_pose,
+                      d_invapply_wrt_pose, inv_compose_point_matrix,
+                      inv_compose_point_quat, inverse_pose_matrix,
+                      inverse_pose_quat, jacobian_matrix_wrt_quat,
+                      jacobian_matrix_wrt_ypr, numeric_jacobian,
+                      propagate_binary, quat_normalize, quat_to_matrix,
+                      ypr_to_matrix, ypr_to_quat)
 from rigidkit.core import Quaternion
+from rigidkit.geometry import _compose_quat_vecs
 
 # frozen oracle: independent matrix-route composition of two fixed poses
 COMPOSE_A = EulerPose(1.0, -2.0, 0.5, 0.4, -0.3, 1.2)
@@ -125,6 +128,59 @@ def test_point_round_trip_property(seed):
 
 # ---------------------------------------------------------------------------
 # pose (+) pose, inverse
+
+# ---------------------------------------------------------------------------
+# pose Jacobians against the public matrix-view chain
+#   d(pose action)/dp = d(action)/d vec12(M) @ d vec12(M)/dp
+
+_coord = st.floats(-5.0, 5.0)
+_vec3 = st.tuples(_coord, _coord, _coord).map(np.array)
+_raw_quat = (st.tuples(*[st.floats(-2.0, 2.0)] * 4).map(np.array)
+             .filter(lambda q: np.linalg.norm(q) > 0.1))
+_angle = st.floats(-3.1, 3.1)
+
+
+def _unit_pose(t, q):
+    u = q / np.linalg.norm(q)
+    return QuatPose(t[0], t[1], t[2], Quaternion(*u))
+
+
+@given(_vec3, _raw_quat, _vec3)
+def test_quat_point_jacobians_match_matrix_chain(t, q, a):
+    p = _unit_pose(t, q)
+    dm = jacobian_matrix_wrt_quat(p)
+    _, jac, _ = compose_point_quat(p, a)
+    assert np.abs(jac - d_apply_wrt_pose(a) @ dm).max() < 1e-12
+    m = quat_to_matrix(p).mat
+    _, jac, _ = inv_compose_point_quat(a, p)
+    assert np.abs(jac - d_invapply_wrt_pose(m, a) @ dm).max() < 1e-12
+    _, jac = inverse_pose_quat(p)
+    assert np.abs(jac[:3] - d_invapply_wrt_pose(m, np.zeros(3)) @ dm).max() < 1e-12
+
+
+@given(_vec3, _angle, st.floats(-1.5, 1.5), _angle, _vec3)
+def test_ypr_point_jacobian_matches_matrix_chain(t, yaw, pitch, roll, a):
+    p = EulerPose(t[0], t[1], t[2], yaw, pitch, roll)
+    _, jac, _ = compose_point_ypr(p, a)
+    assert np.abs(jac - d_apply_wrt_pose(a) @ jacobian_matrix_wrt_ypr(p)).max() < 1e-12
+
+
+@given(_vec3, _raw_quat, _vec3, _raw_quat)
+def test_compose_translation_rows_match_matrix_chain(t1, q1, t2, q2):
+    p1, p2 = _unit_pose(t1, q1), _unit_pose(t2, q2)
+    _, j1, _ = compose_pose_quat(p1, p2)
+    chain = d_apply_wrt_pose(t2) @ jacobian_matrix_wrt_quat(p1)
+    assert np.abs(j1[:3] - chain).max() < 1e-12
+
+    # raw, unnormalized operand: chain the normalization at q1 itself;
+    # vec(R) is even in q, so its derivative is odd and follows the sign
+    # of the raw representative against the canonical one of p1
+    _, j1, _ = _compose_quat_vecs(np.concatenate([t1, q1]), p2.vec)
+    _, jn = quat_normalize(Quaternion(*q1))
+    sign = 1.0 if q1[0] >= 0.0 else -1.0
+    chain[:, 3:] = sign * chain[:, 3:] @ jn
+    assert np.abs(j1[:3] - chain).max() < 1e-12
+
 
 def test_compose_frozen_value():
     c, _, _ = compose_pose_ypr(COMPOSE_A, COMPOSE_B)

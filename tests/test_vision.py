@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from conftest import rand_hompose
-from rigidkit import (BehindCameraError, CameraIntrinsics, HomPose,
-                      dproject_dp, manifold_numeric_jacobian, numeric_jacobian,
+from rigidkit import (BehindCameraError, CameraIntrinsics, GeometryError,
+                      HomPose, dproject_dp, manifold_numeric_jacobian, numeric_jacobian,
                       project, project_inv_pose_point, project_pose_point)
 
 K = CameraIntrinsics(fx=500.0, fy=400.0, cx=320.0, cy=240.0)
@@ -71,6 +71,13 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=-1.0, fy=400.0, cx=0.0, cy=0.0)
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=500.0, fy=0.0, cx=0.0, cy=0.0)
+
+
+def test_bad_inputs_raise_geometry_error():
+    with pytest.raises(GeometryError):
+        project(K, np.array([1.0, 2.0]))
+    with pytest.raises(GeometryError):
+        CameraIntrinsics(fx=0.0, fy=400.0, cx=0.0, cy=0.0)
 
 
 def test_project_rejects_bad_shape():
