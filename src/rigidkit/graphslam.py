@@ -23,11 +23,11 @@ H = sum J^T Lambda J and b = sum J^T Lambda e, so the gradient of chi2
 with respect to the stacked increments is exactly 2 b, and a step solves
 H delta = -b (Gauss-Newton) or (H + lambda I) delta = -b
 (Levenberg-Marquardt with multiplicative lambda schedule).  The blocks
-are summed into H through a scatter pattern computed once per graph from
-the edge endpoints.
+are summed into a CSR H through a scatter pattern computed once per graph
+from the edge endpoints.
 
-Problems up to 1500 free coordinates use a dense Cholesky solve; larger
-ones assemble H as CSR and use a sparse factorization.
+Every system is factored by a symmetric-mode sparse LU (minimum-degree
+ordering, diagonal pivots), accepted if all pivots are diagonal and > 0.
 """
 
 import dataclasses
@@ -35,7 +35,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -47,6 +47,7 @@ from .matderiv import inverse_rt
 
 _DENSE_LIMIT = 1500
 _LM_MAX_LAMBDA = 1e12
+_CHI2_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,10 @@ class PoseGraph:
             raise GeometryError(
                 "PoseGraph: edge (%d, %d) information matrix is not symmetric" % (i, j))
         info = 0.5 * (info + info.T)
+        w, _, status = scipy.linalg.lapack.dsyev(info, compute_v=0)  # eigvalsh, less overhead
+        if status or w[0] < -1e-9 * w[-1]:  # lambda_min < -1e-9 max |lambda|
+            raise GeometryError("PoseGraph: edge (%d, %d) information matrix is not "
+                                "positive semidefinite" % (i, j))
         info.setflags(write=False)
         self.edges.append(Edge(i, j, delta, info))
 
@@ -311,9 +316,9 @@ class _Scatter:
     Built once per graph from the edge endpoints' coordinate blocks.  H
     values are laid out per edge as (E, 2, 2, d, d) (blocks ii, ij, ji,
     jj) and b values as (E, 2, d); ``h_pos`` / ``b_pos`` give each value's
-    index in the flat dense H (up to ``_DENSE_LIMIT`` coordinates) or in
-    the CSR data array, with entries that touch a fixed vertex sent to
-    one spare slot past the end.
+    index in the CSR data array of H or in b, with entries that touch a
+    fixed vertex sent to one spare slot past the end.  ``diag`` indexes H's
+    diagonal, which exists once the graph has passed :func:`_check_gauge`.
     """
 
     def __init__(self, si, sj, d, nblocks):
@@ -325,15 +330,7 @@ class _Scatter:
         ends = np.stack([si, sj], axis=1)
         self.b_pos = np.where((ends >= 0)[..., None], ends[..., None] * d + off, ncoord)
         self.ncoord = ncoord
-        if ncoord <= _DENSE_LIMIT:
-            self.indices = self.indptr = None
-            self.size = ncoord * ncoord
-            rows = rb[..., None] * d + off
-            cols = cb[..., None] * d + off
-            pos = rows[..., :, None] * ncoord + cols[..., None, :]
-            self.h_pos = np.where(keep[..., None, None], pos, self.size)
-            return
-        # CSR: block (p, q) row r holds columns q*d .. q*d+d-1, blocks of a
+        # block (p, q) row r holds columns q*d .. q*d+d-1, blocks of a
         # block row in ascending q
         blocks, which = np.unique((rb * nblocks + cb)[keep], return_inverse=True)
         brow, bcol = np.divmod(blocks, nblocks)
@@ -349,13 +346,12 @@ class _Scatter:
         self.indptr = self.indptr.astype(np.int32)
         self.h_pos = np.full(rb.shape + (d, d), self.size)
         self.h_pos[keep] = upos[which]
+        self.diag = upos[brow == bcol][:, off, off].ravel()
 
     def assemble(self, h_vals, b_vals):
-        """(H, b) from per-edge values; H dense or CSR as the pattern is."""
+        """(H, b) from per-edge values, H as a CSR matrix."""
         h = np.bincount(self.h_pos.ravel(), h_vals.ravel(), self.size + 1)[:-1]
         b = np.bincount(self.b_pos.ravel(), b_vals.ravel(), self.ncoord + 1)[:-1]
-        if self.indices is None:
-            return h.reshape(self.ncoord, self.ncoord), b
         return scipy.sparse.csr_matrix((h, self.indices, self.indptr),
                                        shape=(self.ncoord, self.ncoord)), b
 
@@ -490,40 +486,40 @@ def build_normal_equations(g):
     """
     _check_gauge(g)
     pk = _Packed(g)
-    return pk.normal_equations(pk.mats)
+    h, b = pk.normal_equations(pk.mats)
+    return (h.toarray() if b.size <= _DENSE_LIMIT else h), b
 
 
 # ---------------------------------------------------------------------------
 # solving and stepping
 
 def _solve(h, rhs, *, lm_hint):
-    if scipy.sparse.issparse(h):
-        try:
-            lu = scipy.sparse.linalg.splu(h.tocsc())
-        except RuntimeError as exc:
-            raise RankDeficiencyError(_singular_msg(lm_hint)) from exc
-        x = lu.solve(rhs)
-        if not np.all(np.isfinite(x)):
-            raise RankDeficiencyError(_singular_msg(lm_hint))
-        return x
-    try:
-        factor = scipy.linalg.cho_factor(h)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(_singular_msg(lm_hint)) from exc
-    return scipy.linalg.cho_solve(factor, rhs)
+    """Solve h x = rhs for a symmetric (so CSR = CSC) positive definite h.
 
-
-def _singular_msg(lm_hint):
+    Diagonal pivots under a symmetric ordering make the factor L D L^T up to
+    scaling: h is positive definite iff all pivots stay diagonal and positive.
+    """
     msg = "normal equations are not positive definite"
     if lm_hint:
         msg += "; try method='levenberg-marquardt'"
-    return msg
+    a = scipy.sparse.csc_matrix((h.data, h.indices, h.indptr), shape=h.shape)
+    try:
+        lu = scipy.sparse.linalg.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise RankDeficiencyError(msg) from exc
+    x = lu.solve(rhs)
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)
+            and np.all(np.isfinite(x))):
+        raise RankDeficiencyError(msg)
+    return x
 
 
-def _damped(h, lam):
-    if scipy.sparse.issparse(h):
-        return h + lam * scipy.sparse.identity(h.shape[0], format="csr")
-    return h + lam * np.eye(h.shape[0])
+def _damped(h, diag, lam):
+    """h + lam I for a CSR h whose diagonal sits at the data indices diag."""
+    data = h.data.copy()
+    data[diag] += lam
+    return scipy.sparse.csr_matrix((data, h.indices, h.indptr), shape=h.shape)
 
 
 def _step_core(pk, mats, base, cfg, h, b, lam):
@@ -534,7 +530,7 @@ def _step_core(pk, mats, base, cfg, h, b, lam):
         return out, IterationStats(0, pk.chi2(out), float(np.linalg.norm(delta)), 0.0)
     while lam <= _LM_MAX_LAMBDA:
         try:
-            delta = _solve(_damped(h, lam), -b, lm_hint=False)
+            delta = _solve(_damped(h, pk.scatter.diag, lam), -b, lm_hint=False)
         except RankDeficiencyError:
             lam *= cfg.lm_factor
             continue
@@ -574,8 +570,8 @@ def optimize(g, cfg):
     the poses are rebuilt (and validated) only for the returned graph.
 
     Termination: gradient max-norm below epsilon_gradient, update norm
-    below epsilon_update, a Levenberg-Marquardt step that cannot decrease
-    chi2 any more, or max_iterations.
+    below epsilon_update, a step that moves chi2 by at most 1e-7 relative,
+    a Levenberg-Marquardt step that cannot decrease chi2, or max_iterations.
 
     Returns
     -------
@@ -598,13 +594,13 @@ def optimize(g, cfg):
         if b.size == 0 or float(np.max(np.abs(b))) < cfg.epsilon_gradient:
             break
         mats, st = _step_core(pk, mats, base, cfg, h, b, lam)
-        base = st.chi2
+        prev, base = base, st.chi2
         stats.append(dataclasses.replace(st, iteration=it))
         if lm:
             if st.update_norm == 0.0:
                 break
             lam = max(st.lambda_ / cfg.lm_factor, 1e-12)
-        if st.update_norm < cfg.epsilon_update:
+        if st.update_norm < cfg.epsilon_update or abs(prev - base) <= _CHI2_RTOL * prev:
             break
     return pk.unpack(mats), stats
 

@@ -104,6 +104,13 @@ def test_parse_errors_name_line(text, line):
         read_g2o(io.StringIO(text))
 
 
+def test_indefinite_information_names_line():
+    text = ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\n"
+            "EDGE_SE2 0 1 1 0 0 -1 0 0 -1 0 -1\n")
+    with pytest.raises(GeometryError, match="line 3: .*not positive semidefinite"):
+        read_g2o(io.StringIO(text))
+
+
 def test_empty_input_rejected():
     with pytest.raises(GeometryError, match="no vertices"):
         read_g2o(io.StringIO("# nothing here\n"))

@@ -10,8 +10,9 @@ from rigidkit import (GeometryError, HomPose, HomPose2, NearPiRotationError,
                       build_normal_equations, chi2, edge_error_se2,
                       edge_error_se3, optimize, se2_exp, se2_pseudo_exp,
                       se3_pseudo_exp, so3_exp, so3_log, step, synth_graph)
-from rigidkit.graphslam import (_DENSE_LIMIT, IterationStats, _inverse_rigid,
-                                _linearize)
+from rigidkit import graphslam
+from rigidkit.graphslam import (_DENSE_LIMIT, IterationStats, _damped, _inverse_rigid,
+                                _linearize, _Packed, _solve)
 
 INFO2 = np.diag([400.0, 400.0, 10000.0])
 
@@ -79,6 +80,15 @@ def test_asymmetric_information_rejected():
     bad[0, 1] = 5.0
     with pytest.raises(GeometryError):
         g.add_edge(0, 1, se2_exp(np.zeros(3)), bad)
+
+
+def test_indefinite_information_rejected():
+    g = _tiny_se2()
+    with pytest.raises(GeometryError, match="not positive semidefinite"):
+        g.add_edge(0, 1, se2_exp(np.zeros(3)), -INFO2)
+    # rank one: its zero eigenvalues come out near -1e-12 in floating point
+    v = np.array([100.0, 200.0, 300.0])
+    g.add_edge(0, 1, se2_exp(np.zeros(3)), np.outer(v, v))
 
 
 def test_information_shape_checked():
@@ -400,6 +410,43 @@ def test_near_pi_edge_chi2_and_build():
     assert chi2(g) == pytest.approx(near @ info @ near + ok @ info @ ok, rel=1e-12)
     with pytest.raises(NearPiRotationError):
         build_normal_equations(g)
+
+
+@pytest.mark.parametrize("kind, n", [("grid2d", 100), ("sphere3d", 100)])
+def test_optimize_stops_once_chi2_stops_moving(kind, n, monkeypatch):
+    _, noisy = synth_graph(kind, n, (0.05, 0.01), 1)
+    _, stats = optimize(noisy, SolverConfig())
+    # the relative function tolerance fired on an accepted step, not an
+    # all-rejected trial at the end
+    assert stats[-1].update_norm > 0.0
+    assert stats[-2].chi2 - stats[-1].chi2 <= 1e-7 * stats[-2].chi2
+    monkeypatch.setattr(graphslam, "_CHI2_RTOL", 0.0)
+    _, full = optimize(noisy, SolverConfig())
+    assert len(stats) < len(full)
+    assert abs(stats[-1].chi2 - full[-1].chi2) <= 1e-6 * full[-1].chi2
+
+
+# ---------------------------------------------------------------------------
+# factorization
+
+@pytest.mark.parametrize("kind, n", [("circle2d", 300), ("circle2d", 600), ("sphere3d", 300)])
+def test_solve_damped_normal_equations(kind, n):
+    _, noisy = synth_graph(kind, n, (0.05, 0.01), 3)
+    pk = _Packed(_perturbed(noisy, 0.05, 2))
+    h, b = pk.normal_equations(pk.mats)
+    a = _damped(h, pk.scatter.diag, 1e-3)
+    assert np.array_equal(a.toarray(), h.toarray() + 1e-3 * np.eye(b.size))
+    x = _solve(a, -b, lm_hint=False)
+    ref = np.linalg.solve(a.toarray(), -b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("h", [
+    -scipy.sparse.identity(3000, format="csr"),
+    scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))])
+def test_solve_rejects_matrices_that_are_not_positive_definite(h):
+    with pytest.raises(RankDeficiencyError, match="not positive definite"):
+        _solve(h, np.ones(h.shape[0]), lm_hint=False)
 
 
 @pytest.mark.parametrize("kind, n", [("sphere3d", 40), ("circle2d", 600)])
