@@ -143,6 +143,18 @@ class QuatPose:
         return cls(v[0], v[1], v[2], Quaternion(v[3], v[4], v[5], v[6]))
 
 
+def _trusted(cls, m):
+    """A pose holding m without the constructor's checks.
+
+    Only for a read-only float matrix that is rigid by construction or has
+    passed :func:`_rigid_checks`; the batched readers and the solver's
+    unpacking use it so that they validate a whole stack at once.
+    """
+    p = object.__new__(cls)
+    object.__setattr__(p, "mat", m)
+    return p
+
+
 @dataclass(frozen=True)
 class HomPose:
     """Pose as a 4x4 homogeneous matrix.
@@ -199,6 +211,8 @@ class HomPose:
     def identity(cls):
         return cls(np.eye(4))
 
+    _trusted = classmethod(_trusted)
+
 
 @dataclass(frozen=True)
 class HomPose2:
@@ -242,6 +256,43 @@ class HomPose2:
     @classmethod
     def identity(cls):
         return cls(np.eye(3))
+
+    _trusted = classmethod(_trusted)
+
+
+def _rigid_checks(m):
+    """The HomPose / HomPose2 constructor's tests on a stack m (N, n, n).
+
+    Returns a list of (pass mask, message) in the order the constructor
+    applies them, for :func:`_first_failure`; same tolerances.
+    """
+    k = m.shape[-1] - 1
+    name = "HomPose" if k == 3 else "HomPose2"
+    r = m[:, :k, :k]
+    with np.errstate(invalid="ignore", over="ignore"):
+        ortho = np.linalg.norm(np.swapaxes(r, 1, 2) @ r - np.eye(k), axis=(1, 2)) < 1e-9
+        det = np.linalg.det(r)
+    return [
+        (np.isfinite(m).all(axis=(1, 2)), name + ": non-finite entry"),
+        ((m[:, k, :k] == 0.0).all(axis=1) & (m[:, k, k] == 1.0),
+         name + ": bottom row must be (%s1)" % ("0, " * k)),
+        (ortho, name + ": rotation block is not orthonormal"),
+        (np.abs(det - 1.0) < 1e-9 if k == 3 else det > 0.0,
+         name + ": rotation block must have determinant +1"),
+    ]
+
+
+def _first_failure(checks):
+    """(row, message) of the first row failing any of checks, else None.
+
+    checks is a list of (pass mask, message) in the order the tests apply
+    to one row; the message is that of the row's first failed test.
+    """
+    ok = np.logical_and.reduce([passed for passed, _ in checks])
+    if ok.all():
+        return None
+    row = int(np.argmin(ok))
+    return row, next(msg for passed, msg in checks if not passed[row])
 
 
 _KIND_DIM = {"ypr": 6, "quat": 7, "matrix": 12}
@@ -362,34 +413,38 @@ def _angles_from_rotation(r):
     return yaw, pitch, roll
 
 
+# Largest-pivot quaternion extraction.  With pivot k (the largest of tr,
+# r00, r11, r22), q[k] = s / 4 and every other q[j] = (r[P] + SIGN * r[Q]) / s,
+# indices into the row-major entries of r.
+_PIVOT_P = np.array([[0, 7, 2, 3], [7, 0, 1, 2], [2, 1, 0, 5], [3, 2, 5, 0]])
+_PIVOT_Q = np.array([[0, 5, 6, 1], [5, 0, 3, 6], [6, 3, 0, 7], [1, 6, 7, 0]])
+_PIVOT_SIGN = np.array([[0.0, -1.0, -1.0, -1.0], [-1.0, 0.0, 1.0, 1.0],
+                        [-1.0, 1.0, 0.0, 1.0], [-1.0, 1.0, 1.0, 0.0]])
+_PIVOT_DIAG = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
+                        [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+
+
 def _quat_from_rotation(r):
     """Unit quaternion (scalar-first, canonical qr >= 0) of a rotation.
 
-    Largest-pivot square-root form: algebraic only, so it stays exact
-    near gimbal orientations and keeps g2o write->read cycles stable to
-    the last printed digit, which a route through Euler angles cannot.
+    r is (3, 3) or a stack (..., 3, 3); the result is (4,) or (..., 4).
+    Largest-pivot square-root form: s = 2 sqrt(1 + tr) or, for a diagonal
+    pivot, 2 sqrt(1 + r_kk - the other two).  It is algebraic only, so it
+    stays exact near gimbal orientations and keeps g2o write->read cycles
+    stable to the last printed digit, which a route through Euler angles
+    cannot.
     """
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
-    k = int(np.argmax([tr, r[0, 0], r[1, 1], r[2, 2]]))
-    if k == 0:
-        s = math.sqrt(1.0 + tr) * 2.0
-        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
-    elif k == 1:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = np.array([(r[2, 1] - r[1, 2]) / s, 0.25 * s,
-                      (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s])
-    elif k == 2:
-        s = math.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2]) * 2.0
-        q = np.array([(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s,
-                      0.25 * s, (r[1, 2] + r[2, 1]) / s])
-    else:
-        s = math.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2]) * 2.0
-        q = np.array([(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s,
-                      (r[1, 2] + r[2, 1]) / s, 0.25 * s])
-    if q[0] < 0:
-        q = -q
-    return q
+    f = np.asarray(r, dtype=float).reshape(-1, 9)
+    tr = f[:, 0] + f[:, 4] + f[:, 8]
+    k = np.argmax(np.column_stack([tr, f[:, 0], f[:, 4], f[:, 8]]), axis=1)
+    sd = _PIVOT_DIAG[k]
+    s = np.sqrt(np.where(k == 0, 1.0 + tr, 1.0 + sd[:, 0] * f[:, 0] + sd[:, 1] * f[:, 4]
+                         + sd[:, 2] * f[:, 8])) * 2.0
+    rows = np.arange(len(f))[:, None]
+    q = (f[rows, _PIVOT_P[k]] + _PIVOT_SIGN[k] * f[rows, _PIVOT_Q[k]]) / s[:, None]
+    q[rows[:, 0], k] = 0.25 * s
+    q[q[:, 0] < 0.0] *= -1.0
+    return q.reshape(np.shape(r)[:-2] + (4,))
 
 
 def _norm_jacobian(qvec):
@@ -447,6 +502,24 @@ def quat_normalize(q):
         raise GeometryError("quat_normalize: zero-norm quaternion")
     u = v / n
     return Quaternion(u[0], u[1], u[2], u[3]), _norm_jacobian(v)
+
+
+def _quat_to_matrix_rows(t, q):
+    """Batched :func:`quat_to_matrix`: (N, 4, 4) poses of translations t and
+    quaternions q (scalar first), with the tests of Quaternion, then
+    quat_normalize, then HomPose in order for :func:`_first_failure`."""
+    finite = np.isfinite(q).all(axis=1)
+    q = np.where(q[:, :1] < 0.0, -q, q)
+    # one norm call per row: a batched norm sums in another order, an ulp off
+    norm = np.array([np.linalg.norm(row) for row in q])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = q / norm[:, None]
+    m = np.zeros((len(q), 4, 4))
+    m[:, :3, :3] = np.moveaxis(_rotation_from_unit_quat(*u.T), -1, 0)
+    m[:, :3, 3] = t
+    m[:, 3, 3] = 1.0
+    return m, [(finite, "Quaternion: non-finite component"),
+               (norm >= 1e-12, "quat_normalize: zero-norm quaternion")] + _rigid_checks(m)
 
 
 def ypr_to_quat(p):

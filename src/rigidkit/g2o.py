@@ -12,58 +12,120 @@ Supported records (one per line, whitespace separated):
   block first then rotation block, matching this package's tangent order
 * ``FIX id [id ...]``
 
-Lines starting with ``#`` and blank lines are skipped.  Records must
-define a vertex before any FIX or edge that references it.  Parse errors
-raise GeometryError naming the offending line.  A file with no FIX
-record gets its lowest vertex id fixed automatically (with a note to
+Lines starting with ``#`` and blank lines are skipped.  A file with no
+FIX record gets its lowest vertex id fixed automatically (with a note to
 stderr) so the graph is usable as-is.
 
-Floats are written with 17 significant digits, which round-trips doubles
-exactly.
+The reader is batched.  It groups the records by tag with their line
+numbers, parses each group's numbers with one ``np.array(tokens,
+dtype=float)`` and its ids with ``int()`` (exact at any size), and builds
+and checks each group's poses at once; ``PoseGraph._bulk`` then applies
+the graph's rules in line order (a vertex precedes the edges and FIX
+records naming it, ids are unique, planar and 3D records do not mix,
+information matrices are PSD).  Errors name the first faulty line with
+the message of a line-by-line reader: each check finds the first record
+it rejects (rescanning a group that fails to convert), later checks see
+only the records before it, and the smallest line wins.  The writer
+fills one ``%`` template per line; its 17 significant digits round-trip
+doubles exactly.
 """
 
 import sys
 
 import numpy as np
 
-from .core import HomPose, HomPose2, Quaternion, quat_normalize
-from .core import _quat_from_rotation, _rotation_from_unit_quat
+from .core import (HomPose, HomPose2, _first_failure, _quat_from_rotation,
+                   _quat_to_matrix_rows, _rigid_checks)
 from .errors import GeometryError
-from .graphslam import PoseGraph
+from .graphslam import PoseGraph, _pseudo_exp_rows
 
 __all__ = ["read_g2o", "write_g2o", "format_g2o"]
 
-
-def _f(v):
-    return "%.17g" % float(v)
-
-
-def _fields(tok, count):
-    if len(tok) != count + 1:
-        raise GeometryError(
-            "%s record needs %d fields, got %d" % (tok[0], count, len(tok) - 1))
-    return tok[1:]
+# tag: (pose class, fields, ids, leading fields not read as floats); only
+# VERTEX_SE2 reads its id as a float too
+_LAYOUT = {"VERTEX_SE2": (HomPose2, 4, 1, 0), "VERTEX_SE3:QUAT": (HomPose, 8, 1, 1),
+           "EDGE_SE2": (HomPose2, 11, 2, 2), "EDGE_SE3:QUAT": (HomPose, 30, 2, 2)}
 
 
-def _float_list(strs):
-    return [float(s) for s in strs]
+def _first(*faults):
+    """The (line, message) fault with the smallest line, the first on ties."""
+    return min((f for f in faults if f is not None), key=lambda f: f[0], default=None)
 
 
-def _upper_tri(values, dim):
-    m = np.zeros((dim, dim))
-    k = 0
-    for r in range(dim):
-        for c in range(r, dim):
-            m[r, c] = values[k]
-            m[c, r] = values[k]
-            k += 1
-    return m
+def _convert(tokens, kind, width=1):
+    """kind (float or int) of the tokens of whole records before the first
+    token it rejects (floats as rows of width), and (record, message) or None."""
+    try:
+        if kind is float:
+            return np.array(tokens, dtype=float).reshape(-1, width), None
+        return [kind(s) for s in tokens], None
+    except ValueError:
+        for n, s in enumerate(tokens):
+            try:
+                kind(s)
+            except ValueError as exc:
+                return _convert(tokens[:n - n % width], kind, width)[0], (n // width, str(exc))
+        raise
 
 
-def _pose3_from_tq(vals):
-    q, _ = quat_normalize(Quaternion(vals[6], vals[3], vals[4], vals[5]))
-    rot = _rotation_from_unit_quat(q.qr, q.qx, q.qy, q.qz)
-    return HomPose.from_rt(rot, vals[:3])
+def _split(lines):
+    """Records by tag, {tag: (lines, tokens)}, FIX records (line, ids), and
+    the first malformed line as a fault: unknown tag, field count, FIX id."""
+    groups, fixes = {}, []
+    for num, raw in enumerate(lines, start=1):
+        tok = raw.split()
+        if not tok or tok[0].startswith("#"):
+            continue
+        layout = _LAYOUT.get(tok[0])
+        if layout is not None and len(tok) == layout[1] + 1:
+            at, tokens = groups.setdefault(tok[0], ([], []))
+            at.append(num)
+            tokens.extend(tok)
+        elif tok[0] == "FIX" and len(tok) > 1:
+            ids, fault = _convert(tok[1:], int)
+            fixes.append((num, ids))
+            if fault is not None:
+                return groups, fixes, (num, fault[1])
+        elif tok[0] == "FIX":
+            return groups, fixes, (num, "FIX record needs at least one vertex id")
+        elif layout is None:
+            return groups, fixes, (num, "unknown record type %r" % tok[0])
+        else:
+            return groups, fixes, (num, "%s record needs %d fields, got %d"
+                                   % (tok[0], layout[1], len(tok) - 1))
+    return groups, fixes, None
+
+
+def _records(tag, at, tokens):
+    """One tag's records as PoseGraph._bulk takes them, (at, ids..., poses[,
+    information]) up to their first fault, and that fault or None."""
+    cls, nfields, nids, skip = _LAYOUT[tag]
+    width = nfields + 1
+    ids = [tokens[c::width] for c in range(1, nids + 1)]
+    for w in range(width, width - skip - 1, -1):
+        del tokens[::w]  # the tag, then the ids not read as floats
+    vals, fault = _convert(tokens, float, nfields - skip)
+    ids, id_faults = zip(*(_convert(col[:len(vals)], int) for col in ids))
+    fault = _first(fault, *id_faults)
+    vals = vals[:len(vals) if fault is None else fault[0], nids - skip:]
+    planar = cls is HomPose2
+    if planar:
+        mats = _pseudo_exp_rows("se2", vals)
+        checks = _rigid_checks(mats)
+    else:
+        mats, checks = _quat_to_matrix_rows(vals[:, :3], vals[:, [6, 3, 4, 5]])
+    fault = _first(fault, _first_failure(checks))
+    keep = len(vals) if fault is None else fault[0]
+    mats = mats[:keep]
+    mats.setflags(write=False)
+    rec = (at[:keep], *(col[:keep] for col in ids), [cls._trusted(m) for m in mats])
+    if nids == 2:
+        d = 3 if planar else 6
+        rows, cols = np.triu_indices(d)
+        info = np.zeros((keep, d, d))
+        info[:, rows, cols] = info[:, cols, rows] = vals[:keep, 3 if planar else 7:]
+        rec += (info,)
+    return rec, None if fault is None else (at[fault[0]], fault[1])
 
 
 def read_g2o(source, auto_fix=True):
@@ -84,49 +146,24 @@ def read_g2o(source, auto_fix=True):
         vertices, or mixed planar/3D content; messages name the line.
     """
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    g = PoseGraph()
-    saw_fix = False
-    for num, raw in enumerate(lines, start=1):
-        tok = raw.split()
-        if not tok or tok[0].startswith("#"):
-            continue
-        try:
-            tag = tok[0]
-            if tag == "VERTEX_SE2":
-                vals = _float_list(_fields(tok, 4))
-                g.add_vertex(int(tok[1]), HomPose2.from_xyt(*vals[1:]))
-            elif tag == "VERTEX_SE3:QUAT":
-                vals = _float_list(_fields(tok, 8)[1:])
-                g.add_vertex(int(tok[1]), _pose3_from_tq(vals))
-            elif tag == "EDGE_SE2":
-                strs = _fields(tok, 11)
-                vals = _float_list(strs[2:])
-                g.add_edge(int(strs[0]), int(strs[1]),
-                           HomPose2.from_xyt(*vals[:3]), _upper_tri(vals[3:], 3))
-            elif tag == "EDGE_SE3:QUAT":
-                strs = _fields(tok, 30)
-                vals = _float_list(strs[2:])
-                g.add_edge(int(strs[0]), int(strs[1]),
-                           _pose3_from_tq(vals[:7]), _upper_tri(vals[7:], 6))
-            elif tag == "FIX":
-                if len(tok) < 2:
-                    raise GeometryError("FIX record needs at least one vertex id")
-                for s in tok[1:]:
-                    g.fix(int(s))
-                saw_fix = True
-            else:
-                raise GeometryError("unknown record type %r" % tag)
-        except GeometryError as exc:
-            raise GeometryError("line %d: %s" % (num, exc)) from None
-        except (ValueError, TypeError) as exc:
-            raise GeometryError("line %d: %s" % (num, exc)) from None
+        text = source.read()
+    else:  # a byte that is not ASCII fails as a token, on its line
+        with open(source, "r", encoding="ascii", errors="replace") as fh:
+            text = fh.read()
+    groups, fixes, fault = _split(text.splitlines())
+    vertices, edges = [], []
+    for tag, (at, tokens) in groups.items():
+        rec, group_fault = _records(tag, at, tokens)
+        fault = _first(fault, group_fault)
+        (edges if len(rec) == 5 else vertices).append(rec)
+    g, graph_fault = PoseGraph._bulk(vertices, edges, fixes)
+    # on one FIX line, an unknown id comes before a token that int() rejects
+    fault = _first(graph_fault, fault)
+    if fault is not None:
+        raise GeometryError("line %d: %s" % fault)
     if not g.vertices:
         raise GeometryError("g2o input defines no vertices")
-    if auto_fix and not saw_fix and not g.fixed:
+    if auto_fix and not fixes and not g.fixed:
         lowest = min(g.vertices)
         g.fix(lowest)
         sys.stderr.write(
@@ -134,40 +171,32 @@ def read_g2o(source, auto_fix=True):
     return g
 
 
-def _pose3_fields(pose):
-    t = pose.mat[:3, 3]
-    q = _quat_from_rotation(pose.mat[:3, :3])
-    return [t[0], t[1], t[2], q[1], q[2], q[3], q[0]]
-
-
-def _upper_tri_fields(info, dim):
-    return [info[r, c] for r in range(dim) for c in range(r, dim)]
+def _pose_fields(mats):
+    """(x, y, theta) or (x, y, z, qx, qy, qz, qw) of each matrix in a stack."""
+    if mats.shape[-1] == 3:
+        return np.column_stack([mats[:, 0, 2], mats[:, 1, 2],
+                                np.arctan2(mats[:, 1, 0], mats[:, 0, 0])])
+    q = _quat_from_rotation(mats[:, :3, :3])
+    return np.column_stack([mats[:, :3, 3], q[:, 1:], q[:, 0]])
 
 
 def format_g2o(g):
     """Render a PoseGraph as g2o text (vertices, FIX records, edges)."""
     if g.kind not in ("se2", "se3"):
         raise GeometryError("format_g2o: graph is empty")
-    out = []
-    for vid in sorted(g.vertices):
-        p = g.vertices[vid]
-        if g.kind == "se2":
-            out.append("VERTEX_SE2 %d %s %s %s"
-                       % (vid, _f(p.mat[0, 2]), _f(p.mat[1, 2]), _f(p.angle)))
-        else:
-            out.append("VERTEX_SE3:QUAT %d %s"
-                       % (vid, " ".join(_f(v) for v in _pose3_fields(p))))
-    for vid in sorted(g.fixed):
-        out.append("FIX %d" % vid)
-    dim = g.block_size
-    tag = "EDGE_SE2" if g.kind == "se2" else "EDGE_SE3:QUAT"
-    for e in g.edges:
-        if g.kind == "se2":
-            pose_part = [e.delta.mat[0, 2], e.delta.mat[1, 2], e.delta.angle]
-        else:
-            pose_part = _pose3_fields(e.delta)
-        values = pose_part + _upper_tri_fields(e.information, dim)
-        out.append("%s %d %d %s" % (tag, e.i, e.j, " ".join(_f(v) for v in values)))
+    vtag, etag = ("VERTEX_SE2", "EDGE_SE2") if g.kind == "se2" else ("VERTEX_SE3:QUAT",
+                                                                       "EDGE_SE3:QUAT")
+    ids = sorted(g.vertices)
+    vals = _pose_fields(np.array([g.vertices[v].mat for v in ids]))
+    line = vtag + " %d" + " %.17g" * vals.shape[1]
+    out = [line % (vid, *row) for vid, row in zip(ids, vals.tolist())]
+    out += ["FIX %d" % vid for vid in sorted(g.fixed)]
+    if g.edges:
+        rows, cols = np.triu_indices(g.block_size)
+        vals = np.column_stack([_pose_fields(np.array([e.delta.mat for e in g.edges])),
+                                np.array([e.information for e in g.edges])[:, rows, cols]])
+        line = etag + " %d %d" + " %.17g" * vals.shape[1]
+        out += [line % (e.i, e.j, *row) for e, row in zip(g.edges, vals.tolist())]
     return "\n".join(out) + "\n"
 
 

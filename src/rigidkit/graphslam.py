@@ -14,8 +14,9 @@ and both Jacobians; they are the closed forms of
 :func:`rigidkit.manifold_jac.edge_error_se3` / ``edge_error_se2``, which
 stay the per-edge reference.  chi2 and the normal equations share that
 residual.  Poses inside a solve are plain arrays: they become HomPose /
-HomPose2 objects, and are validated, only in the graph a public call
-returns, and fixed vertices keep their original objects.  The public
+HomPose2 objects only in the graph a public call returns, after one
+batched check of the free rows with the pose constructors' tests and
+tolerances, and fixed vertices keep their original objects.  The public
 calls pack their argument on each call; :func:`optimize` packs once.
 
 chi2 is sum over edges of e^T Lambda e.  The normal equations accumulate
@@ -28,18 +29,18 @@ from the edge endpoints.
 
 Every system is factored by a symmetric-mode sparse LU (minimum-degree
 ordering, diagonal pivots), accepted if all pivots are diagonal and > 0.
+scipy is imported at the first assembly of H, so importing the package,
+reading g2o files and the pose commands never load it.
 """
 
 import dataclasses
 import functools
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .core import HomPose, HomPose2
+from .core import HomPose, HomPose2, _first_failure, _rigid_checks
 from .errors import GeometryError, NearPiRotationError, RankDeficiencyError
 from .lie import _PI_EDGE, _TAYLOR_EPS, se2_pseudo_exp, se3_pseudo_exp, so3_log
 from .manifold_jac import _inverse_se2
@@ -48,6 +49,35 @@ from .matderiv import inverse_rt
 _DENSE_LIMIT = 1500
 _LM_MAX_LAMBDA = 1e12
 _CHI2_RTOL = 1e-7
+
+
+# edge messages, formatted with {"i": i, "j": j, "d": block size}
+_NO_ENDPOINT_I = "PoseGraph: edge endpoint %(i)d is not a vertex"
+_NO_ENDPOINT_J = "PoseGraph: edge endpoint %(j)d is not a vertex"
+_WRONG_TYPE = "PoseGraph: edge (%(i)d, %(j)d) measurement has the wrong pose type"
+_NOT_FINITE = "PoseGraph: edge (%(i)d, %(j)d) information must be a finite %(d)dx%(d)d matrix"
+
+
+def _information_checks(info):
+    """The symmetrized stack info (E, d, d) and add_edge's tests on it.
+
+    The tests, for :func:`core._first_failure`, in the order add_edge
+    applies them: finite, symmetric to 1e-9, and positive semidefinite,
+    i.e. smallest eigenvalue >= -1e-9 * the largest.
+    """
+    finite = np.isfinite(info).all(axis=(1, 2))
+    info = np.where(finite[:, None, None], info, 0.0)  # eigvalsh raises on NaN
+    info_t = np.swapaxes(info, 1, 2)
+    symmetric = np.abs(info - info_t).max(axis=(1, 2)) <= 1e-9
+    info = 0.5 * (info + info_t)
+    w = np.linalg.eigvalsh(info)
+    info.setflags(write=False)
+    return info, [
+        (finite, _NOT_FINITE),
+        (symmetric, "PoseGraph: edge (%(i)d, %(j)d) information matrix is not symmetric"),
+        (~(w[:, 0] < -1e-9 * w[:, -1]),
+         "PoseGraph: edge (%(i)d, %(j)d) information matrix is not positive semidefinite"),
+    ]
 
 
 @dataclass(frozen=True)
@@ -130,28 +160,76 @@ class PoseGraph:
 
     def add_edge(self, i, j, delta, information):
         i, j = int(i), int(j)
-        for vid in (i, j):
+        for vid, msg in ((i, _NO_ENDPOINT_I), (j, _NO_ENDPOINT_J)):
             if vid not in self.vertices:
-                raise GeometryError("PoseGraph: edge endpoint %d is not a vertex" % vid)
+                raise GeometryError(msg % {"i": i, "j": j})
         if self._pose_kind(delta) != self._kind:
-            raise GeometryError(
-                "PoseGraph: edge (%d, %d) measurement has the wrong pose type" % (i, j))
+            raise GeometryError(_WRONG_TYPE % {"i": i, "j": j})
         d = self.block_size
         info = np.array(information, dtype=float)
-        if info.shape != (d, d) or not np.all(np.isfinite(info)):
-            raise GeometryError(
-                "PoseGraph: edge (%d, %d) information must be a finite %dx%d matrix"
-                % (i, j, d, d))
-        if np.max(np.abs(info - info.T)) > 1e-9:
-            raise GeometryError(
-                "PoseGraph: edge (%d, %d) information matrix is not symmetric" % (i, j))
-        info = 0.5 * (info + info.T)
-        w, _, status = scipy.linalg.lapack.dsyev(info, compute_v=0)  # eigvalsh, less overhead
-        if status or w[0] < -1e-9 * w[-1]:  # lambda_min < -1e-9 max |lambda|
-            raise GeometryError("PoseGraph: edge (%d, %d) information matrix is not "
-                                "positive semidefinite" % (i, j))
-        info.setflags(write=False)
-        self.edges.append(Edge(i, j, delta, info))
+        if info.shape != (d, d):
+            raise GeometryError(_NOT_FINITE % {"i": i, "j": j, "d": d})
+        info, checks = _information_checks(info[None])
+        fault = _first_failure(checks)
+        if fault is not None:
+            raise GeometryError(fault[1] % {"i": i, "j": j, "d": d})
+        self.edges.append(Edge(i, j, delta, info[0]))
+
+    @classmethod
+    def _bulk(cls, vertices, edges, fixed):
+        """A graph from records in source order, with the rules of the public calls.
+
+        Each record carries its position ``at`` in the source (a line
+        number, say), ascending within a group:
+
+        * vertices: groups (at, ids, poses), poses already valid;
+        * edges: groups (at, i, j, deltas, information), information a
+          stack (E, d, d);
+        * fixed: (at, ids) records.
+
+        A vertex, edge or fixed id must come after the vertices it names,
+        ids are unique, planar and 3D records do not mix, and information
+        matrices must pass :meth:`add_edge`'s checks (run batched here).
+
+        Returns
+        -------
+        (PoseGraph, fault)
+            fault is None, or (at, message) of the first record that
+            :meth:`add_vertex`, :meth:`add_edge` or :meth:`fix` would
+            reject, with their message; the graph is then incomplete.
+        """
+        g = cls()
+        defined = {}  # id: at
+        faults = []
+        # every group's records, merged in source order
+        for at, vid, pose in heapq.merge(*(zip(*grp) for grp in vertices)):
+            try:
+                g.add_vertex(vid, pose)
+            except GeometryError as exc:
+                faults.append((at, str(exc)))
+                break
+            defined[vid] = at
+        missing = float("inf")
+        streams = []
+        for at, i, j, deltas, info in edges:
+            ok_i = np.array([defined.get(v, missing) for v in i]) < at
+            ok_j = np.array([defined.get(v, missing) for v in j]) < at
+            kind_ok = np.full(len(at), len(deltas) == 0 or g._pose_kind(deltas[0]) == g._kind)
+            info, checks = _information_checks(info)
+            fault = _first_failure([(ok_i, _NO_ENDPOINT_I), (ok_j, _NO_ENDPOINT_J),
+                                    (kind_ok, _WRONG_TYPE)] + checks)
+            if fault is not None:
+                k, msg = fault
+                faults.append((at[k], msg % {"i": i[k], "j": j[k], "d": g.block_size}))
+            streams.append(zip(at, i, j, deltas, info))
+        g.edges = [Edge(i, j, delta, info) for _, i, j, delta, info in heapq.merge(*streams)]
+        for at, ids in fixed:
+            for vid in ids:
+                if not defined.get(vid, missing) < at:
+                    faults.append((at, "PoseGraph: cannot fix unknown vertex %d" % vid))
+                    break
+                g.fixed.add(vid)
+        return g, min(faults, key=lambda f: f[0], default=None)
 
     def copy(self):
         g = PoseGraph()
@@ -350,6 +428,8 @@ class _Scatter:
 
     def assemble(self, h_vals, b_vals):
         """(H, b) from per-edge values, H as a CSR matrix."""
+        import scipy.sparse
+
         h = np.bincount(self.h_pos.ravel(), h_vals.ravel(), self.size + 1)[:-1]
         b = np.bincount(self.b_pos.ravel(), b_vals.ravel(), self.ncoord + 1)[:-1]
         return scipy.sparse.csr_matrix((h, self.indices, self.indptr),
@@ -421,15 +501,21 @@ class _Packed:
     def unpack(self, mats):
         """The graph at mats: free vertices become validated pose objects.
 
-        Fixed vertices keep their objects; unchanged mats give the input
-        graph itself.
+        One batched check over the free rows applies the pose
+        constructor's tests; fixed vertices keep their objects, and
+        unchanged mats give the input graph itself.
         """
         if mats is self.mats:
             return self.graph
+        free = mats[self.free]
+        fault = _first_failure(_rigid_checks(free))
+        if fault is not None:
+            raise GeometryError(fault[1])
+        free.setflags(write=False)
         cls = HomPose if self.kind == "se3" else HomPose2
         out = self.graph.copy()
-        for k in self.free:
-            out.vertices[self.ids[k]] = cls(mats[k])
+        for k, m in zip(self.free, free):
+            out.vertices[self.ids[k]] = cls._trusted(m)
         return out
 
 
@@ -499,6 +585,8 @@ def _solve(h, rhs, *, lm_hint):
     Diagonal pivots under a symmetric ordering make the factor L D L^T up to
     scaling: h is positive definite iff all pivots stay diagonal and positive.
     """
+    import scipy.sparse.linalg
+
     msg = "normal equations are not positive definite"
     if lm_hint:
         msg += "; try method='levenberg-marquardt'"
@@ -517,6 +605,8 @@ def _solve(h, rhs, *, lm_hint):
 
 def _damped(h, diag, lam):
     """h + lam I for a CSR h whose diagonal sits at the data indices diag."""
+    import scipy.sparse
+
     data = h.data.copy()
     data[diag] += lam
     return scipy.sparse.csr_matrix((data, h.indices, h.indptr), shape=h.shape)

@@ -462,3 +462,56 @@ def test_optimize_is_deterministic_and_leaves_input_alone(kind, n):
         assert np.array_equal(out_a.vertices[v].mat, out_b.vertices[v].mat)
     assert noisy.vertices.keys() == before.keys()
     assert all(noisy.vertices[v] is before[v] for v in before)
+
+
+# ---------------------------------------------------------------------------
+# the trusted pose boundary
+
+def _planted(kind, row, k=1):
+    """unpack of a solved graph whose free vertex k is replaced by row."""
+    _, noisy = synth_graph(kind, 6, (0.05, 0.01), seed=3)
+    pk = _Packed(noisy)
+    mats = pk.mats.copy()
+    mats[pk.free[k]] = row
+    return pk.unpack(mats)
+
+
+@pytest.mark.parametrize("kind", ["grid2d", "sphere3d"])
+def test_unpack_rejects_rows_the_constructor_rejects(kind):
+    n = 3 if kind == "grid2d" else 4
+    cls = HomPose2 if n == 3 else HomPose
+    nan = np.eye(n)
+    nan[0, n - 1] = np.nan
+    skewed = np.eye(n)
+    skewed[0, 1] = 1e-6
+    mirror = np.eye(n)
+    mirror[0, 0] = -1.0
+    lifted = np.eye(n)
+    lifted[n - 1, 0] = 1e-3
+    for row, reason in [(nan, "non-finite"), (skewed, "not orthonormal"),
+                        (mirror, "determinant"), (lifted, "bottom row")]:
+        with pytest.raises(GeometryError, match=reason) as caught:
+            _planted(kind, row)
+        with pytest.raises(GeometryError) as direct:
+            cls(row)
+        assert str(caught.value) == str(direct.value)
+
+
+def test_unpack_gives_read_only_poses_equal_to_validated_ones():
+    _, noisy = synth_graph("sphere3d", 20, (0.05, 0.01), seed=4)
+    out, _ = optimize(noisy, SolverConfig(max_iterations=3))
+    for vid, p in out.vertices.items():
+        assert type(p) is HomPose
+        assert not p.mat.flags.writeable
+        assert np.array_equal(HomPose(p.mat).mat, p.mat)
+    assert all(out.vertices[v] is noisy.vertices[v] for v in noisy.fixed)
+
+
+def test_information_psd_tolerance_is_relative():
+    g = _tiny_se2()
+    before = len(g.edges)
+    # smallest eigenvalue -1e-4 against a largest of 1e6: within -1e-9 x max
+    g.add_edge(0, 1, se2_exp(np.zeros(3)), np.diag([1e6, 1.0, -1e-4]))
+    with pytest.raises(GeometryError, match=r"edge \(0, 1\) .*not positive semidefinite"):
+        g.add_edge(0, 1, se2_exp(np.zeros(3)), np.diag([1e6, 1.0, -1e-2]))
+    assert len(g.edges) == before + 1
