@@ -10,13 +10,16 @@ JSON in, JSON out (stdin/stdout by default).  A pose is an object
 "cov" is optional except where a command propagates uncertainty; its
 dimension matches the parameterization (6, 7 or 12).
 
-Exit codes: 1 for malformed input, 2 for domain errors (gimbal lock,
-rotations too close to pi, points behind the camera, unsolvable graphs),
-3 for a failed jacobian-check run.
+Every number must be finite; JSON's NaN and Infinity are malformed input.
+
+Exit codes: 1 for malformed input, 2 for domain errors (gimbal lock, a
+``logmap`` rotation too close to pi, points behind the camera, unsolvable
+graphs), 3 for a failed jacobian-check run.
 """
 
 import functools
 import json
+import math
 import sys
 
 import click
@@ -68,11 +71,13 @@ def _load_json(infile):
 
 
 def _numbers(obj, count, where):
-    if (not isinstance(obj, list) or len(obj) != count
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in obj)):
-        raise _InputError("%s must be a list of %d numbers" % (where, count))
-    return np.array(obj, dtype=float)
+    try:
+        if (isinstance(obj, list) and len(obj) == count
+                and all(type(v) in (int, float) and math.isfinite(v) for v in obj)):
+            return np.array(obj, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise _InputError("%s must be a list of %d finite numbers" % (where, count))
 
 
 def _pose_from_json(obj, where, degrees=False):
@@ -362,10 +367,8 @@ def project_cmd(inverse, infile):
     intr = obj.get("intrinsics")
     if not isinstance(intr, dict):
         raise _InputError("intrinsics must be an object with fx, fy, cx, cy")
-    try:
-        k = CameraIntrinsics(*(float(intr[f]) for f in ("fx", "fy", "cx", "cy")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError("intrinsics: %s" % exc)
+    k = CameraIntrinsics(*_numbers([intr.get(f) for f in ("fx", "fy", "cx", "cy")], 4,
+                                   "intrinsics fx, fy, cx, cy"))
     point = _numbers(obj.get("point"), 3, "point")
     inverse = inverse or bool(obj.get("inverse", False))
     pose_obj = obj.get("pose")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, SingularConfigurationError
-from .lie import _mat4
+from .matderiv import _mat4
 
 _GIMBAL_DELTA = 0.5 - 1e-7
 
@@ -415,13 +415,39 @@ def _angles_from_rotation(r):
 
 # Largest-pivot quaternion extraction.  With pivot k (the largest of tr,
 # r00, r11, r22), q[k] = s / 4 and every other q[j] = (r[P] + SIGN * r[Q]) / s,
-# indices into the row-major entries of r.
+# indices into the row-major entries of r.  The radicand s^2 / 4 is 1 + tr,
+# or 1 + DIAG . (r00, r11, r22) for a diagonal pivot; the four radicands sum
+# to 4 and the pivot is the largest, so s >= 2 for any finite input.
 _PIVOT_P = np.array([[0, 7, 2, 3], [7, 0, 1, 2], [2, 1, 0, 5], [3, 2, 5, 0]])
 _PIVOT_Q = np.array([[0, 5, 6, 1], [5, 0, 3, 6], [6, 3, 0, 7], [1, 6, 7, 0]])
 _PIVOT_SIGN = np.array([[0.0, -1.0, -1.0, -1.0], [-1.0, 0.0, 1.0, 1.0],
                         [-1.0, 1.0, 0.0, 1.0], [-1.0, 1.0, 1.0, 0.0]])
 _PIVOT_DIAG = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
                         [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+# the same tables per pivot as Python numbers, for one rotation
+_PIVOT_ONE = [list(zip(*t)) for t in zip(_PIVOT_P.tolist(), _PIVOT_Q.tolist(),
+                                          _PIVOT_SIGN.tolist())]
+_DIAG_ONE = _PIVOT_DIAG.tolist()
+# row-major entry index of each column-major vec(R) position
+_VEC_ORDER = np.arange(9).reshape(3, 3).T.ravel()
+
+
+def _pivot_one(f):
+    """Pivot k, s and the quaternion before the sign flip of one rotation,
+    from its 9 row-major entries as Python floats.
+
+    The operations of :func:`_quat_from_rotation` on one row, in the same
+    order, so the bits are the same; a numpy call per operation would cost
+    ten times more on a single rotation.
+    """
+    tr = f[0] + f[4] + f[8]
+    c = [tr, f[0], f[4], f[8]]
+    k = c.index(max(c))
+    d = _DIAG_ONE[k]
+    s = np.sqrt(1.0 + tr if k == 0 else 1.0 + d[0] * f[0] + d[1] * f[4] + d[2] * f[8]) * 2.0
+    q = [(f[p] + g * f[m]) / s for p, m, g in _PIVOT_ONE[k]]
+    q[k] = 0.25 * s
+    return k, s, q
 
 
 def _quat_from_rotation(r):
@@ -430,21 +456,50 @@ def _quat_from_rotation(r):
     r is (3, 3) or a stack (..., 3, 3); the result is (4,) or (..., 4).
     Largest-pivot square-root form: s = 2 sqrt(1 + tr) or, for a diagonal
     pivot, 2 sqrt(1 + r_kk - the other two).  It is algebraic only, so it
-    stays exact near gimbal orientations and keeps g2o write->read cycles
-    stable to the last printed digit, which a route through Euler angles
-    cannot.
+    stays exact near gimbal orientations and half turns, and keeps g2o
+    write->read cycles stable to the last printed digit, which a route
+    through Euler angles cannot.  Off the rotation manifold the same
+    formulas apply entrywise and the norm is not one.
     """
-    f = np.asarray(r, dtype=float).reshape(-1, 9)
-    tr = f[:, 0] + f[:, 4] + f[:, 8]
-    k = np.argmax(np.column_stack([tr, f[:, 0], f[:, 4], f[:, 8]]), axis=1)
+    r = np.asarray(r, dtype=float)
+    if r.shape == (3, 3):
+        q = np.array(_pivot_one(r.ravel().tolist())[2])
+        return -q if q[0] < 0.0 else q
+    f = r.reshape(-1, 9)
+    c = f[:, [0, 0, 4, 8]]  # (tr, r00, r11, r22), tr filled in below
+    tr = c[:, 1] + c[:, 2] + c[:, 3]
+    c[:, 0] = tr
+    k = c.argmax(axis=1)
     sd = _PIVOT_DIAG[k]
-    s = np.sqrt(np.where(k == 0, 1.0 + tr, 1.0 + sd[:, 0] * f[:, 0] + sd[:, 1] * f[:, 4]
-                         + sd[:, 2] * f[:, 8])) * 2.0
+    s = np.sqrt(np.where(k == 0, 1.0 + tr, 1.0 + sd[:, 0] * c[:, 1] + sd[:, 1] * c[:, 2]
+                         + sd[:, 2] * c[:, 3])) * 2.0
     rows = np.arange(len(f))[:, None]
     q = (f[rows, _PIVOT_P[k]] + _PIVOT_SIGN[k] * f[rows, _PIVOT_Q[k]]) / s[:, None]
     q[rows[:, 0], k] = 0.25 * s
     q[q[:, 0] < 0.0] *= -1.0
-    return q.reshape(np.shape(r)[:-2] + (4,))
+    return q.reshape(r.shape[:-2] + (4,))
+
+
+def _quat_from_rotation_rate(r):
+    """:func:`_quat_from_rotation` of one 3x3 r and its 4x9 derivative.
+
+    Columns follow vec(r) (column-major) and the entries are free, so the
+    derivative holds off the rotation manifold too.  It differentiates the
+    pivot branch and the sign that r selects: with d(s^2/4) = DIAG . d(diag
+    of r), dq[j] = (d(r[P] + SIGN r[Q]) - 2 q[j] d(s^2/4) / s) / s, and
+    d(s^2/4) / (2 s) for the pivot component itself.
+    """
+    k, s, q = _pivot_one(np.asarray(r, dtype=float).ravel().tolist())
+    q = np.array(q)
+    drad = np.zeros(9)
+    drad[[0, 4, 8]] = _PIVOT_DIAG[k]
+    num = np.zeros((4, 9))
+    num[np.arange(4), _PIVOT_P[k]] = 1.0
+    num[np.arange(4), _PIVOT_Q[k]] += _PIVOT_SIGN[k]
+    num[k] = drad
+    sign = -1.0 if q[0] < 0.0 else 1.0
+    dq = (sign / s) * (num - (2.0 / s) * np.outer(q, drad))
+    return sign * q, dq[:, _VEC_ORDER]
 
 
 def _norm_jacobian(qvec):
@@ -743,25 +798,19 @@ def convert_gaussian(src, target):
     return GaussianPose(mean, 0.5 * (cov + cov.T))
 
 
-def _signed_quat_rows(p, jac, q):
-    """Align a raw-map Jacobian with the reported mean quaternion q.
-
-    The Jacobian differentiates the half-angle formulas at p; the mean is
-    that representative or its negative (the canonical qr >= 0 choice,
-    or, near qr = 0, whichever sign the extraction from a matrix gives).
-    A covariance propagated around q must use the derivative of q's own
-    representative, or the translation-rotation cross terms come out with
-    the wrong sign.
-    """
-    if np.dot(_quat_components_from_angles(p.yaw, p.pitch, p.roll), q.vec) < 0.0:
-        jac = jac.copy()
-        jac[3:, :] = -jac[3:, :]
-    return jac
-
-
 def _conv_ypr_quat(p):
+    """The mean and the Jacobian of its own representative.
+
+    The Jacobian differentiates the half-angle formulas at p, and the mean
+    is that representative or its negative (the canonical qr >= 0 choice);
+    a covariance propagated around the mean needs the derivative of the
+    mean's sign, or the translation-rotation cross terms come out wrong.
+    """
     mean = ypr_to_quat(p)
-    return mean, _signed_quat_rows(p, jacobian_ypr_to_quat(p), mean.q)
+    jac = jacobian_ypr_to_quat(p)
+    if np.dot(_quat_components_from_angles(p.yaw, p.pitch, p.roll), mean.q.vec) < 0.0:
+        jac[3:] = -jac[3:]
+    return mean, jac
 
 
 def _conv_quat_ypr(p):
@@ -781,9 +830,10 @@ def _conv_quat_matrix(p):
 
 
 def _conv_matrix_quat(m):
-    e = matrix_to_ypr(m)
     mean = matrix_to_quat(m)
-    jac = _signed_quat_rows(e, jacobian_ypr_to_quat(e), mean.q) @ jacobian_ypr_wrt_matrix(m)
+    jac = np.zeros((7, 12))
+    jac[:3, 9:] = np.eye(3)
+    jac[3:, :9] = _quat_from_rotation_rate(m.mat[:3, :3])[1]
     return mean, jac
 
 

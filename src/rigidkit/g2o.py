@@ -110,7 +110,8 @@ def _records(tag, at, tokens):
     vals = vals[:len(vals) if fault is None else fault[0], nids - skip:]
     planar = cls is HomPose2
     if planar:
-        mats = _pseudo_exp_rows("se2", vals)
+        with np.errstate(invalid="ignore"):  # cos/sin of inf; the checks reject it
+            mats = _pseudo_exp_rows("se2", vals)
         checks = _rigid_checks(mats)
     else:
         mats, checks = _quat_to_matrix_rows(vals[:, :3], vals[:, [6, 3, 4, 5]])

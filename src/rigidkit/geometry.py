@@ -66,8 +66,8 @@ class GaussianPoint3:
 
 def _point(a):
     a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise GeometryError("point must be a 3-vector")
+    if a.shape != (3,) or not np.isfinite(a).all():
+        raise GeometryError("point must be a finite 3-vector")
     return a
 
 

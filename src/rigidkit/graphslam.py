@@ -13,11 +13,15 @@ matrices stacked per edge.  One batched pass gives every edge residual
 and both Jacobians; they are the closed forms of
 :func:`rigidkit.manifold_jac.edge_error_se3` / ``edge_error_se2``, which
 stay the per-edge reference.  chi2 and the normal equations share that
-residual.  Poses inside a solve are plain arrays: they become HomPose /
-HomPose2 objects only in the graph a public call returns, after one
-batched check of the free rows with the pose constructors' tests and
-tolerances, and fixed vertices keep their original objects.  The public
-calls pack their argument on each call; :func:`optimize` packs once.
+residual.  Its SE(3) rotation part is :func:`so3_log` of the residual
+rotation, and the Jacobians' rotation block is the right-Jacobian
+inverse of that log; both are accurate at every angle, so an edge at or
+near a half turn is solved like any other.  Poses inside a solve are
+plain arrays: they become HomPose / HomPose2 objects only in the graph a
+public call returns, after one batched check of the free rows with the
+pose constructors' tests and tolerances, and fixed vertices keep their
+original objects.  The public calls pack their argument on each call;
+:func:`optimize` packs once.
 
 chi2 is sum over edges of e^T Lambda e.  The normal equations accumulate
 H = sum J^T Lambda J and b = sum J^T Lambda e, so the gradient of chi2
@@ -41,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HomPose, HomPose2, _first_failure, _rigid_checks
-from .errors import GeometryError, NearPiRotationError, RankDeficiencyError
-from .lie import _PI_EDGE, _TAYLOR_EPS, se2_pseudo_exp, se3_pseudo_exp, so3_log
+from .errors import GeometryError, RankDeficiencyError
+from .lie import _TAYLOR_EPS, _vinv_coeff, se2_pseudo_exp, se3_pseudo_exp, so3_log
 from .manifold_jac import _inverse_se2
 from .matderiv import inverse_rt
 
@@ -62,15 +66,18 @@ def _information_checks(info):
     """The symmetrized stack info (E, d, d) and add_edge's tests on it.
 
     The tests, for :func:`core._first_failure`, in the order add_edge
-    applies them: finite, symmetric to 1e-9, and positive semidefinite,
-    i.e. smallest eigenvalue >= -1e-9 * the largest.
+    applies them: finite (the input, its symmetrized form and its
+    eigenvalues, any of which can overflow), symmetric to 1e-9, and
+    positive semidefinite, i.e. smallest eigenvalue >= -1e-9 * the largest.
     """
+    info_t = np.swapaxes(info, 1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        symmetric = np.abs(info - info_t).max(axis=(1, 2)) <= 1e-9
+        info = 0.5 * (info + info_t)
     finite = np.isfinite(info).all(axis=(1, 2))
     info = np.where(finite[:, None, None], info, 0.0)  # eigvalsh raises on NaN
-    info_t = np.swapaxes(info, 1, 2)
-    symmetric = np.abs(info - info_t).max(axis=(1, 2)) <= 1e-9
-    info = 0.5 * (info + info_t)
     w = np.linalg.eigvalsh(info)
+    finite &= np.isfinite(w).all(axis=1)
     info.setflags(write=False)
     return info, [
         (finite, _NOT_FINITE),
@@ -270,32 +277,6 @@ def _hat_rows(w):
                      -w[:, 1], w[:, 0], z], axis=1).reshape(-1, 3, 3)
 
 
-def _skew_part(r):
-    """(R21 - R12, R02 - R20, R10 - R01) of each rotation, shape (N, 3)."""
-    return np.stack([r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0],
-                     r[:, 1, 0] - r[:, 0, 1]], axis=1)
-
-
-def _so3_log_rows(r):
-    """:func:`so3_log` of every rotation in r (N, 3, 3).
-
-    The Taylor and generic branches are chosen per row by mask; rows
-    within 1e-6 of pi are handed to the scalar function.
-    """
-    tr = r[:, 0, 0] + r[:, 1, 1] + r[:, 2, 2]
-    theta = np.arccos(np.clip(0.5 * (tr - 1.0), -1.0, 1.0))
-    small = theta < _TAYLOR_EPS
-    near_pi = theta > _PI_EDGE
-    t2 = theta * theta
-    sin = np.where(small | near_pi, 1.0, np.sin(theta))
-    scale = np.where(small, 0.5 * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0),
-                     theta / (2.0 * sin))
-    w = scale[:, None] * _skew_part(r)
-    for k in np.flatnonzero(near_pi):
-        w[k] = so3_log(r[k])
-    return w
-
-
 def _relative(dinv, mi, mj):
     """B = Pi^-1 Pj and the residual transform T = D^-1 B of every edge."""
     b = _inverse_rigid(mi) @ mj
@@ -307,19 +288,18 @@ def _residuals(kind, t):
     if kind == "se2":
         return np.stack([t[:, 0, 2], t[:, 1, 2],
                          np.arctan2(t[:, 1, 0], t[:, 0, 0])], axis=1)
-    return np.concatenate([t[:, :3, 3], _so3_log_rows(t[:, :3, :3])], axis=1)
+    return np.concatenate([t[:, :3, 3], so3_log(t[:, :3, :3])], axis=1)
 
 
-def _jacobians(kind, dinv, b, t):
+def _jacobians(kind, dinv, b, t, res):
     """(E, 2, d, d) residual Jacobians w.r.t. right increments of Pi and Pj.
 
-    The closed forms of :func:`edge_error_se2` / :func:`edge_error_se3`.
-    For SE(3), with R = R_T, a right increment R hat(u) moves the
-    rotation residual by G u, G = b (tr(R) I - R^T) - k s s^T, where s is
-    the skew part of R and (b, k) are the coefficients of
-    :func:`dlog_so3` (0.5 and 0 where cos(theta) > 0.999999).  The
-    increment of Pi enters T as -R_T hat(R_B^T w), so its rotation block
-    is -G R_B^T.
+    The closed forms of :func:`edge_error_se2` / :func:`edge_error_se3`,
+    at the residuals res.  For SE(3), a right increment R_T hat(u) moves
+    the rotation residual w by G u, G = J_r(w)^-1 = I + hat(w)/2 +
+    c(|w|) hat(w)^2 with c the coefficient of :func:`lie._vinv_coeff`,
+    bounded at every angle up to pi.  The increment of Pi enters T as
+    -R_T hat(R_B^T u), so its rotation block is -G R_B^T.
     """
     n = len(t)
     if kind == "se2":
@@ -332,23 +312,16 @@ def _jacobians(kind, dinv, b, t):
         jac[:, 1, :2, :2] = t[:, :2, :2]
         jac[:, 1, 2, 2] = 1.0
         return jac
-    r = t[:, :3, :3]
-    tr = r[:, 0, 0] + r[:, 1, 1] + r[:, 2, 2]
-    c = np.clip(0.5 * (tr - 1.0), -1.0, 1.0)
-    generic = c <= 0.999999
-    theta = np.arccos(c)
-    s = np.sqrt(np.where(generic, 1.0 - c * c, 1.0))
-    coef_b = np.where(generic, theta / (2.0 * s), 0.5)
-    coef_k = np.where(generic, (theta * c - s) / (4.0 * s ** 3), 0.0)
-    skew = _skew_part(r)
-    g = (coef_b[:, None, None] * (tr[:, None, None] * np.eye(3) - np.swapaxes(r, 1, 2))
-         - coef_k[:, None, None] * skew[:, :, None] * skew[:, None, :])
+    w = res[:, 3:]
+    k = _hat_rows(w)
+    g = (np.eye(3) + 0.5 * k
+         + _vinv_coeff(np.linalg.norm(w, axis=1))[:, None, None] * (k @ k))
     rd = dinv[:, :3, :3]
     jac = np.zeros((n, 2, 6, 6))
     jac[:, 0, :3, :3] = -rd
     jac[:, 0, :3, 3:] = rd @ _hat_rows(b[:, :3, 3])
     jac[:, 0, 3:, 3:] = -g @ np.swapaxes(b[:, :3, :3], 1, 2)
-    jac[:, 1, :3, :3] = r
+    jac[:, 1, :3, :3] = t[:, :3, :3]
     jac[:, 1, 3:, 3:] = g
     return jac
 
@@ -356,7 +329,8 @@ def _jacobians(kind, dinv, b, t):
 def _linearize(kind, dinv, mi, mj):
     """Residuals (E, d) and Jacobians (E, 2, d, d) of every edge."""
     b, t = _relative(dinv, mi, mj)
-    return _residuals(kind, t), _jacobians(kind, dinv, b, t)
+    res = _residuals(kind, t)
+    return res, _jacobians(kind, dinv, b, t, res)
 
 
 def _pseudo_exp_rows(kind, v):
@@ -478,14 +452,8 @@ class _Packed:
         return float(np.einsum("ei,eij,ej->e", r, self.info, r).sum())
 
     def normal_equations(self, mats):
-        """(H, b) at mats; raises NearPiRotationError like edge_error_se3."""
+        """(H, b) at mats."""
         r, jac = _linearize(self.kind, self.dinv, mats[self.I], mats[self.J])
-        if self.kind == "se3":
-            bad = np.flatnonzero(np.linalg.norm(r[:, 3:], axis=1) > _PI_EDGE)
-            if bad.size:
-                e = self.graph.edges[bad[0]]
-                raise NearPiRotationError(
-                    "edge (%d, %d): residual rotation within 1e-6 of pi" % (e.i, e.j))
         jt_info = np.swapaxes(jac, -1, -2) @ self.info[:, None]
         h_vals = jt_info[:, :, None] @ jac[:, None]
         b_vals = jt_info @ r[:, None, :, None]
@@ -567,8 +535,6 @@ def build_normal_equations(g):
     RankDeficiencyError
         If no vertex is fixed, or some free vertex has no path to a
         fixed one (the system would be singular by construction).
-    NearPiRotationError
-        If an SE(3) edge's residual rotation is within 1e-6 of pi.
     """
     _check_gauge(g)
     pk = _Packed(g)

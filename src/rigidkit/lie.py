@@ -10,6 +10,10 @@ copies the translation verbatim.  The pseudo maps are mutual inverses,
 cheap, and are the retraction used by the on-manifold optimizer; they are
 not the group exponential.
 
+Every rotation-to-vector map takes one route: the rotation's largest-pivot
+quaternion (``core._quat_from_rotation``) and w = 2 atan2(|v|, q0) v / |v|
+of it, which is accurate at every angle up to and including pi.
+
 Functions here trust their inputs (no orthonormality checks): the finite
 difference machinery perturbs raw matrix entries and needs these formulas
 to extend smoothly off the manifold.
@@ -19,18 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import HomPose, HomPose2, Quaternion, _quat_from_rotation
 from .errors import GeometryError, NearPiRotationError
-from .matderiv import hat3
+from .matderiv import _mat4, hat3
 
 _TAYLOR_EPS = 1e-4
 _PI_EDGE = np.pi - 1e-6
-
-
-def _mat4(m):
-    """Float ndarray of a pose object's matrix, or of a plain matrix."""
-    if hasattr(m, "mat"):
-        return np.asarray(m.mat, dtype=float)
-    return np.asarray(m, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -81,12 +79,18 @@ def _sinc3(theta):
 
 
 def _vinv_coeff(theta):
-    """(1 - theta*cos(theta/2)/(2 sin(theta/2))) / theta^2, Taylor-guarded."""
-    if abs(theta) < _TAYLOR_EPS:
-        t2 = theta * theta
-        return 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-    half = 0.5 * theta
-    return (1.0 - half * np.cos(half) / np.sin(half)) / (theta * theta)
+    """(1 - theta*cos(theta/2)/(2 sin(theta/2))) / theta^2, Taylor-guarded.
+
+    theta is a scalar or an array of angles in [0, pi].  This is the
+    coefficient of hat(w)^2 in V(w)^-1 = I - hat(w)/2 + c hat(w)^2 and in
+    the right-Jacobian inverse J_r(w)^-1 = I + hat(w)/2 + c hat(w)^2.
+    """
+    small = np.abs(theta) < _TAYLOR_EPS
+    t2 = theta * theta
+    safe = np.where(small, 1.0, theta)
+    half = 0.5 * safe
+    return np.where(small, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
+                    (1.0 - half * np.cos(half) / np.sin(half)) / (safe * safe))
 
 
 def _half_cot_half(theta):
@@ -164,8 +168,6 @@ def so3_exp_quat(w):
     Quaternion
         (cos(theta/2), sin(theta/2)/theta * w), canonical sign.
     """
-    from .core import Quaternion
-
     w = np.asarray(w, dtype=float)
     theta = np.linalg.norm(w)
     if theta < _TAYLOR_EPS:
@@ -177,62 +179,38 @@ def so3_exp_quat(w):
     return Quaternion(np.cos(0.5 * theta), v[0], v[1], v[2])
 
 
+def _log_quat(q):
+    """Rotation vectors (..., 3) of quaternions q (..., 4), scalar first.
+
+    w = 2 atan2(|v|, q0) v / |v| for any nonzero norm; q0 >= 0 puts the
+    angle in [0, pi].  atan2 keeps full relative accuracy as |v| -> 0 and
+    as q0 -> 0, so the only guard is the exact identity, |v| = 0.
+    """
+    v = q[..., 1:]
+    n = np.sqrt((v * v).sum(-1, keepdims=True))
+    return v * (2.0 * np.arctan2(n, q[..., :1]) / (n + (n == 0.0)))
+
+
 def so3_log(r):
     """Rotation vector of a rotation matrix, angle in [0, pi].
 
-    Three branches: a Taylor branch for tiny angles, the generic
-    skew-part formula, and a symmetric-part branch for angles within
-    1e-6 of pi where the skew part vanishes.  In the last branch the
-    relative component signs come from the symmetric part; the overall
-    sign follows the skew part while it is measurable and otherwise makes
-    the largest-magnitude component positive (at exactly pi both signs
-    describe the same rotation).
+    r is (3, 3) or a stack (..., 3, 3); the result is (3,) or (..., 3).
+    The log of the largest-pivot quaternion of r, which is accurate at
+    every angle; off the rotation manifold the same formulas apply
+    entrywise.  At exactly pi both signs describe the same rotation: the
+    sign follows the skew part of r while it is nonzero, and otherwise
+    makes the component of the largest diagonal entry positive.
     """
-    r = np.asarray(r, dtype=float)
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
-    cos_theta = min(1.0, max(-1.0, 0.5 * (tr - 1.0)))
-    theta = np.arccos(cos_theta)
-    raw = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-
-    if theta < _TAYLOR_EPS:
-        t2 = theta * theta
-        scale = 0.5 * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0)
-        return scale * raw
-
-    if theta > _PI_EDGE:
-        denom = 3.0 - tr
-        s = r + r.T + (1.0 - tr) * np.eye(3)
-        diag = np.clip(np.diag(s) / denom, 0.0, None)
-        j = int(np.argmax(diag))
-        n = s[j] / (denom * np.sqrt(diag[j]))
-        n = n / np.linalg.norm(n)
-        raw_norm = np.linalg.norm(raw)
-        if raw_norm > 1e-12:
-            if np.dot(raw, n) < 0.0:
-                n = -n
-        elif n[int(np.argmax(np.abs(n)))] < 0.0:
-            n = -n
-        # asin of the measurable sine is better conditioned than acos here
-        theta = np.pi - np.arcsin(min(1.0, 0.5 * raw_norm))
-        return theta * n
-
-    return (theta / (2.0 * np.sin(theta))) * raw
+    return _log_quat(_quat_from_rotation(r))
 
 
 def so3_log_quat(q):
-    """Rotation vector of a unit quaternion.
+    """Rotation vector of a quaternion (any nonzero norm, qr >= 0).
 
     The angle is evaluated as 2*atan2(|qv|, qr) (identical to 2*acos(qr)
-    on the unit sphere, but conditioned well near the identity).
+    on the unit sphere, but conditioned well at every angle).
     """
-    v = np.array([q.qx, q.qy, q.qz], dtype=float)
-    vnorm = np.linalg.norm(v)
-    if vnorm < 1e-5:
-        # 2*asin(|qv|)/|qv| expanded (qr ~ 1 for canonical unit input)
-        v2 = vnorm * vnorm
-        return (2.0 + v2 / 3.0 + 3.0 * v2 * v2 / 20.0) * v
-    theta = 2.0 * np.arctan2(vnorm, q.qr)
-    return (theta / vnorm) * v
+    return _log_quat(q.vec)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +222,6 @@ def se3_exp(v):
     The stored translation is V(w) @ (dx, dy, dz): the exponential couples
     translation and rotation.
     """
-    from .core import HomPose
-
     v = np.asarray(v, dtype=float)
     t, w = v[:3], v[3:]
     theta = np.linalg.norm(w)
@@ -281,8 +257,6 @@ def se3_log(m):
 
 def se3_pseudo_exp(v):
     """Like :func:`se3_exp` but the translation is stored verbatim."""
-    from .core import HomPose
-
     v = np.asarray(v, dtype=float)
     m = np.eye(4)
     m[:3, :3] = so3_exp(v[3:])
@@ -301,8 +275,6 @@ def se3_pseudo_log(m):
 
 def se2_exp(v):
     """Planar rigid transformation of (dx, dy, dtheta)."""
-    from .core import HomPose2
-
     v = np.asarray(v, dtype=float)
     phi = v[2]
     c, s = np.cos(phi), np.sin(phi)
@@ -326,8 +298,6 @@ def se2_log(m):
 
 def se2_pseudo_exp(v):
     """Planar transformation with translation stored verbatim."""
-    from .core import HomPose2
-
     v = np.asarray(v, dtype=float)
     c, s = np.cos(v[2]), np.sin(v[2])
     m = np.eye(3)

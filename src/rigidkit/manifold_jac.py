@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearPiRotationError
-from .lie import _PI_EDGE, _mat4, se2_pseudo_log, so3_log
+from .core import _quat_from_rotation_rate
+from .lie import _mat4, se2_pseudo_log, so3_log
 from .matderiv import d_compose_wrt_A, hat3, inverse_rt, kron
 
 
@@ -72,34 +72,31 @@ def dexp_se3_at_zero():
 
 
 def dlog_so3(r):
-    """3x9 derivative of the rotation-matrix -> rotation-vector map.
+    """3x9 derivative of :func:`so3_log` w.r.t. vec(R) (column-major).
 
-    Columns follow vec(R) (column-major).  Near the identity
-    (cos(theta) > 0.999999) the constant skew-extraction pattern applies;
-    elsewhere the trace-dependent rescaling adds terms on the diagonal
-    entries' columns.
+    so3_log is w = 2 atan2(|v|, q0) v / |v| of the largest-pivot
+    quaternion q of R, so this is dw/dq @ dq/dvec(R), the second factor
+    from :func:`core._quat_from_rotation_rate`.  Both factors are bounded
+    at every angle, and the entries of R are free, so the derivative is
+    exact off the rotation manifold too.  With a = atan2(|v|, q0) and
+    m2 = |q|^2: dw/dq0 = -2 v / m2 and dw/dv = 2 (a/|v|) I + 2 c v v^T,
+    c = (q0/m2 - a/|v|) / |v|^2, whose cancellation error stays at
+    rounding level after the product with v v^T.
     """
-    r = _mat4(r)[:3, :3]
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
-    c = min(1.0, max(-1.0, 0.5 * (tr - 1.0)))
-    if c > 0.999999:
-        return np.array([
-            [0, 0, 0, 0, 0, 0.5, 0, -0.5, 0],
-            [0, 0, -0.5, 0, 0, 0, 0.5, 0, 0],
-            [0, 0.5, 0, -0.5, 0, 0, 0, 0, 0],
-        ], dtype=float)
-    theta = np.arccos(c)
-    s = np.sqrt(1.0 - c * c)
-    k = (theta * c - s) / (4.0 * s ** 3)
-    a1 = (r[2, 1] - r[1, 2]) * k
-    a2 = (r[0, 2] - r[2, 0]) * k
-    a3 = (r[1, 0] - r[0, 1]) * k
-    b = theta / (2.0 * s)
-    return np.array([
-        [a1, 0, 0, 0, a1, b, 0, -b, a1],
-        [a2, 0, -b, 0, a2, 0, b, 0, a2],
-        [a3, b, 0, -b, a3, 0, 0, 0, a3],
-    ], dtype=float)
+    q, dq = _quat_from_rotation_rate(_mat4(r)[:3, :3])
+    q0, v = q[0], q[1:]
+    n2 = float(v @ v)
+    m2 = q0 * q0 + n2
+    if n2 > 0.0:
+        n = np.sqrt(n2)
+        a_n = np.arctan2(n, q0) / n
+        c = (q0 / m2 - a_n) / n2
+    else:
+        a_n, c = 1.0 / q0, 0.0
+    dw = np.empty((3, 4))
+    dw[:, 0] = -v / m2
+    dw[:, 1:] = a_n * np.eye(3) + c * np.outer(v, v)
+    return 2.0 * dw @ dq
 
 
 def dpseudolog_se3(t):
@@ -230,12 +227,10 @@ def edge_error_se3(d, p1, p2):
 
     e = pseudo_log(D^{-1} P1^{-1} P2), with Jacobians w.r.t. right-
     multiplicative increments of P1 and P2 (the optimizer's update rule).
-
-    Raises
-    ------
-    NearPiRotationError
-        When the residual rotation angle is within 1e-6 of pi, where the
-        log derivative factors are unusable.
+    The Jacobians chain :func:`dpseudolog_se3` with the matrix-product
+    derivatives, so they hold at every residual angle, a half turn
+    included; the rotation block of jac2 is the right-Jacobian inverse
+    J_r(w)^-1 of the residual rotation w.
     """
     md = _mat4(d)
     m1 = _mat4(p1)
@@ -243,11 +238,7 @@ def edge_error_se3(d, p1, p2):
     d_inv = inverse_rt(md)
     b = inverse_rt(m1) @ m2
     t_err = d_inv @ b
-    w = so3_log(t_err[:3, :3])
-    if np.linalg.norm(w) > _PI_EDGE:
-        raise NearPiRotationError(
-            "edge_error_se3: residual rotation within 1e-6 of pi")
-    e = np.concatenate([t_err[:3, 3], w])
+    e = np.concatenate([t_err[:3, 3], so3_log(t_err[:3, :3])])
     dlog = dpseudolog_se3(t_err)
     j1 = dlog @ d_compose_wrt_A(b) @ (-jacob_Dexpe_de(d_inv))
     j2 = dlog @ jacob_Dexpe_de(t_err)

@@ -22,6 +22,13 @@ import numpy as np
 from .errors import GeometryError
 
 
+def _mat4(m):
+    """Float ndarray of a pose object's matrix, or of a plain matrix."""
+    if hasattr(m, "mat"):
+        return np.asarray(m.mat, dtype=float)
+    return np.asarray(m, dtype=float)
+
+
 def vec(a):
     """Stack the columns of a matrix into one vector.
 

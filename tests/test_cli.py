@@ -1,11 +1,19 @@
 """End-to-end checks of the command-line interface."""
+import functools
 import json
 import math
+import operator
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rigidkit
 from rigidkit import (EulerPose, QuatPose, Quaternion, compose_pose_quat,
@@ -335,3 +343,123 @@ def test_version_flag(runner):
     res = _run(runner, ["--version"])
     assert res.exit_code == 0
     assert res.output == f"rigidkit, version {rigidkit.__version__}\n"
+
+
+def test_slam_solves_a_half_turn_edge(runner, tmp_path):
+    from rigidkit import HomPose, PoseGraph, read_g2o, so3_exp, write_g2o
+
+    g = PoseGraph()
+    g.add_vertex(0, HomPose(np.eye(4)), fixed=True)
+    axis = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    g.add_vertex(1, HomPose.from_rt(so3_exp((math.pi - 1e-7) * axis), [1.0, 0.0, 0.0]))
+    g.add_vertex(2, HomPose.from_rt(so3_exp([0.0, 0.3, 0.0]), [0.0, 1.0, 0.0]))
+    info = np.diag([4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
+    g.add_edge(0, 1, HomPose(np.eye(4)), info)
+    g.add_edge(0, 2, HomPose.from_rt(so3_exp([0.0, 0.2, 0.0]), [0.0, 1.1, 0.0]), info)
+    write_g2o(g, tmp_path / "in.g2o")
+    res = _run(runner, ["slam", str(tmp_path / "in.g2o"), str(tmp_path / "out.g2o"),
+                        "--stats", str(tmp_path / "stats.csv")])
+    assert res.exit_code == 0, res.output
+    chis = [float(line.split(",")[1])
+            for line in (tmp_path / "stats.csv").read_text().splitlines()[1:]]
+    assert all(b <= a for a, b in zip(chis, chis[1:])) and chis[-1] < 1e-6 * chis[0]
+    out = read_g2o(tmp_path / "out.g2o")
+    assert all(np.isfinite(p.mat).all() for p in out.vertices.values())
+
+
+@pytest.mark.parametrize("text, message", [
+    ("VERTEX_SE2 0 0 0 inf\n", "error: line 1: HomPose2: non-finite entry\n"),
+    ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\nEDGE_SE2 0 1 1 0 0 1 1e308 0 1 0 1\n",
+     "error: line 3: PoseGraph: edge (0, 1) information must be a finite 3x3 matrix\n"),
+])
+def test_slam_non_finite_input_gives_one_stderr_line(tmp_path, text, message):
+    # in its own interpreter, with warnings shown, as a user would run it
+    (tmp_path / "in.g2o").write_text(text)
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=str(pathlib.Path(rigidkit.__path__[0]).parent))
+    out = subprocess.run([sys.executable, "-m", "rigidkit.cli", "slam", str(tmp_path / "in.g2o"),
+                          str(tmp_path / "out.g2o")], capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stderr == message
+
+
+# ---------------------------------------------------------------------------
+# malformed JSON numbers
+
+@pytest.mark.parametrize("args, payload, message", [
+    (["apply-point"], {"pose": YPR, "point": [1, math.nan, 3]},
+     "point must be a list of 3 finite numbers"),
+    (["project"], {"intrinsics": INTR, "point": [0, math.inf, 1]},
+     "point must be a list of 3 finite numbers"),
+    (["project"], {"intrinsics": dict(INTR, cx=-math.inf), "point": [0, 0, 1]},
+     "intrinsics fx, fy, cx, cy must be a list of 4 finite numbers"),
+    (["expmap"], {"tangent": [0, 0, 0, math.nan, 0, 0]},
+     "tangent must be a list of 6 finite numbers"),
+    (["convert", "--to", "quat"], {"type": "ypr", "data": [0, 0, 0, 10 ** 400, 0, 0]},
+     "pose.data must be a list of 6 finite numbers"),
+])
+def test_non_finite_numbers_are_malformed_input(runner, args, payload, message):
+    res = runner.invoke(main, args, input=json.dumps(payload))
+    assert res.exit_code == 1
+    assert res.output == "error: %s\n" % message
+
+
+_POSE_COV = dict(YPR, cov=(1e-6 * np.eye(6)).tolist())
+_QUAT = {"type": "quat", "data": [0.1, 0.2, 0.3, 0.5, 0.5, -0.5, 0.5]}
+_MATRIX = {"type": "matrix",
+           "data": [float(x) for x in se3_exp(np.array([0.7, -1.1, 0.4, 0.2, 0.4, -0.3]))
+                    .mat.reshape(-1)]}
+# one valid input per pose command
+_VALID = [
+    (["convert", "--to", "quat"], _POSE_COV),
+    (["compose"], {"p1": _QUAT, "p2": _QUAT}),
+    (["invert"], {"pose": YPR}),
+    (["apply-point", "--inverse"], {"pose": _MATRIX, "point": [1.0, 2.0, 3.0]}),
+    (["propagate"], {"op": "compose", "p1": _POSE_COV, "p2": _POSE_COV}),
+    (["propagate"], {"op": "inv-apply-point", "pose": dict(_QUAT, cov=np.eye(7).tolist()),
+                     "point": {"data": [0.5, 0.5, 0.5], "cov": (1e-8 * np.eye(3)).tolist()}}),
+    (["expmap"], {"tangent": [0.7, -1.1, 0.4, 0.2, 0.4, -0.3]}),
+    (["logmap"], _MATRIX),
+    (["project"], {"intrinsics": INTR, "point": [0.2, -0.1, 2.0], "pose": YPR}),
+]
+_NOT_A_NUMBER = [math.nan, math.inf, -math.inf, 10 ** 400, "1", None, True, [], {}]
+
+
+def _slots(obj, path=()):
+    """(path, kind): every number, and every list (to resize)."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _slots(value, path + (key,))
+    elif isinstance(obj, list):
+        yield path, "list"
+        for k, value in enumerate(obj):
+            yield from _slots(value, path + (k,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path, "number"
+
+
+@pytest.mark.parametrize("args, payload", _VALID)
+def test_valid_fuzz_seeds_pass(runner, args, payload):
+    _run_json(runner, args, payload)
+
+
+@given(data=st.data())
+def test_malformed_json_gives_an_error_line(data):
+    args, payload = data.draw(st.sampled_from(_VALID))
+    path, kind = data.draw(st.sampled_from(list(_slots(payload))))
+    bad = json.loads(json.dumps(payload))
+    *parents, last = path
+    slot = functools.reduce(operator.getitem, parents, bad)
+    if kind == "number":
+        slot[last] = data.draw(st.sampled_from(_NOT_A_NUMBER))
+    elif data.draw(st.booleans()):
+        slot[last].pop()
+    else:
+        slot[last].append(slot[last][-1])
+    text = json.dumps(bad)
+    if data.draw(st.booleans()):  # also cut the text short
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    res = CliRunner().invoke(main, args, input=text)
+    assert res.exit_code in (1, 2), res.output
+    assert isinstance(res.exception, SystemExit)
+    assert re.fullmatch(r"error: [^\n]+\n", res.output), res.output

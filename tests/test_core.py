@@ -16,7 +16,8 @@ from rigidkit import (EulerPose, GaussianPose, GeometryError, HomPose,
                       numeric_jacobian, quat_normalize, quat_to_matrix,
                       quat_to_ypr, so3_exp, wrap_angle, ypr_to_matrix,
                       ypr_to_quat)
-from rigidkit.core import _quat_components_from_angles
+from rigidkit.core import (_quat_components_from_angles, _quat_from_rotation,
+                           _quat_from_rotation_rate)
 
 # frozen oracle literals (independent half-angle / axis-rotation evaluation)
 QUAT_30_20_90 = np.array([
@@ -393,6 +394,40 @@ def test_convert_gaussian_symmetric_output():
     g = GaussianPose(rand_euler(rng), cov)
     out = convert_gaussian(g, "quat")
     assert np.abs(out.cov - out.cov.T).max() < 1e-18
+
+
+@pytest.mark.parametrize("pivot", [np.eye(3), np.diag([1.0, -1.0, -1.0]),
+                                   np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])])
+def test_quat_from_rotation_rate_matches_fd_on_every_pivot(pivot):
+    # near each pivot's own half turn (or the identity), with raw entries
+    # perturbed off the rotation manifold, and both signs of the result
+    rng = np.random.default_rng(35)
+    for _ in range(10):
+        r = pivot @ so3_exp(rng.uniform(-0.3, 0.3, 3)) + rng.normal(0.0, 1e-3, (3, 3))
+        q, dq = _quat_from_rotation_rate(r)
+        assert np.array_equal(q, _quat_from_rotation(r))
+        fd = numeric_jacobian(lambda v: _quat_from_rotation(v.reshape((3, 3), order="F")),
+                              r.flatten(order="F"))
+        assert np.abs(dq - fd).max() < 1e-8
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-7, 0.0])
+def test_convert_matrix_to_quat_at_gimbal_lock(gap):
+    # the quaternion Jacobian differentiates the pivot extraction, not
+    # the Euler chart, so it stays bounded at and near |pitch| = pi/2
+    m = ypr_to_matrix(EulerPose(0.3, -0.2, 0.1, 0.4, math.pi / 2 - gap, -0.7))
+    out = convert_gaussian(GaussianPose(m, 1e-6 * np.eye(12)), "quat")
+    assert np.isfinite(out.cov).all() and np.abs(out.cov).max() < 1e-5
+    # quat -> matrix -> quat returns the covariance projected onto the
+    # unit sphere's tangent (the normalization Jacobian at a unit q)
+    q = matrix_to_quat(m)
+    a = np.random.default_rng(34).normal(size=(7, 7)) * 1e-3
+    cov = a @ a.T
+    back = convert_gaussian(convert_gaussian(GaussianPose(q, cov), "matrix"), "quat")
+    proj = np.eye(7)
+    proj[3:, 3:] -= np.outer(q.q.vec, q.q.vec)
+    assert np.abs(back.mean.vec - q.vec).max() < 1e-15
+    assert np.abs(back.cov - proj @ cov @ proj.T).max() < 1e-15
 
 
 def test_convert_gaussian_rejects_unknown_target():

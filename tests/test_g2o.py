@@ -565,6 +565,8 @@ def test_batched_writer_byte_equal_to_reference(g):
     ("VERTEX_SE2 0 0 inf 0\n", "line 1: HomPose2: non-finite entry"),
     ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 0 0 0\nEDGE_SE2 0 1 0 0 0 1 0 0 1 0 nan\n",
      "line 3: PoseGraph: edge (0, 1) information must be a finite 3x3 matrix"),
+    ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 0 0 0\nEDGE_SE2 0 1 0 0 0 1 1e308 0 1 0 1\n",
+     "line 3: PoseGraph: edge (0, 1) information must be a finite 3x3 matrix"),
     ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 0 0 0\nEDGE_SE2 0 1 0 0 0 1 2 0 1 0 1\n",
      "line 3: PoseGraph: edge (0, 1) information matrix is not positive semidefinite"),
 ])

@@ -320,6 +320,15 @@ def test_propagate_rejects_bad_inputs():
         propagate_binary("shear", g, g)  # unknown op
 
 
+def test_point_must_be_finite():
+    pose = HomPose(np.eye(4))
+    bad = np.array([1.0, np.nan, 3.0])
+    with pytest.raises(GeometryError, match="finite 3-vector"):
+        compose_point_matrix(pose, bad)
+    with pytest.raises(GeometryError, match="finite 3-vector"):
+        inv_compose_point_matrix(np.array([np.inf, 0.0, 0.0]), pose)
+
+
 def test_gaussian_point_validation():
     GaussianPoint3(np.zeros(3), np.eye(3))
     with pytest.raises(GeometryError):

@@ -5,11 +5,11 @@ import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rigidkit import (GeometryError, HomPose, HomPose2, NearPiRotationError,
-                      PoseGraph, RankDeficiencyError, SolverConfig,
-                      build_normal_equations, chi2, edge_error_se2,
-                      edge_error_se3, optimize, se2_exp, se2_pseudo_exp,
-                      se3_pseudo_exp, so3_exp, so3_log, step, synth_graph)
+from rigidkit import (GeometryError, HomPose, HomPose2, PoseGraph,
+                      RankDeficiencyError, SolverConfig, build_normal_equations,
+                      chi2, edge_error_se2, edge_error_se3, optimize, se2_exp,
+                      se2_pseudo_exp, se3_pseudo_exp, so3_exp, so3_log, step,
+                      synth_graph)
 from rigidkit import graphslam
 from rigidkit.graphslam import (_DENSE_LIMIT, IterationStats, _damped, _inverse_rigid,
                                 _linearize, _Packed, _solve)
@@ -89,6 +89,17 @@ def test_indefinite_information_rejected():
     # rank one: its zero eigenvalues come out near -1e-12 in floating point
     v = np.array([100.0, 200.0, 300.0])
     g.add_edge(0, 1, se2_exp(np.zeros(3)), np.outer(v, v))
+
+
+@pytest.mark.parametrize("info", [
+    np.array([[1.0, 1e308, 0.0], [1e308, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # sum overflows
+    np.full((3, 3), 8e307),  # finite, but the largest eigenvalue overflows
+])
+def test_overflowing_information_rejected(info):
+    g = _tiny_se2()
+    with pytest.raises(GeometryError, match="information must be a finite 3x3 matrix"):
+        g.add_edge(0, 1, se2_exp(np.zeros(3)), info)
+    assert len(g.edges) == 1
 
 
 def test_information_shape_checked():
@@ -337,13 +348,13 @@ def _assert_matches_oracle(got, ref):
         assert np.abs(g - r).max() <= 1e-9 * (1.0 + np.abs(r).max())
 
 
-# residual angle ranges: the generic formulas; cos(theta) > 0.999999, where
-# dlog_so3 is the constant pattern; theta < 1e-4, where so3_log also takes
-# its Taylor branch
-@pytest.mark.parametrize("lo, hi", [(0.01, 3.0), (1.2e-4, 1.4e-3), (0.0, 9e-5)])
+# residual angle ranges: generic, small, tiny (down to the identity), and
+# up to 1e-9 short of a half turn; each range's upper end is always drawn
+@pytest.mark.parametrize("lo, hi", [(0.01, 3.0), (1.2e-4, 1.4e-3), (0.0, 9e-5),
+                                    (3.0, np.pi - 1e-9)])
 @given(data=st.data())
 def test_batched_se3_edge_matches_edge_error_se3(lo, hi, data):
-    angle = data.draw(st.floats(lo, hi))
+    angle = data.draw(st.just(hi) | st.floats(lo, hi))
     d = HomPose.from_rt(_rot(data.draw(_unit), data.draw(st.floats(0.0, 3.0))),
                         data.draw(_vec3))
     p1 = HomPose.from_rt(_rot(data.draw(_unit), data.draw(st.floats(0.0, 3.0))),
@@ -395,8 +406,9 @@ def test_normal_equations_match_edge_loop(kind, n):
 
 
 def test_near_pi_edge_chi2_and_build():
-    # chi2 takes so3_log's half-turn branch; the normal equations refuse
-    # the edge as edge_error_se3 does
+    # chi2, the normal equations and a full solve take the half-turn edge
+    # (0, 1) like any other: the same numbers as the per-edge reference,
+    # finite poses, and a chi2 that never increases
     info = np.diag([4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
     g = PoseGraph()
     g.add_vertex(0, HomPose(np.eye(4)), fixed=True)
@@ -404,12 +416,28 @@ def test_near_pi_edge_chi2_and_build():
     g.add_vertex(2, HomPose.from_rt(_rot([0.0, 1.0, 0.0], 0.3), [0.0, 1.0, 0.0]))
     g.add_edge(0, 1, HomPose(np.eye(4)), info)
     g.add_edge(0, 2, HomPose.from_rt(_rot([0.0, 1.0, 0.0], 0.2), [0.0, 1.1, 0.0]), info)
+    g.add_edge(1, 2, HomPose.from_rt(_rot([0.0, 0.0, 1.0], 0.1), [0.5, 0.0, 0.0]), info)
     near = np.concatenate([[1.0, 0.0, 0.0], so3_log(g.vertices[1].rotation)])
-    assert np.linalg.norm(near[3:]) > np.pi - 1e-6
-    ok = edge_error_se3(g.edges[1].delta, g.vertices[0], g.vertices[2]).error
-    assert chi2(g) == pytest.approx(near @ info @ near + ok @ info @ ok, rel=1e-12)
-    with pytest.raises(NearPiRotationError):
-        build_normal_equations(g)
+    assert np.pi - 1e-6 < np.linalg.norm(near[3:]) < np.pi
+    others = [edge_error_se3(e.delta, g.vertices[e.i], g.vertices[e.j]).error
+              for e in g.edges[1:]]
+    assert chi2(g) == pytest.approx(near @ info @ near + sum(e @ info @ e for e in others),
+                                    rel=1e-12)
+    h, b = build_normal_equations(g)
+    ref_h, ref_b = _loop_normal_equations(g)
+    assert np.isfinite(h).all() and np.isfinite(b).all()
+    assert np.abs(h - ref_h).max() <= 1e-12 * np.abs(ref_h).max()
+    assert np.abs(b - ref_b).max() <= 1e-12 * np.abs(ref_b).max()
+    optima = []
+    for method in ("levenberg-marquardt", "gauss-newton"):
+        final, stats = optimize(g, SolverConfig(method=method, max_iterations=20))
+        assert all(np.isfinite(p.mat).all() for p in final.vertices.values())
+        chis = [s.chi2 for s in stats]
+        assert all(later <= earlier for earlier, later in zip(chis, chis[1:]))
+        optima.append(chis[-1])
+    # edge (1, 2) disagrees with the other two, so the optimum is not 0
+    assert optima[0] < 0.02 * chi2(g)
+    assert optima[1] == pytest.approx(optima[0], rel=1e-6)
 
 
 @pytest.mark.parametrize("kind, n", [("grid2d", 100), ("sphere3d", 100)])

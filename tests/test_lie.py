@@ -70,7 +70,7 @@ def test_so3_exp_zero_is_identity():
 
 def test_so3_log_round_trip_across_angle_range():
     rng = np.random.default_rng(3)
-    # sweep deliberately includes the Taylor band and the near-pi branch
+    # sweep deliberately spans tiny angles and angles close to a half turn
     angles = np.concatenate([
         10.0 ** rng.uniform(-8, -4, 50),
         rng.uniform(1e-4, 3.0, 200),

@@ -6,16 +6,16 @@ import pytest
 
 from conftest import rand_hompose, rand_rotvec
 from rigidkit import (EdgeErrorSE2, EdgeErrorSE3, HomPose, HomPose2,
-                      NearPiRotationError, d_apply_wrt_pose, d_compose_se2_wrt_A,
-                      d_compose_se2_wrt_B, d_compose_wrt_A, d_compose_wrt_B,
-                      d_invapply_wrt_pose, dexp_se3_at_zero, dexp_so3_at_zero,
-                      dexp_so3_quat, dlog_so3, dpseudolog_se3, edge_error_se2,
-                      edge_error_se3, hat3, jacob_AexpeD_de, jacob_AexpeDp_de,
-                      jacob_Dexpe_de, jacob_Dexpe_de_se2, jacob_expeD_de,
-                      jacob_expeDp_de, jacob_p_ominus_AexpeD_de,
-                      jacob_p_ominus_expeD_de, manifold_numeric_jacobian,
-                      numeric_jacobian, pose_to_vec12, se2_exp, se2_pseudo_exp,
-                      se3_pseudo_exp, se3_pseudo_log, so3_exp, so3_log)
+                      d_apply_wrt_pose, d_compose_se2_wrt_A, d_compose_se2_wrt_B,
+                      d_compose_wrt_A, d_compose_wrt_B, d_invapply_wrt_pose,
+                      dexp_se3_at_zero, dexp_so3_at_zero, dexp_so3_quat, dlog_so3,
+                      dpseudolog_se3, edge_error_se2, edge_error_se3, hat3,
+                      jacob_AexpeD_de, jacob_AexpeDp_de, jacob_Dexpe_de,
+                      jacob_Dexpe_de_se2, jacob_expeD_de, jacob_expeDp_de,
+                      jacob_p_ominus_AexpeD_de, jacob_p_ominus_expeD_de,
+                      manifold_numeric_jacobian, numeric_jacobian, pose_to_vec12,
+                      se2_exp, se2_pseudo_exp, se3_pseudo_exp, se3_pseudo_log,
+                      so3_exp, so3_log)
 
 DLOG_FLAT = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, -0.5, 0.0],
@@ -86,21 +86,27 @@ def test_dlog_matches_fd_generic():
         assert np.abs(dlog_so3(r) - fd).max() < 1e-6
 
 
+def _dlog_fd(r):
+    return numeric_jacobian(lambda v: so3_log(v.reshape((3, 3), order="F")),
+                            r.flatten(order="F"))
+
+
 def test_dlog_small_angle_flat_form():
-    # tiny rotations take the constant skew-extraction branch
-    r = so3_exp(np.array([1e-5, -2e-5, 1.5e-5]))
-    assert np.array_equal(dlog_so3(r), DLOG_FLAT)
+    # the constant skew-extraction pattern is the derivative at the
+    # identity only; a tiny rotation already differs from it by ~theta/4
     assert np.array_equal(dlog_so3(np.eye(3)), DLOG_FLAT)
+    r = so3_exp(np.array([1e-5, -2e-5, 1.5e-5]))
+    assert np.abs(dlog_so3(r) - _dlog_fd(r)).max() < 1e-9
 
 
 def test_dlog_flat_form_first_order_accuracy():
-    # inside its band the constant branch approximates the true
-    # derivative to roughly the rotation angle
-    theta = 1e-3
-    r = so3_exp(np.array([0.0, theta, 0.0]))
-    fd = numeric_jacobian(lambda v: so3_log(v.reshape((3, 3), order="F")),
-                          r.flatten(order="F"))
-    assert np.abs(dlog_so3(r) - fd).max() < 5.0 * theta
+    # small angles, where a constant pattern was once used, get the exact
+    # derivative: central differences agree to their own error
+    rng = np.random.default_rng(41)
+    for theta in (1e-6, 1e-4, 1e-3, 1e-2):
+        for _ in range(5):
+            r = so3_exp(theta * rand_rotvec(rng, lo=1.0, hi=1.0))
+            assert np.abs(dlog_so3(r) - _dlog_fd(r)).max() < 1e-9
 
 
 def test_dpseudolog_structure_and_fd():
@@ -246,12 +252,20 @@ def test_edge_error_jacobians_match_manifold_fd():
         assert np.abs(out.jac2 - fd2).max() < 1e-5
 
 
-def test_edge_error_near_half_turn_raises():
-    p1 = HomPose(np.eye(4))
-    p2 = HomPose.from_rt(so3_exp(np.array([math.pi - 1e-9, 0, 0])), np.zeros(3))
-    d = HomPose(np.eye(4))
-    with pytest.raises(NearPiRotationError):
-        edge_error_se3(d, p1, p2)
+def test_edge_error_near_half_turn_matches_jr_inverse():
+    # a residual 1e-9 short of a half turn: finite error and Jacobians,
+    # jac2's rotation block the right-Jacobian inverse (whose hat(w)^2
+    # coefficient is 1/pi^2 at pi), jac1's block -J_r^-1 R_B^T
+    w = np.array([math.pi - 1e-9, 0.0, 0.0])
+    p1 = HomPose.from_rt(so3_exp(np.array([0.3, -0.2, 0.5])), np.array([1.0, 2.0, 3.0]))
+    p2 = HomPose(p1.mat @ HomPose.from_rt(so3_exp(w), np.zeros(3)).mat)
+    out = edge_error_se3(HomPose(np.eye(4)), p1, p2)
+    k = hat3(w)
+    jr_inv = np.eye(3) + 0.5 * k + (1.0 / math.pi ** 2) * (k @ k)
+    assert np.abs(out.error[3:] - w).max() < 1e-12
+    assert np.abs(out.jac2[3:, 3:] - jr_inv).max() < 1e-8
+    rb = so3_exp(w)
+    assert np.abs(out.jac1[3:, 3:] + jr_inv @ rb.T).max() < 1e-8
 
 
 def test_edge_error_frozen():

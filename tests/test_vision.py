@@ -76,6 +76,8 @@ def test_intrinsics_validation():
 def test_bad_inputs_raise_geometry_error():
     with pytest.raises(GeometryError):
         project(K, np.array([1.0, 2.0]))
+    with pytest.raises(GeometryError, match="finite 3-vector"):
+        project(K, np.array([0.0, np.inf, 1.0]))
     with pytest.raises(GeometryError):
         CameraIntrinsics(fx=0.0, fy=400.0, cx=0.0, cy=0.0)
 
