@@ -316,6 +316,26 @@ def pose_param_vector(p):
     return p.vec
 
 
+def _checked_covariance(c, owner):
+    """The finite square c symmetrized and read-only, after the Gaussian types' tests.
+
+    Symmetric to 1e-12, and positive semidefinite up to -1e-10 on the
+    spectrum; the symmetrized matrix and its eigenvalues must be finite,
+    as entries near the float limit overflow in either.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.max(np.abs(c - c.T)) > 1e-12:
+            raise GeometryError("%s: covariance is not symmetric" % owner)
+        c = 0.5 * (c + c.T)
+    w = np.linalg.eigvalsh(c) if np.isfinite(c).all() else None
+    if w is None or not np.isfinite(w).all():
+        raise GeometryError("%s: covariance is too large to symmetrize and decompose" % owner)
+    if w[0] < -1e-10:
+        raise GeometryError("%s: covariance has a significantly negative eigenvalue" % owner)
+    c.setflags(write=False)
+    return c
+
+
 @dataclass(frozen=True)
 class GaussianPose:
     """Gaussian over one pose parameterization: mean pose + covariance.
@@ -338,13 +358,7 @@ class GaussianPose:
                 "GaussianPose: covariance must be %dx%d for a %s pose" % (dim, dim, kind))
         if not np.all(np.isfinite(c)):
             raise GeometryError("GaussianPose: non-finite covariance entry")
-        if np.max(np.abs(c - c.T)) > 1e-12:
-            raise GeometryError("GaussianPose: covariance is not symmetric")
-        c = 0.5 * (c + c.T)
-        if np.min(np.linalg.eigvalsh(c)) < -1e-10:
-            raise GeometryError("GaussianPose: covariance has a significantly negative eigenvalue")
-        c.setflags(write=False)
-        object.__setattr__(self, "cov", c)
+        object.__setattr__(self, "cov", _checked_covariance(c, "GaussianPose"))
 
     @property
     def kind(self):

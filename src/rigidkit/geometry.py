@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (EulerPose, GaussianPose, HomPose, QuatPose,
-                   _angles_from_rotation, _norm_jacobian,
+                   _angles_from_rotation, _checked_covariance, _norm_jacobian,
                    _quat_components_from_angles, _rotation_from_angles,
                    _rotation_from_unit_quat, _rotation_quat_rate,
                    _rotation_raw_quat_rate, _rotation_ypr_rate,
@@ -53,15 +53,9 @@ class GaussianPoint3:
             raise GeometryError("GaussianPoint3: mean must be a finite 3-vector")
         if c.shape != (3, 3) or not np.all(np.isfinite(c)):
             raise GeometryError("GaussianPoint3: covariance must be a finite 3x3")
-        if np.max(np.abs(c - c.T)) > 1e-12:
-            raise GeometryError("GaussianPoint3: covariance is not symmetric")
-        c = 0.5 * (c + c.T)
-        if np.min(np.linalg.eigvalsh(c)) < -1e-10:
-            raise GeometryError("GaussianPoint3: covariance has a significantly negative eigenvalue")
         m.setflags(write=False)
-        c.setflags(write=False)
         object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "cov", c)
+        object.__setattr__(self, "cov", _checked_covariance(c, "GaussianPoint3"))
 
 
 def _point(a):

@@ -116,12 +116,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationStats:
-    """Snapshot after one accepted step: chi2 is the value afterwards."""
+    """Snapshot after one accepted step: chi2 is the value afterwards.
+
+    ``rejected`` counts the Levenberg-Marquardt trials rejected before
+    this step, failed factorizations included; a step that found no
+    decreasing lambda has update_norm 0 and counts every trial it made.
+    """
 
     iteration: int
     chi2: float
     update_norm: float
     lambda_: float
+    rejected: int = 0
 
 
 class PoseGraph:
@@ -448,16 +454,19 @@ class _Packed:
         return _residuals(self.kind, t)
 
     def chi2(self, mats):
+        """chi2 at mats; inf or NaN, without a warning, where it overflows."""
         r = self.residuals(mats)
-        return float(np.einsum("ei,eij,ej->e", r, self.info, r).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.einsum("ei,eij,ej->e", r, self.info, r).sum())
 
     def normal_equations(self, mats):
-        """(H, b) at mats."""
+        """(H, b) at mats; entries that overflow are inf or NaN, without a warning."""
         r, jac = _linearize(self.kind, self.dinv, mats[self.I], mats[self.J])
-        jt_info = np.swapaxes(jac, -1, -2) @ self.info[:, None]
-        h_vals = jt_info[:, :, None] @ jac[:, None]
-        b_vals = jt_info @ r[:, None, :, None]
-        return self.scatter.assemble(h_vals, b_vals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jt_info = np.swapaxes(jac, -1, -2) @ self.info[:, None]
+            h_vals = jt_info[:, :, None] @ jac[:, None]
+            b_vals = jt_info @ r[:, None, :, None]
+            return self.scatter.assemble(h_vals, b_vals)
 
     def retract(self, mats, delta):
         """mats with each free P replaced by P @ pseudo_exp(its block of delta)."""
@@ -578,24 +587,36 @@ def _damped(h, diag, lam):
     return scipy.sparse.csr_matrix((data, h.indices, h.indptr), shape=h.shape)
 
 
+def _finite(value, what):
+    """value, or GeometryError when any entry of it is inf or NaN."""
+    if not np.all(np.isfinite(value)):
+        raise GeometryError("PoseGraph: %s is not finite; residuals or information "
+                            "matrices are too large" % what)
+    return value
+
+
 def _step_core(pk, mats, base, cfg, h, b, lam):
     """One step from mats, whose chi2 is base; returns (mats, stats)."""
+    _finite(b, "the gradient b")
     if cfg.method == "gauss-newton":
         delta = _solve(h, -b, lm_hint=True)
         out = pk.retract(mats, delta)
         return out, IterationStats(0, pk.chi2(out), float(np.linalg.norm(delta)), 0.0)
+    rejected = 0
     while lam <= _LM_MAX_LAMBDA:
         try:
             delta = _solve(_damped(h, pk.scatter.diag, lam), -b, lm_hint=False)
         except RankDeficiencyError:
             lam *= cfg.lm_factor
+            rejected += 1
             continue
         trial = pk.retract(mats, delta)
         c = pk.chi2(trial)
         if c < base:
-            return trial, IterationStats(0, c, float(np.linalg.norm(delta)), lam)
+            return trial, IterationStats(0, c, float(np.linalg.norm(delta)), lam, rejected)
         lam *= cfg.lm_factor
-    return mats, IterationStats(0, base, 0.0, lam)
+        rejected += 1
+    return mats, IterationStats(0, base, 0.0, lam, rejected)
 
 
 def step(g, cfg, lambda_=None):
@@ -610,12 +631,18 @@ def step(g, cfg, lambda_=None):
     -------
     (PoseGraph, IterationStats)
         Fixed vertices are carried over untouched (same objects).
+
+    Raises
+    ------
+    GeometryError
+        If chi2 or the gradient b at the input is not finite.
     """
     _check_gauge(g)
     pk = _Packed(g)
+    base = _finite(pk.chi2(pk.mats), "the initial chi2")
     h, b = pk.normal_equations(pk.mats)
     lam = cfg.lm_initial_lambda if lambda_ is None else float(lambda_)
-    mats, st = _step_core(pk, pk.mats, pk.chi2(pk.mats), cfg, h, b, lam)
+    mats, st = _step_core(pk, pk.mats, base, cfg, h, b, lam)
     return pk.unpack(mats), st
 
 
@@ -636,11 +663,16 @@ def optimize(g, cfg):
         each later entry is one accepted step.  Under Levenberg-Marquardt
         the chi2 column is non-increasing.  The input graph is not
         modified.
+
+    Raises
+    ------
+    GeometryError
+        If chi2 at the input, or the gradient b at any step, is not finite.
     """
     lm = cfg.method == "levenberg-marquardt"
     pk = _Packed(g)
     mats = pk.mats
-    base = pk.chi2(mats)
+    base = _finite(pk.chi2(mats), "the initial chi2")
     stats = [IterationStats(0, base, 0.0, cfg.lm_initial_lambda if lm else 0.0)]
     if cfg.max_iterations > 0:
         _check_gauge(g)

@@ -9,12 +9,15 @@ pose with the pseudo-exponential on the matching side.
 
 :func:`check_catalog` runs the whole catalog deterministically: the same
 seed yields bit-identical reports, independent of the order in which
-checks were registered, because every check gets its own generator seeded
-from (seed, crc32 of the check name).  Domain-restricted samplers keep
+checks were registered and of the number of processes that run them,
+because every check gets its own generator seeded from (seed, crc32 of
+the check name).  Domain-restricted samplers keep
 each draw far from singular configurations, where a finite difference
 would measure the singularity instead of the formula.
 """
 
+import functools
+import os
 from dataclasses import dataclass
 from zlib import crc32
 
@@ -82,10 +85,7 @@ def manifold_numeric_jacobian(f, base, side="left", h=1e-6):
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     cols = []
-    for i in range(dim):
-        eps = np.zeros(dim)
-        eps[i] = h
-        plus, minus = pexp(eps).mat, pexp(-eps).mat
+    for plus, minus in _perturbations(pexp, dim, h):
         if side == "left":
             hi, lo = f(plus @ m), f(minus @ m)
         else:
@@ -93,6 +93,20 @@ def manifold_numeric_jacobian(f, base, side="left", h=1e-6):
         cols.append((np.asarray(hi, dtype=float)
                      - np.asarray(lo, dtype=float)) / (2.0 * h))
     return np.column_stack(cols)
+
+
+@functools.lru_cache(maxsize=16)
+def _perturbations(pexp, dim, h):
+    """The pairs (pexp(h e_i).mat, pexp(-h e_i).mat) for i < dim.
+
+    Pose matrices are read-only, so the cached pairs can be shared.
+    """
+    pairs = []
+    for i in range(dim):
+        eps = np.zeros(dim)
+        eps[i] = h
+        pairs.append((pexp(eps).mat, pexp(-eps).mat))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -264,12 +278,12 @@ def _se2_edge_value(md_inv, m1, m2):
 # ---------------------------------------------------------------------------
 # the catalog
 
-_CHECKS = []
+_CHECKS = {}
 
 
 def _register(name):
     def wrap(fn):
-        _CHECKS.append((name, fn))
+        _CHECKS[name] = fn
         return fn
     return wrap
 
@@ -705,8 +719,42 @@ def _chk_pip_point(rng):
     return j_p, num
 
 
+def _check_op(name, seed, n, tol):
+    """Run the check registered as name on n samples; one JacobianReport."""
+    fn = _CHECKS[name]
+    rng = np.random.default_rng([seed, crc32(name.encode("ascii"))])
+    worst = -1.0
+    record = None
+    for i in range(n):
+        analytic, numeric = fn(rng)
+        diff = np.abs(np.asarray(analytic) - np.asarray(numeric))
+        flat = int(np.argmax(diff))
+        err = float(diff.reshape(-1)[flat])
+        if err > worst:
+            worst = err
+            row, col = np.unravel_index(flat, diff.shape)
+            record = (int(row), int(col), i,
+                      np.asarray(analytic), np.asarray(numeric))
+    return JacobianReport(
+        op=name, max_abs_error=worst, worst_row=record[0],
+        worst_col=record[1], worst_sample=record[2], analytic=record[3],
+        numeric=record[4], passed=bool(worst <= tol))
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def check_catalog(seed=1, n=100, tol=1e-5):
     """Run every registered check and report the worst deviation of each.
+
+    The checks run in a process pool with one worker per CPU this process
+    may use (at most one per check), or in a plain loop when that is one.
+    Each check seeds its own generator, so the reports are the same
+    whatever the number of CPUs.
 
     Parameters
     ----------
@@ -725,23 +773,13 @@ def check_catalog(seed=1, n=100, tol=1e-5):
     list of JacobianReport
         Sorted by operation name.
     """
-    reports = []
-    for name, fn in sorted(_CHECKS):
-        rng = np.random.default_rng([seed, crc32(name.encode("ascii"))])
-        worst = -1.0
-        record = None
-        for i in range(n):
-            analytic, numeric = fn(rng)
-            diff = np.abs(np.asarray(analytic) - np.asarray(numeric))
-            flat = int(np.argmax(diff))
-            err = float(diff.reshape(-1)[flat])
-            if err > worst:
-                worst = err
-                row, col = np.unravel_index(flat, diff.shape)
-                record = (int(row), int(col), i,
-                          np.asarray(analytic), np.asarray(numeric))
-        reports.append(JacobianReport(
-            op=name, max_abs_error=worst, worst_row=record[0],
-            worst_col=record[1], worst_sample=record[2], analytic=record[3],
-            numeric=record[4], passed=bool(worst <= tol)))
-    return reports
+    names = sorted(_CHECKS)
+    workers = min(_usable_cpus(), len(names))
+    if workers <= 1:
+        return [_check_op(name, seed, n, tol) for name in names]
+    # imported here: ``import rigidkit`` should not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(functools.partial(_check_op, seed=seed, n=n, tol=tol),
+                             names))

@@ -81,6 +81,17 @@ def test_convert_with_covariance(runner):
     assert np.abs(cov - cov.T).max() == 0.0
 
 
+def test_convert_overflowing_covariance_is_malformed_input(runner):
+    payload = dict(YPR)
+    cov = 1e-6 * np.eye(6)
+    cov[3, 3] = cov[4, 4] = 1.7e308
+    payload["cov"] = cov.tolist()
+    res = runner.invoke(main, ["convert", "--to", "quat"], input=json.dumps(payload))
+    assert res.exit_code == 1
+    assert res.output == ("error: pose: GaussianPose: covariance is too large to "
+                          "symmetrize and decompose\n")
+
+
 def test_convert_degrees_with_covariance_rejected(runner):
     payload = dict(YPR)
     payload["cov"] = (1e-6 * np.eye(6)).tolist()
@@ -367,20 +378,36 @@ def test_slam_solves_a_half_turn_edge(runner, tmp_path):
     assert all(np.isfinite(p.mat).all() for p in out.vertices.values())
 
 
+def _slam_in_own_interpreter(tmp_path, text):
+    # with warnings shown, as a user would run it
+    (tmp_path / "in.g2o").write_text(text)
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=str(pathlib.Path(rigidkit.__path__[0]).parent))
+    return subprocess.run([sys.executable, "-m", "rigidkit.cli", "slam", str(tmp_path / "in.g2o"),
+                           str(tmp_path / "out.g2o")], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("text, message", [
     ("VERTEX_SE2 0 0 0 inf\n", "error: line 1: HomPose2: non-finite entry\n"),
     ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\nEDGE_SE2 0 1 1 0 0 1 1e308 0 1 0 1\n",
      "error: line 3: PoseGraph: edge (0, 1) information must be a finite 3x3 matrix\n"),
 ])
 def test_slam_non_finite_input_gives_one_stderr_line(tmp_path, text, message):
-    # in its own interpreter, with warnings shown, as a user would run it
-    (tmp_path / "in.g2o").write_text(text)
-    env = dict(os.environ, PYTHONWARNINGS="default",
-               PYTHONPATH=str(pathlib.Path(rigidkit.__path__[0]).parent))
-    out = subprocess.run([sys.executable, "-m", "rigidkit.cli", "slam", str(tmp_path / "in.g2o"),
-                          str(tmp_path / "out.g2o")], capture_output=True, text=True, env=env)
+    out = _slam_in_own_interpreter(tmp_path, text)
     assert out.returncode == 1
     assert out.stderr == message
+
+
+def test_slam_overflowing_chi2_gives_one_error_line(tmp_path):
+    # every number is finite and the information is PSD, yet chi2 overflows
+    out = _slam_in_own_interpreter(
+        tmp_path, "VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1e200 0 0\nEDGE_SE2 0 1 1 0 0 1e200 0 0 1 0 1\n")
+    assert out.returncode == 2
+    assert out.stderr == (
+        "note: g2o input has no FIX record; fixing vertex 0\n"
+        "error: PoseGraph: the initial chi2 is not finite; residuals or information "
+        "matrices are too large\n")
+    assert out.stdout == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Pose parameterizations, conversions, and conversion Jacobians."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,16 @@ def test_gaussian_pose_dimension_check():
         GaussianPose(EulerPose(0, 0, 0, 0, 0, 0), np.eye(7))
     with pytest.raises(GeometryError):
         GaussianPose(EulerPose(0, 0, 0, 0, 0, 0), np.ones((6, 6)) * np.nan)
+
+
+def test_gaussian_pose_covariance_overflow_rejected():
+    # finite entries whose symmetrized form overflows
+    cov = 1e-6 * np.eye(6)
+    cov[3, 3] = cov[4, 4] = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="GaussianPose: covariance is too large"):
+            GaussianPose(EulerPose(0, 0, 0, 0.1, 0.2, 0.3), cov)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Pose-point action, pose composition/inverse, covariance propagation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,15 @@ def test_gaussian_point_validation():
         GaussianPoint3(np.zeros(2), np.eye(3))
     with pytest.raises(GeometryError):
         GaussianPoint3(np.zeros(3), np.eye(4))
+
+
+def test_gaussian_point_covariance_overflow_rejected():
+    cov = np.eye(3)
+    cov[0, 0] = cov[1, 1] = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="GaussianPoint3: covariance is too large"):
+            GaussianPoint3(np.zeros(3), cov)
 
 
 def test_small_rotation_jacobian_is_genuinely_approximate():

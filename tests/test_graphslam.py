@@ -1,4 +1,6 @@
 """Pose-graph construction, normal equations, and the two solvers."""
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -315,8 +317,61 @@ def test_optimize_truth_graph_stops_immediately():
 
 def test_iteration_stats_fields():
     st = IterationStats(iteration=3, chi2=1.5, update_norm=0.01, lambda_=1e-4)
-    assert (st.iteration, st.chi2, st.update_norm, st.lambda_) == \
-        (3, 1.5, 0.01, 1e-4)
+    assert (st.iteration, st.chi2, st.update_norm, st.lambda_, st.rejected) == \
+        (3, 1.5, 0.01, 1e-4, 0)
+
+
+@pytest.mark.parametrize("to_the_end", [False, True])
+def test_rejected_trials_account_for_every_solve(to_the_end, monkeypatch):
+    # without tolerances the run ends on a step where no lambda helps; the
+    # first factorization fails, which counts as a rejected trial too
+    _, noisy = synth_graph("circle2d", 50, (0.3, 0.2), 1)
+    cfg = SolverConfig()
+    if to_the_end:
+        monkeypatch.setattr(graphslam, "_CHI2_RTOL", 0.0)
+        cfg = SolverConfig(epsilon_gradient=0.0, epsilon_update=0.0)
+    calls = []
+    solve = graphslam._solve
+
+    def counted(h, rhs, *, lm_hint):
+        calls.append(lm_hint)
+        if len(calls) == 1:
+            raise RankDeficiencyError("planted failure")
+        return solve(h, rhs, lm_hint=lm_hint)
+
+    monkeypatch.setattr(graphslam, "_solve", counted)
+    _, stats = optimize(noisy, cfg)
+    accepted = sum(s.update_norm > 0.0 for s in stats[1:])
+    assert stats[1].rejected >= 1
+    assert sum(s.rejected for s in stats) >= 4
+    assert accepted + sum(s.rejected for s in stats[1:]) == len(calls)
+    assert stats[0].rejected == 0
+    assert (stats[-1].update_norm == 0.0) == to_the_end
+
+
+def _overflowing_se2(fixed, x1, measured, info):
+    # chi2 or b overflows although every input is finite and info is PSD
+    g = PoseGraph()
+    g.add_vertex(0, HomPose2.from_xyt(0.0, 0.0, 0.0), fixed=fixed == 0)
+    g.add_vertex(1, HomPose2.from_xyt(x1, 0.0, 0.0), fixed=fixed == 1)
+    g.add_edge(0, 1, HomPose2.from_xyt(*measured, 0.0), np.diag(info))
+    return g
+
+
+@pytest.mark.parametrize("method", ["levenberg-marquardt", "gauss-newton"])
+@pytest.mark.parametrize("fixed, x1, measured, info, what", [
+    (0, 1e200, (1.0, 0.0), [1e200, 1.0, 1.0], "the initial chi2"),
+    # chi2 is 1e293, but d(residual)/d(angle of vertex 0) is about 1e10
+    (1, 1e10, (1e10, 1e-6), [1e305, 1e305, 1.0], "the gradient b"),
+])
+def test_non_finite_chi2_or_gradient_is_an_error(fixed, x1, measured, info, what, method):
+    g = _overflowing_se2(fixed, x1, measured, info)
+    cfg = SolverConfig(method=method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (optimize, step):
+            with pytest.raises(GeometryError, match="%s is not finite" % what):
+                call(g, cfg)
 
 
 def test_empty_graph_rejected():

@@ -1,10 +1,12 @@
 """Finite-difference engine and the analytic-derivative catalog runner."""
 import numpy as np
+import pytest
 
 from conftest import rand_hompose
 from rigidkit import (check_catalog, jacob_Dexpe_de, jacob_expeD_de,
                       manifold_numeric_jacobian, numeric_jacobian,
-                      pose_to_vec12)
+                      pose_to_vec12, se2_pseudo_exp, se3_pseudo_exp)
+from rigidkit import numcheck
 
 
 def test_numeric_jacobian_polynomial():
@@ -102,3 +104,51 @@ def test_catalog_covers_every_module():
     ops = {r.op for r in check_catalog(seed=1, n=2, tol=1e-5)}
     prefixes = {op.split(".")[0] for op in ops}
     assert {"core", "geometry", "matderiv", "manifold", "vision"} <= prefixes
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_catalog_equals_a_loop_over_the_checks(seed, cpus, monkeypatch):
+    # 1 CPU takes the plain loop, more the process pool; both must give
+    # the reports of one _check_op per name, in name order
+    monkeypatch.setattr(numcheck, "_usable_cpus", lambda: cpus)
+    got = check_catalog(seed=seed, n=8)
+    want = [numcheck._check_op(name, seed, 8, 1e-5) for name in sorted(numcheck._CHECKS)]
+    assert len(got) == len(want) == 48
+    for a, b in zip(got, want):
+        assert (a.op, a.max_abs_error, a.worst_row, a.worst_col, a.worst_sample, a.passed) == \
+            (b.op, b.max_abs_error, b.worst_row, b.worst_col, b.worst_sample, b.passed)
+        assert a.analytic.tobytes() == b.analytic.tobytes()
+        assert a.numeric.tobytes() == b.numeric.tobytes()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("pexp, dim", [(se2_pseudo_exp, 3), (se3_pseudo_exp, 6)])
+def test_manifold_fd_equals_the_uncached_formula(pexp, dim, side):
+    rng = np.random.default_rng(5)
+    base = pexp(rng.normal(size=dim)).mat
+
+    def f(m):
+        return np.concatenate([m[:-1, -1], np.sin(m[:-1, :-1]).ravel()])
+
+    cols = []
+    for i in range(dim):
+        eps = np.zeros(dim)
+        eps[i] = 1e-6
+        plus, minus = pexp(eps).mat, pexp(-eps).mat
+        hi, lo = (f(plus @ base), f(minus @ base)) if side == "left" else \
+            (f(base @ plus), f(base @ minus))
+        cols.append((hi - lo) / 2e-6)
+    want = np.column_stack(cols)
+    assert manifold_numeric_jacobian(f, base, side=side).tobytes() == want.tobytes()
+
+
+def test_cached_perturbations_are_read_only():
+    for pexp, dim in [(se2_pseudo_exp, 3), (se3_pseudo_exp, 6)]:
+        pairs = numcheck._perturbations(pexp, dim, 1e-6)
+        assert len(pairs) == dim
+        for plus, minus in pairs:
+            for m in (plus, minus):
+                assert not m.flags.writeable
+                with pytest.raises(ValueError):
+                    m[0, 0] = 2.0
