@@ -20,6 +20,7 @@ graphs), 3 for a failed jacobian-check run.
 import functools
 import json
 import math
+import os
 import sys
 
 import click
@@ -40,7 +41,7 @@ from .geometry import (GaussianPoint3, compose_point_matrix, compose_point_quat,
 from .graphslam import SolverConfig, optimize
 from .lie import (se2_exp, se2_log, se2_pseudo_exp, se2_pseudo_log, se3_exp,
                   se3_log, se3_pseudo_exp, se3_pseudo_log)
-from .numcheck import check_catalog
+from .numcheck import _CHECKS, _check_op
 from .vision import (CameraIntrinsics, project, project_inv_pose_point,
                      project_pose_point)
 
@@ -386,6 +387,30 @@ def project_cmd(inverse, infile):
     _echo_json({"pixel": [float(v) for v in pixel]})
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pooled_catalog(seed, n, tol):
+    """numcheck.check_catalog's reports, the checks spread over a process pool.
+
+    One worker per CPU this process may use, at most one per check.  The
+    pool lives in the command, whose module is guarded by its ``__main__``
+    test, and not in the library: a library call that starts processes
+    breaks scripts without that guard under the spawn and forkserver start
+    methods, and callers that are daemonic workers or run threads.
+    """
+    # imported here, so the other commands do not load it
+    from concurrent.futures import ProcessPoolExecutor
+
+    names = sorted(_CHECKS)
+    with ProcessPoolExecutor(max_workers=min(_usable_cpus(), len(names))) as pool:
+        return list(pool.map(functools.partial(_check_op, seed=seed, n=n, tol=tol), names))
+
+
 @main.command("jacobian-check")
 @click.option("--seed", default=1, show_default=True)
 @click.option("--samples", default=100, show_default=True,
@@ -399,7 +424,7 @@ def jacobian_check(seed, samples, tol, as_json):
 
     Exits 0 when all operations pass, 3 otherwise.
     """
-    reports = check_catalog(seed=seed, n=samples, tol=tol)
+    reports = _pooled_catalog(seed, samples, tol)
     failed = [r for r in reports if not r.passed]
     if as_json:
         _echo_json([r.to_json_dict() for r in reports])

@@ -598,6 +598,7 @@ def _finite(value, what):
 def _step_core(pk, mats, base, cfg, h, b, lam):
     """One step from mats, whose chi2 is base; returns (mats, stats)."""
     _finite(b, "the gradient b")
+    _finite(h.data, "the Hessian H")
     if cfg.method == "gauss-newton":
         delta = _solve(h, -b, lm_hint=True)
         out = pk.retract(mats, delta)
@@ -635,7 +636,7 @@ def step(g, cfg, lambda_=None):
     Raises
     ------
     GeometryError
-        If chi2 or the gradient b at the input is not finite.
+        If chi2, the gradient b or the Hessian H at the input is not finite.
     """
     _check_gauge(g)
     pk = _Packed(g)
@@ -667,7 +668,8 @@ def optimize(g, cfg):
     Raises
     ------
     GeometryError
-        If chi2 at the input, or the gradient b at any step, is not finite.
+        If chi2 at the input, or the gradient b or the Hessian H at any
+        step, is not finite.
     """
     lm = cfg.method == "levenberg-marquardt"
     pk = _Packed(g)

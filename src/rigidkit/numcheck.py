@@ -9,15 +9,14 @@ pose with the pseudo-exponential on the matching side.
 
 :func:`check_catalog` runs the whole catalog deterministically: the same
 seed yields bit-identical reports, independent of the order in which
-checks were registered and of the number of processes that run them,
-because every check gets its own generator seeded from (seed, crc32 of
-the check name).  Domain-restricted samplers keep
-each draw far from singular configurations, where a finite difference
-would measure the singularity instead of the formula.
+checks were registered and of the process that runs each check, because
+every check gets its own generator seeded from (seed, crc32 of the check
+name).  Domain-restricted samplers keep each draw far from singular
+configurations, where a finite difference would measure the singularity
+instead of the formula.
 """
 
 import functools
-import os
 from dataclasses import dataclass
 from zlib import crc32
 
@@ -741,20 +740,12 @@ def _check_op(name, seed, n, tol):
         numeric=record[4], passed=bool(worst <= tol))
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def check_catalog(seed=1, n=100, tol=1e-5):
     """Run every registered check and report the worst deviation of each.
 
-    The checks run in a process pool with one worker per CPU this process
-    may use (at most one per check), or in a plain loop when that is one.
-    Each check seeds its own generator, so the reports are the same
-    whatever the number of CPUs.
+    The checks run one after another in the calling process, which starts
+    no other process.  ``rigidkit jacobian-check`` spreads the same checks
+    over a process pool, one worker per CPU, and prints these reports.
 
     Parameters
     ----------
@@ -773,13 +764,4 @@ def check_catalog(seed=1, n=100, tol=1e-5):
     list of JacobianReport
         Sorted by operation name.
     """
-    names = sorted(_CHECKS)
-    workers = min(_usable_cpus(), len(names))
-    if workers <= 1:
-        return [_check_op(name, seed, n, tol) for name in names]
-    # imported here: ``import rigidkit`` should not pay for it
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(functools.partial(_check_op, seed=seed, n=n, tol=tol),
-                             names))
+    return [_check_op(name, seed, n, tol) for name in sorted(_CHECKS)]

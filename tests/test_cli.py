@@ -16,8 +16,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rigidkit
-from rigidkit import (EulerPose, QuatPose, Quaternion, compose_pose_quat,
-                      se3_exp, ypr_to_matrix, ypr_to_quat)
+from rigidkit import (EulerPose, QuatPose, Quaternion, check_catalog,
+                      compose_pose_quat, se3_exp, ypr_to_matrix, ypr_to_quat)
+from rigidkit import cli
 from rigidkit.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -307,6 +308,38 @@ def test_jacobian_check_absurd_tolerance_fails(runner):
     res = _run(runner, ["jacobian-check", "--samples", "2", "--tol", "1e-30"])
     assert res.exit_code == 3
     assert "FAIL" in res.output
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_pooled_catalog_equals_check_catalog(seed, cpus, monkeypatch):
+    # the command's process pool, of one worker or several, must give the
+    # library's serial reports, in name order and bit for bit
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    got = cli._pooled_catalog(seed, 8, 1e-5)
+    want = check_catalog(seed=seed, n=8)
+    assert len(got) == len(want) == 48
+    for a, b in zip(got, want):
+        assert (a.op, a.max_abs_error, a.worst_row, a.worst_col, a.worst_sample, a.passed) == \
+            (b.op, b.max_abs_error, b.worst_row, b.worst_col, b.worst_sample, b.passed)
+        assert a.analytic.tobytes() == b.analytic.tobytes()
+        assert a.numeric.tobytes() == b.numeric.tobytes()
+
+
+def test_jacobian_check_under_spawn(tmp_path):
+    # workers that re-import the program, as under spawn (the default on
+    # macOS and Windows) or forkserver (Linux from Python 3.14)
+    script = tmp_path / "check.py"
+    script.write_text("import multiprocessing\n"
+                      "from rigidkit import cli\n"
+                      "if __name__ == '__main__':\n"
+                      "    multiprocessing.set_start_method('spawn')\n"
+                      "    cli._usable_cpus = lambda: 2\n"
+                      "    cli.main(['jacobian-check', '--samples', '3', '--json'])\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rigidkit.__path__[0]).parent))
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [r.to_json_dict() for r in check_catalog(seed=1, n=3)]
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,8 @@ def _overflowing_se2(fixed, x1, measured, info):
     (0, 1e200, (1.0, 0.0), [1e200, 1.0, 1.0], "the initial chi2"),
     # chi2 is 1e293, but d(residual)/d(angle of vertex 0) is about 1e10
     (1, 1e10, (1e10, 1e-6), [1e305, 1e305, 1.0], "the gradient b"),
+    # chi2 is 1e278 and b 1e294, but H is about 1e310
+    (1, 1e10, (1e10, 1e-6), [1e290, 1e290, 1.0], "the Hessian H"),
 ])
 def test_non_finite_chi2_or_gradient_is_an_error(fixed, x1, measured, info, what, method):
     g = _overflowing_se2(fixed, x1, measured, info)

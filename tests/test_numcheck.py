@@ -106,22 +106,6 @@ def test_catalog_covers_every_module():
     assert {"core", "geometry", "matderiv", "manifold", "vision"} <= prefixes
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
-@pytest.mark.parametrize("seed", [1, 7])
-def test_catalog_equals_a_loop_over_the_checks(seed, cpus, monkeypatch):
-    # 1 CPU takes the plain loop, more the process pool; both must give
-    # the reports of one _check_op per name, in name order
-    monkeypatch.setattr(numcheck, "_usable_cpus", lambda: cpus)
-    got = check_catalog(seed=seed, n=8)
-    want = [numcheck._check_op(name, seed, 8, 1e-5) for name in sorted(numcheck._CHECKS)]
-    assert len(got) == len(want) == 48
-    for a, b in zip(got, want):
-        assert (a.op, a.max_abs_error, a.worst_row, a.worst_col, a.worst_sample, a.passed) == \
-            (b.op, b.max_abs_error, b.worst_row, b.worst_col, b.worst_sample, b.passed)
-        assert a.analytic.tobytes() == b.analytic.tobytes()
-        assert a.numeric.tobytes() == b.numeric.tobytes()
-
-
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("pexp, dim", [(se2_pseudo_exp, 3), (se3_pseudo_exp, 6)])
 def test_manifold_fd_equals_the_uncached_formula(pexp, dim, side):
