@@ -319,9 +319,13 @@ def pose_param_vector(p):
 def _checked_covariance(c, owner):
     """The finite square c symmetrized and read-only, after the Gaussian types' tests.
 
-    Symmetric to 1e-12, and positive semidefinite up to -1e-10 on the
-    spectrum; the symmetrized matrix and its eigenvalues must be finite,
-    as entries near the float limit overflow in either.
+    Symmetric to 1e-12, and positive semidefinite: the smallest
+    eigenvalue must be >= -1e-10 * max(1, the largest), so unit-scale
+    covariances get an absolute tolerance and large ones a relative one,
+    as rounding leaves the zero eigenvalues of a rank-deficient matrix
+    at about 1e-16 of its scale.  The symmetrized matrix and its
+    eigenvalues must be finite, as entries near the float limit overflow
+    in either.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if np.max(np.abs(c - c.T)) > 1e-12:
@@ -330,7 +334,7 @@ def _checked_covariance(c, owner):
     w = np.linalg.eigvalsh(c) if np.isfinite(c).all() else None
     if w is None or not np.isfinite(w).all():
         raise GeometryError("%s: covariance is too large to symmetrize and decompose" % owner)
-    if w[0] < -1e-10:
+    if w[0] < -1e-10 * max(1.0, w[-1]):
         raise GeometryError("%s: covariance has a significantly negative eigenvalue" % owner)
     c.setflags(write=False)
     return c
@@ -342,8 +346,9 @@ class GaussianPose:
 
     The covariance dimension follows the parameterization (6 for Euler,
     7 for quaternion, 12 for the flattened matrix).  It must be symmetric
-    to 1e-12 and positive semidefinite up to -1e-10 on the spectrum; the
-    stored matrix is re-symmetrized exactly.
+    to 1e-12 and positive semidefinite up to -1e-10 * max(1, largest
+    eigenvalue) on the spectrum; the stored matrix is re-symmetrized
+    exactly.
     """
 
     mean: object

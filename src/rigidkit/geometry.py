@@ -325,6 +325,17 @@ def inverse_pose_matrix(m):
 # ---------------------------------------------------------------------------
 # first-order uncertainty propagation
 
+def _propagated(j1, s1, j2, s2):
+    """J1 S1 J1^T + J2 S2 J2^T, re-symmetrized.
+
+    Entries that overflow are inf or NaN, without a warning; the Gaussian
+    constructors reject them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = j1 @ s1 @ j1.T + j2 @ s2 @ j2.T
+        return 0.5 * (cov + cov.T)
+
+
 def propagate_binary(f, g1, g2):
     """Propagate two independent Gaussian operands through a binary op.
 
@@ -355,8 +366,7 @@ def propagate_binary(f, g1, g2):
             raise GeometryError(
                 "propagate_binary: matrix-form composition has no covariance rule here; "
                 "convert to 'ypr' or 'quat' first")
-        cov = j1 @ g1.cov @ j1.T + j2 @ g2.cov @ j2.T
-        return GaussianPose(mean, 0.5 * (cov + cov.T))
+        return GaussianPose(mean, _propagated(j1, g1.cov, j2, g2.cov))
 
     if f in ("apply-point", "inv-apply-point"):
         if not isinstance(g1, GaussianPose) or not isinstance(g2, GaussianPoint3):
@@ -375,7 +385,6 @@ def propagate_binary(f, g1, g2):
                 raise GeometryError(
                     "propagate_binary: 'inv-apply-point' requires a quaternion pose")
             mean, jp, ja = inv_compose_point_quat(g2.mean, g1.mean)
-        cov = jp @ g1.cov @ jp.T + ja @ g2.cov @ ja.T
-        return GaussianPoint3(mean, 0.5 * (cov + cov.T))
+        return GaussianPoint3(mean, _propagated(jp, g1.cov, ja, g2.cov))
 
     raise GeometryError("propagate_binary: unknown operation %r" % (f,))

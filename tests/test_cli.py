@@ -93,6 +93,19 @@ def test_convert_overflowing_covariance_is_malformed_input(runner):
                           "symmetrize and decompose\n")
 
 
+def test_convert_large_angle_variances_to_matrix(runner):
+    # the 12x12 matrix covariance has rank 6, and rounding leaves its zero
+    # eigenvalues near -1e-9: negative, but tiny beside the largest
+    payload = dict(YPR)
+    payload["cov"] = np.diag([1e-6] * 3 + [1e6] * 3).tolist()
+    out = _run_json(runner, ["convert", "--to", "matrix"], payload)
+    assert out["type"] == "matrix"
+    cov = np.array(out["cov"])
+    assert cov.shape == (12, 12)
+    w = np.linalg.eigvalsh(cov)
+    assert w[0] >= -1e-10 * w[-1] and w[-1] > 1e6
+
+
 def test_convert_degrees_with_covariance_rejected(runner):
     payload = dict(YPR)
     payload["cov"] = (1e-6 * np.eye(6)).tolist()
@@ -186,6 +199,28 @@ def test_propagate_apply_point(runner):
                     {"op": "apply-point", "pose": g, "point": pt})
     assert out["op"] == "apply-point"
     assert np.array(out["point"]["cov"]).shape == (3, 3)
+
+
+def _huge_pose():
+    # translation 1e200 and yaw variance 1e300: every input is finite, the
+    # propagated covariance is not
+    cov = 1e-6 * np.eye(6)
+    cov[3, 3] = 1e300
+    return {"type": "ypr", "data": [1e200, 0, 0, 0, 0, 0], "cov": cov.tolist()}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"op": "apply-point", "pose": _huge_pose(),
+      "point": {"data": [1e200, 0, 0], "cov": (1e-8 * np.eye(3)).tolist()}},
+     "error: GaussianPoint3: covariance must be a finite 3x3\n"),
+    ({"op": "compose", "p1": _huge_pose(), "p2": _huge_pose()},
+     "error: GaussianPose: non-finite covariance entry\n"),
+])
+def test_propagate_overflowing_covariance_gives_one_error_line(payload, message):
+    out = _in_own_interpreter(["propagate"], stdin=json.dumps(payload))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == message
 
 
 def test_propagate_missing_cov_rejected(runner):
@@ -411,13 +446,17 @@ def test_slam_solves_a_half_turn_edge(runner, tmp_path):
     assert all(np.isfinite(p.mat).all() for p in out.vertices.values())
 
 
-def _slam_in_own_interpreter(tmp_path, text):
+def _in_own_interpreter(args, stdin=None):
     # with warnings shown, as a user would run it
-    (tmp_path / "in.g2o").write_text(text)
     env = dict(os.environ, PYTHONWARNINGS="default",
                PYTHONPATH=str(pathlib.Path(rigidkit.__path__[0]).parent))
-    return subprocess.run([sys.executable, "-m", "rigidkit.cli", "slam", str(tmp_path / "in.g2o"),
-                           str(tmp_path / "out.g2o")], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "rigidkit.cli", *args], input=stdin,
+                          capture_output=True, text=True, env=env)
+
+
+def _slam_in_own_interpreter(tmp_path, text):
+    (tmp_path / "in.g2o").write_text(text)
+    return _in_own_interpreter(["slam", str(tmp_path / "in.g2o"), str(tmp_path / "out.g2o")])
 
 
 @pytest.mark.parametrize("text, message", [

@@ -128,6 +128,24 @@ def test_gaussian_pose_covariance_overflow_rejected():
             GaussianPose(EulerPose(0, 0, 0, 0.1, 0.2, 0.3), cov)
 
 
+def test_gaussian_pose_large_rank_deficient_covariance_accepted():
+    # rank 6 of 12 with entries about 1e6, one zero eigenvalue pushed to
+    # -1e-8, as rounding at that scale does: below -1e-10, but far above
+    # -1e-10 of the largest
+    a = 300.0 * np.random.default_rng(0).normal(size=(12, 6))
+    v = np.linalg.qr(a, mode="complete")[0][:, -1]  # orthogonal to a's columns
+    mean = ypr_to_matrix(EulerPose(1.0, -0.5, 2.0, 0.4, -0.3, 1.2))
+    for shift, accepted in ((1e-8, True), (1e-2, False)):
+        cov = a @ a.T - shift * np.outer(v, v)
+        cov = 0.5 * (cov + cov.T)
+        assert 1e5 < np.abs(cov).max() < 1e7
+        if accepted:
+            assert np.array_equal(GaussianPose(mean, cov).cov, cov)
+        else:
+            with pytest.raises(GeometryError, match="significantly negative eigenvalue"):
+                GaussianPose(mean, cov)
+
+
 # ---------------------------------------------------------------------------
 # conversions
 

@@ -349,6 +349,76 @@ def test_rejected_trials_account_for_every_solve(to_the_end, monkeypatch):
     assert (stats[-1].update_norm == 0.0) == to_the_end
 
 
+def _count_solves(monkeypatch):
+    calls = []
+    solve = graphslam._solve
+
+    def counted(h, rhs, *, lm_hint):
+        calls.append(lm_hint)
+        return solve(h, rhs, lm_hint=lm_hint)
+
+    monkeypatch.setattr(graphslam, "_solve", counted)
+    return calls
+
+
+def test_fit_along_the_step_saves_factorizations(monkeypatch):
+    # from step 4 on each full step overshoots (gain ratio about 0.4); with
+    # full steps only, this graph takes 11 factorizations to chi2 6.393447645
+    _, noisy = synth_graph("sphere3d", 1200, (0.05, 0.01), 1)
+    calls = _count_solves(monkeypatch)
+    _, stats = optimize(noisy, SolverConfig())
+    assert len(calls) <= 8
+    assert stats[-1].chi2 <= 6.393447645 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("seed, solves", [(1, 5), (2, 4), (3, 4)])
+def test_fit_along_the_step_keeps_grid_step_counts(seed, solves, monkeypatch):
+    _, noisy = synth_graph("grid2d", 400, (0.05, 0.01), seed)
+    calls = _count_solves(monkeypatch)
+    _, stats = optimize(noisy, SolverConfig())
+    assert len(calls) == len(stats) - 1 == solves
+
+
+def test_step_reports_the_applied_step():
+    # near convergence the full LM step overshoots and the fit shortens it
+    _, noisy = synth_graph("sphere3d", 1200, (0.05, 0.01), 1)
+    g, _ = optimize(noisy, SolverConfig(max_iterations=4))
+    lam = 1e-8
+    pk = _Packed(g)
+    h, b = pk.normal_equations(pk.mats)
+    delta = _solve(_damped(h, pk.scatter.diag, lam), -b, lm_hint=False)
+    full = pk.chi2(pk.retract(pk.mats, delta))
+    out, st = step(g, SolverConfig(), lam)
+    assert (st.rejected, st.lambda_) == (0, lam)
+    assert st.chi2 < full < chi2(g)
+    assert chi2(out) == st.chi2
+    alpha = st.update_norm / np.linalg.norm(delta)
+    assert 0.0 < alpha < 0.99
+    assert pk.chi2(pk.retract(pk.mats, alpha * delta)) == pytest.approx(st.chi2, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, n, sigmas, seed, to_the_end", [
+    ("circle2d", 50, (0.3, 0.2), 1, False), ("circle2d", 50, (0.3, 0.2), 1, True),
+    ("sphere3d", 200, (0.1, 0.05), 2, False)])
+def test_lambda_column_gives_the_rejected_trials(kind, n, sigmas, seed, to_the_end,
+                                                 monkeypatch):
+    # the benchmark infers rejected trials from the lambda column: a step
+    # starts at the previous lambda / 10 (at first at the initial lambda,
+    # floored at 1e-12) and multiplies it by 10 per rejected trial; the fit
+    # along an accepted step (taken twice on the sphere, after two rejected
+    # trials) leaves that schedule alone
+    if to_the_end:
+        monkeypatch.setattr(graphslam, "_CHI2_RTOL", 0.0)
+    _, noisy = synth_graph(kind, n, sigmas, seed)
+    cfg = SolverConfig(epsilon_gradient=0.0, epsilon_update=0.0) if to_the_end else SolverConfig()
+    _, stats = optimize(noisy, cfg)
+    start = stats[0].lambda_
+    for s in stats[1:]:
+        assert s.rejected == round(np.log10(s.lambda_ / start))
+        start = max(s.lambda_ / 10.0, 1e-12)
+    assert (stats[-1].update_norm == 0.0) == to_the_end
+
+
 def _overflowing_se2(fixed, x1, measured, info):
     # chi2 or b overflows although every input is finite and info is PSD
     g = PoseGraph()
