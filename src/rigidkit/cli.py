@@ -35,9 +35,8 @@ from .core import (_KIND_DIM, EulerPose, GaussianPose, HomPose, HomPose2,
 from .errors import GeometryError
 from .geometry import (GaussianPoint3, compose_point_matrix, compose_point_quat,
                        compose_point_ypr, compose_pose_matrix, compose_pose_quat,
-                       compose_pose_ypr, inv_compose_point_matrix,
-                       inv_compose_point_quat, inverse_pose_matrix,
-                       inverse_pose_quat, propagate_binary)
+                       inv_compose_point_matrix, inv_compose_point_quat,
+                       inverse_pose_matrix, inverse_pose_quat, propagate_binary)
 from .graphslam import SolverConfig, optimize
 from .lie import (se2_exp, se2_log, se2_pseudo_exp, se2_pseudo_log, se3_exp,
                   se3_log, se3_pseudo_exp, se3_pseudo_log)
@@ -215,8 +214,8 @@ def compose(infile):
                           "(got %r and %r)" % (k1, k2))
     if k1 == "quat":
         out = compose_pose_quat(p1, p2)[0]
-    elif k1 == "ypr":
-        out = compose_pose_ypr(p1, p2)[0]
+    elif k1 == "ypr":  # through matrices: no Jacobian, so no gimbal-lock error
+        out = matrix_to_ypr(compose_pose_matrix(ypr_to_matrix(p1), ypr_to_matrix(p2)))
     else:
         out = compose_pose_matrix(p1, p2)
     _echo_json(_pose_to_json(out))

@@ -37,7 +37,8 @@ import numpy as np
 from .core import (HomPose, HomPose2, _first_failure, _quat_from_rotation,
                    _quat_to_matrix_rows, _rigid_checks)
 from .errors import GeometryError
-from .graphslam import PoseGraph, _pseudo_exp_rows
+from .graphslam import PoseGraph
+from .lie import _pseudo_exp, se2_pseudo_log
 
 __all__ = ["read_g2o", "write_g2o", "format_g2o"]
 
@@ -111,7 +112,7 @@ def _records(tag, at, tokens):
     planar = cls is HomPose2
     if planar:
         with np.errstate(invalid="ignore"):  # cos/sin of inf; the checks reject it
-            mats = _pseudo_exp_rows("se2", vals)
+            mats = _pseudo_exp(vals[:, :3])
         checks = _rigid_checks(mats)
     else:
         mats, checks = _quat_to_matrix_rows(vals[:, :3], vals[:, [6, 3, 4, 5]])
@@ -172,11 +173,8 @@ def read_g2o(source, auto_fix=True):
     return g
 
 
-def _pose_fields(mats):
-    """(x, y, theta) or (x, y, z, qx, qy, qz, qw) of each matrix in a stack."""
-    if mats.shape[-1] == 3:
-        return np.column_stack([mats[:, 0, 2], mats[:, 1, 2],
-                                np.arctan2(mats[:, 1, 0], mats[:, 0, 0])])
+def _se3_fields(mats):
+    """(x, y, z, qx, qy, qz, qw) of each matrix in a stack."""
     q = _quat_from_rotation(mats[:, :3, :3])
     return np.column_stack([mats[:, :3, 3], q[:, 1:], q[:, 0]])
 
@@ -185,16 +183,16 @@ def format_g2o(g):
     """Render a PoseGraph as g2o text (vertices, FIX records, edges)."""
     if g.kind not in ("se2", "se3"):
         raise GeometryError("format_g2o: graph is empty")
-    vtag, etag = ("VERTEX_SE2", "EDGE_SE2") if g.kind == "se2" else ("VERTEX_SE3:QUAT",
-                                                                       "EDGE_SE3:QUAT")
+    vtag, etag, fields = (("VERTEX_SE2", "EDGE_SE2", se2_pseudo_log) if g.kind == "se2"
+                          else ("VERTEX_SE3:QUAT", "EDGE_SE3:QUAT", _se3_fields))
     ids = sorted(g.vertices)
-    vals = _pose_fields(np.array([g.vertices[v].mat for v in ids]))
+    vals = fields(np.array([g.vertices[v].mat for v in ids]))
     line = vtag + " %d" + " %.17g" * vals.shape[1]
     out = [line % (vid, *row) for vid, row in zip(ids, vals.tolist())]
     out += ["FIX %d" % vid for vid in sorted(g.fixed)]
     if g.edges:
         rows, cols = np.triu_indices(g.block_size)
-        vals = np.column_stack([_pose_fields(np.array([e.delta.mat for e in g.edges])),
+        vals = np.column_stack([fields(np.array([e.delta.mat for e in g.edges])),
                                 np.array([e.information for e in g.edges])[:, rows, cols]])
         line = etag + " %d %d" + " %.17g" * vals.shape[1]
         out += [line % (e.i, e.j, *row) for e, row in zip(g.edges, vals.tolist())]

@@ -16,11 +16,15 @@ stay the per-edge reference.  chi2 and the normal equations share that
 residual.  Its SE(3) rotation part is :func:`so3_log` of the residual
 rotation, and the Jacobians' rotation block is the right-Jacobian
 inverse of that log; both are accurate at every angle, so an edge at or
-near a half turn is solved like any other.  Poses inside a solve are
-plain arrays: they become HomPose / HomPose2 objects only in the graph a
-public call returns, after one batched check of the free rows with the
-pose constructors' tests and tolerances, and fixed vertices keep their
-original objects.  The public calls pack their argument on each call;
+near a half turn is solved like any other.  The rigid primitives are
+the stack forms of the scalar functions, not copies of them:
+:func:`matderiv.inverse_rt` and :func:`matderiv.hat3`,
+``manifold_jac._relative`` for the residual transform, the pseudo-log
+of :mod:`rigidkit.lie` for the residual and ``lie._pseudo_exp`` for the
+retraction.  Poses inside a solve are plain arrays: they become
+HomPose / HomPose2 objects only in the graph a public call returns,
+after one batched check of the free rows with the pose constructors'
+tests and tolerances, and fixed vertices keep their original objects.  The public calls pack their argument on each call;
 :func:`optimize` packs once.
 
 chi2 is sum over edges of e^T Lambda e.  The normal equations accumulate
@@ -53,9 +57,9 @@ import numpy as np
 
 from .core import HomPose, HomPose2, _first_failure, _rigid_checks
 from .errors import GeometryError, RankDeficiencyError
-from .lie import _TAYLOR_EPS, _vinv_coeff, se2_pseudo_exp, se3_pseudo_exp, so3_log
-from .manifold_jac import _inverse_se2
-from .matderiv import inverse_rt
+from .lie import _pseudo_exp, _pseudo_log, _vinv_coeff, se2_pseudo_exp, se3_pseudo_exp
+from .manifold_jac import _relative
+from .matderiv import hat3, inverse_rt
 
 _DENSE_LIMIT = 1500
 _LM_MAX_LAMBDA = 1e12
@@ -107,9 +111,22 @@ class Edge:
     information: np.ndarray
 
 
+def _check_lm(name, value, floor):
+    """value as a float, or GeometryError unless it is finite and > floor."""
+    value = float(value)
+    if not (np.isfinite(value) and value > floor):
+        raise GeometryError("%s must be finite and > %g, got %r" % (name, floor, value))
+    return value
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings for :func:`step` and :func:`optimize`."""
+    """Settings for :func:`step` and :func:`optimize`.
+
+    lm_initial_lambda must be finite and > 0, and lm_factor finite and
+    > 1, whatever the method: otherwise lambda would never pass the
+    1e12 that ends a run of rejected trials.
+    """
 
     method: str = "levenberg-marquardt"
     max_iterations: int = 50
@@ -122,6 +139,8 @@ class SolverConfig:
         if self.method not in ("gauss-newton", "levenberg-marquardt"):
             raise GeometryError(
                 "SolverConfig: method must be 'gauss-newton' or 'levenberg-marquardt'")
+        _check_lm("SolverConfig: lm_initial_lambda", self.lm_initial_lambda, 0.0)
+        _check_lm("SolverConfig: lm_factor", self.lm_factor, 1.0)
 
 
 @dataclass(frozen=True)
@@ -276,39 +295,6 @@ class PoseGraph:
 # ---------------------------------------------------------------------------
 # batched edge kernel
 
-def _inverse_rigid(m):
-    """Closed-form inverses (R^T, -R^T t) of stacked (..., n, n) rigid transforms."""
-    k = m.shape[-1] - 1
-    rt = np.swapaxes(m[..., :k, :k], -1, -2)
-    out = np.zeros_like(m)
-    out[..., :k, :k] = rt
-    out[..., :k, k] = -np.einsum("...ij,...j->...i", rt, m[..., :k, k])
-    out[..., k, k] = 1.0
-    return out
-
-
-def _hat_rows(w):
-    """Skew matrices hat(w) of the rows of w, shape (N, 3, 3)."""
-    z = np.zeros(len(w))
-    return np.stack([z, -w[:, 2], w[:, 1],
-                     w[:, 2], z, -w[:, 0],
-                     -w[:, 1], w[:, 0], z], axis=1).reshape(-1, 3, 3)
-
-
-def _relative(dinv, mi, mj):
-    """B = Pi^-1 Pj and the residual transform T = D^-1 B of every edge."""
-    b = _inverse_rigid(mi) @ mj
-    return b, dinv @ b
-
-
-def _residuals(kind, t):
-    """Pseudo-log residuals (E, d) of the residual transforms t."""
-    if kind == "se2":
-        return np.stack([t[:, 0, 2], t[:, 1, 2],
-                         np.arctan2(t[:, 1, 0], t[:, 0, 0])], axis=1)
-    return np.concatenate([t[:, :3, 3], so3_log(t[:, :3, :3])], axis=1)
-
-
 def _jacobians(kind, dinv, b, t, res):
     """(E, 2, d, d) residual Jacobians w.r.t. right increments of Pi and Pj.
 
@@ -331,13 +317,13 @@ def _jacobians(kind, dinv, b, t, res):
         jac[:, 1, 2, 2] = 1.0
         return jac
     w = res[:, 3:]
-    k = _hat_rows(w)
+    k = hat3(w)
     g = (np.eye(3) + 0.5 * k
          + _vinv_coeff(np.linalg.norm(w, axis=1))[:, None, None] * (k @ k))
     rd = dinv[:, :3, :3]
     jac = np.zeros((n, 2, 6, 6))
     jac[:, 0, :3, :3] = -rd
-    jac[:, 0, :3, 3:] = rd @ _hat_rows(b[:, :3, 3])
+    jac[:, 0, :3, 3:] = rd @ hat3(b[:, :3, 3])
     jac[:, 0, 3:, 3:] = -g @ np.swapaxes(b[:, :3, :3], 1, 2)
     jac[:, 1, :3, :3] = t[:, :3, :3]
     jac[:, 1, 3:, 3:] = g
@@ -347,34 +333,8 @@ def _jacobians(kind, dinv, b, t, res):
 def _linearize(kind, dinv, mi, mj):
     """Residuals (E, d) and Jacobians (E, 2, d, d) of every edge."""
     b, t = _relative(dinv, mi, mj)
-    res = _residuals(kind, t)
+    res = _pseudo_log(t)
     return res, _jacobians(kind, dinv, b, t, res)
-
-
-def _pseudo_exp_rows(kind, v):
-    """pseudo_exp of every row of v (N, d), shape (N, n, n)."""
-    if kind == "se2":
-        out = np.zeros((len(v), 3, 3))
-        c, s = np.cos(v[:, 2]), np.sin(v[:, 2])
-        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c, -s, s, c
-        out[:, :2, 2] = v[:, :2]
-        out[:, 2, 2] = 1.0
-        return out
-    w = v[:, 3:]
-    theta = np.linalg.norm(w, axis=1)
-    small = theta < _TAYLOR_EPS
-    t2 = theta * theta
-    safe = np.where(small, 1.0, theta)
-    sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / safe)
-    cosc = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
-                    (1.0 - np.cos(theta)) / (safe * safe))
-    k = _hat_rows(w)
-    out = np.zeros((len(v), 4, 4))
-    out[:, :3, :3] = (np.eye(3) + sinc[:, None, None] * k
-                      + cosc[:, None, None] * (k @ k))
-    out[:, :3, 3] = v[:, :3]
-    out[:, 3, 3] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +408,8 @@ class _Packed:
                              dtype=float).reshape(-1, n, n)
         self.I = np.array([row[e.i] for e in g.edges], dtype=np.intp)
         self.J = np.array([row[e.j] for e in g.edges], dtype=np.intp)
-        self.dinv = _inverse_rigid(np.array([e.delta.mat for e in g.edges],
-                                            dtype=float).reshape(-1, n, n))
+        self.dinv = inverse_rt(np.array([e.delta.mat for e in g.edges],
+                                        dtype=float).reshape(-1, n, n))
         self.info = np.array([e.information for e in g.edges],
                              dtype=float).reshape(-1, d, d)
         self.free = np.flatnonzero([v not in g.fixed for v in self.ids])
@@ -463,7 +423,7 @@ class _Packed:
     def residuals(self, mats):
         """(E, d) edge residuals at the vertex matrices mats."""
         _, t = _relative(self.dinv, mats[self.I], mats[self.J])
-        return _residuals(self.kind, t)
+        return _pseudo_log(t)
 
     def chi2(self, mats):
         """chi2 at mats; inf or NaN, without a warning, where it overflows."""
@@ -483,8 +443,7 @@ class _Packed:
     def retract(self, mats, delta):
         """mats with each free P replaced by P @ pseudo_exp(its block of delta)."""
         out = mats.copy()
-        out[self.free] = mats[self.free] @ _pseudo_exp_rows(
-            self.kind, delta.reshape(-1, self.d))
+        out[self.free] = mats[self.free] @ _pseudo_exp(delta.reshape(-1, self.d))
         return out
 
     def unpack(self, mats):
@@ -608,7 +567,13 @@ def _finite(value, what):
 
 
 def _step_core(pk, mats, base, cfg, h, b, lam):
-    """One step from mats, whose chi2 is base; returns (mats, stats)."""
+    """One step from mats, whose chi2 is base; returns (mats, stats).
+
+    With no free coordinate (b is empty) there is nothing to solve: mats
+    comes back with update_norm 0 and lam, after no trial.
+    """
+    if b.size == 0:
+        return mats, IterationStats(0, base, 0.0, lam)
     _finite(b, "the gradient b")
     _finite(h.data, "the Hessian H")
     if cfg.method == "gauss-newton":
@@ -665,7 +630,9 @@ def step(g, cfg, lambda_=None):
     lowers chi2 by less than 10% may be shortened along its direction
     (see the module notes), and update_norm is the norm of the step
     applied.  If no lambda up to 1e12 helps, the graph is returned
-    unchanged with update_norm 0.
+    unchanged with update_norm 0.  A graph with no free vertex is
+    returned as it is, with update_norm 0, the starting lambda and no
+    rejected trial.
 
     Returns
     -------
@@ -675,13 +642,14 @@ def step(g, cfg, lambda_=None):
     Raises
     ------
     GeometryError
-        If chi2, the gradient b or the Hessian H at the input is not finite.
+        If chi2, the gradient b or the Hessian H at the input is not
+        finite, or lambda_ is given and is not finite and > 0.
     """
+    lam = cfg.lm_initial_lambda if lambda_ is None else _check_lm("step: lambda_", lambda_, 0.0)
     _check_gauge(g)
     pk = _Packed(g)
     base = _finite(pk.chi2(pk.mats), "the initial chi2")
     h, b = pk.normal_equations(pk.mats)
-    lam = cfg.lm_initial_lambda if lambda_ is None else float(lambda_)
     mats, st = _step_core(pk, pk.mats, base, cfg, h, b, lam)
     return pk.unpack(mats), st
 
@@ -782,10 +750,10 @@ def synth_graph(kind, n, sigmas, seed):
     planar = isinstance(poses[0], HomPose2)
     if planar:
         info = np.diag([1.0 / sig_t ** 2, 1.0 / sig_t ** 2, 1.0 / sig_r ** 2])
-        inv, pexp, cls, dt, dr = _inverse_se2, se2_pseudo_exp, HomPose2, 2, 1
+        pexp, cls, dt, dr = se2_pseudo_exp, HomPose2, 2, 1
     else:
         info = np.diag([1.0 / sig_t ** 2] * 3 + [1.0 / sig_r ** 2] * 3)
-        inv, pexp, cls, dt, dr = inverse_rt, se3_pseudo_exp, HomPose, 3, 3
+        pexp, cls, dt, dr = se3_pseudo_exp, HomPose, 3, 3
 
     truth = PoseGraph()
     noisy = PoseGraph()
@@ -796,7 +764,7 @@ def synth_graph(kind, n, sigmas, seed):
     estimates = {0: poses[0]}
     measurements = []
     for (i, j) in pairs:
-        delta = cls(inv(poses[i].mat) @ poses[j].mat)
+        delta = cls(inverse_rt(poses[i].mat) @ poses[j].mat)
         xi = np.concatenate([rng.normal(0.0, sig_t, size=dt),
                              rng.normal(0.0, sig_r, size=dr)])
         noisy_delta = cls(delta.mat @ pexp(xi).mat)

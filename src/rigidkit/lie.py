@@ -14,6 +14,11 @@ Every rotation-to-vector map takes one route: the rotation's largest-pivot
 quaternion (``core._quat_from_rotation``) and w = 2 atan2(|v|, q0) v / |v|
 of it, which is accurate at every angle up to and including pi.
 
+:func:`so3_log` and the pseudo-logarithms take one matrix or a stack
+(..., n, n) and return one vector or a stack (..., d).  The pseudo-
+exponentials take one vector; ``_pseudo_exp`` is their stack form, the
+solver's retraction, and they are its oracle.
+
 Functions here trust their inputs (no orthonormality checks): the finite
 difference machinery perturbs raw matrix entries and needs these formulas
 to extend smoothly off the manifold.
@@ -226,10 +231,9 @@ def se3_exp(v):
     t, w = v[:3], v[3:]
     theta = np.linalg.norm(w)
     k = hat3(w)
-    rot = np.eye(3) + _sinc(theta) * k + _cosc(theta) * (k @ k)
     vmat = np.eye(3) + _cosc(theta) * k + _sinc3(theta) * (k @ k)
     m = np.eye(4)
-    m[:3, :3] = rot
+    m[:3, :3] = so3_exp(w)
     m[:3, 3] = vmat @ t
     return HomPose(m)
 
@@ -265,9 +269,12 @@ def se3_pseudo_exp(v):
 
 
 def se3_pseudo_log(m):
-    """Inverse of :func:`se3_pseudo_exp`: (t, so3_log(R))."""
-    m = _mat4(m)
-    return np.concatenate([m[:3, 3].copy(), so3_log(m[:3, :3])])
+    """Inverse of :func:`se3_pseudo_exp`: (t, so3_log(R)).
+
+    m is (4, 4) (or its top 3x4 block) or a stack (..., 4, 4); the
+    result is (6,) or (..., 6).
+    """
+    return _pseudo_log(m)
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +295,10 @@ def se2_exp(v):
 
 def se2_log(m):
     """(dx, dy, dtheta) logarithm of a planar rigid transformation."""
-    m = _mat4(m)
-    phi = np.arctan2(m[1, 0], m[0, 0])
+    x, y, phi = se2_pseudo_log(m)
     a = _half_cot_half(phi)
     h = 0.5 * phi
-    t = m[:2, 2]
-    return np.array([a * t[0] + h * t[1], -h * t[0] + a * t[1], phi])
+    return np.array([a * x + h * y, -h * x + a * y, phi])
 
 
 def se2_pseudo_exp(v):
@@ -307,7 +312,60 @@ def se2_pseudo_exp(v):
 
 
 def se2_pseudo_log(m):
-    """Inverse of :func:`se2_pseudo_exp`: (x, y, atan2-wrapped angle)."""
+    """Inverse of :func:`se2_pseudo_exp`: (x, y, atan2-wrapped angle).
+
+    m is (3, 3) or a stack (..., 3, 3); the result is (3,) or (..., 3).
+    """
+    return _pseudo_log(m)
+
+
+# ---------------------------------------------------------------------------
+# stack forms of the pseudo pair, told apart by size
+
+def _pseudo_log(m):
+    """Pseudo-logarithm of an SE(3) (..., 4, 4) or SE(2) (..., 3, 3) matrix.
+
+    (t, so3_log(R)), shape (..., 6), or (x, y, atan2-wrapped angle),
+    shape (..., 3).
+    """
     m = _mat4(m)
-    return np.array([m[0, 2], m[1, 2], np.arctan2(m[1, 0], m[0, 0])])
+    if m.shape[-1] == 3:
+        out = np.empty(m.shape[:-2] + (3,))
+        out[..., :2] = m[..., :2, 2]
+        out[..., 2] = np.arctan2(m[..., 1, 0], m[..., 0, 0])
+        return out
+    return np.concatenate([m[..., :3, 3], so3_log(m[..., :3, :3])], axis=-1)
+
+
+def _pseudo_exp(v):
+    """Stack form of :func:`se3_pseudo_exp` / :func:`se2_pseudo_exp`.
+
+    Rows (..., 6) give SE(3) matrices (..., 4, 4), rows (..., 3) give
+    SE(2) matrices (..., 3, 3).  The scalar maps are its oracle: the same
+    formulas and Taylor branches, without a check of the rows (cos and
+    sin of inf give NaN entries).
+    """
+    lead = v.shape[:-1]
+    if v.shape[-1] == 3:
+        out = np.zeros(lead + (3, 3))
+        c, s = np.cos(v[..., 2]), np.sin(v[..., 2])
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
+        out[..., :2, 2] = v[..., :2]
+        out[..., 2, 2] = 1.0
+        return out
+    w = v[..., 3:]
+    theta = np.linalg.norm(w, axis=-1)
+    small = theta < _TAYLOR_EPS
+    t2 = theta * theta
+    safe = np.where(small, 1.0, theta)
+    sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / safe)
+    cosc = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
+                    (1.0 - np.cos(theta)) / (safe * safe))
+    k = hat3(w)
+    out = np.zeros(lead + (4, 4))
+    out[..., :3, :3] = (np.eye(3) + sinc[..., None, None] * k
+                        + cosc[..., None, None] * (k @ k))
+    out[..., :3, 3] = v[..., :3]
+    out[..., 3, 3] = 1.0
+    return out
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _quat_from_rotation_rate
-from .lie import _mat4, se2_pseudo_log, so3_log
-from .matderiv import d_compose_wrt_A, hat3, inverse_rt, kron
+from .lie import _mat4, se2_pseudo_log, se3_pseudo_log
+from .matderiv import d_compose_wrt_A, d_invapply_wrt_pose, hat3, inverse_rt, kron
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +193,21 @@ def jacob_AexpeDp_de(a, d, p, approx=False):
 
 def jacob_p_ominus_AexpeD_de(a, d, p):
     """3x6 derivative of (A @ exp(eps) @ D)^{-1} * p at eps = 0."""
-    ma = _mat4(a)
-    md = _mat4(d)
-    p = np.asarray(p, dtype=float)
-    mad = ma @ md
-    left = np.zeros((3, 12))
-    left[:, :9] = kron(np.eye(3), (p - mad[:3, 3])[None, :])
-    left[:, 9:] = -mad[:3, :3].T
-    return left @ jacob_AexpeD_de(a, d)
+    return d_invapply_wrt_pose(_mat4(a) @ _mat4(d), p) @ jacob_AexpeD_de(a, d)
 
 
 # ---------------------------------------------------------------------------
 # relative-pose (edge) errors
+
+def _relative(dinv, m1, m2):
+    """B = P1^-1 P2 and the residual transform T = D^-1 B of an edge.
+
+    dinv, m1 and m2 are matrices or stacks of them: the per-edge errors
+    here and the solver's batched pass share this product.
+    """
+    b = inverse_rt(m1) @ m2
+    return b, dinv @ b
+
 
 @dataclass(frozen=True)
 class EdgeErrorSE3:
@@ -232,13 +235,9 @@ def edge_error_se3(d, p1, p2):
     included; the rotation block of jac2 is the right-Jacobian inverse
     J_r(w)^-1 of the residual rotation w.
     """
-    md = _mat4(d)
-    m1 = _mat4(p1)
-    m2 = _mat4(p2)
-    d_inv = inverse_rt(md)
-    b = inverse_rt(m1) @ m2
-    t_err = d_inv @ b
-    e = np.concatenate([t_err[:3, 3], so3_log(t_err[:3, :3])])
+    d_inv = inverse_rt(_mat4(d))
+    b, t_err = _relative(d_inv, _mat4(p1), _mat4(p2))
+    e = se3_pseudo_log(t_err)
     dlog = dpseudolog_se3(t_err)
     j1 = dlog @ d_compose_wrt_A(b) @ (-jacob_Dexpe_de(d_inv))
     j2 = dlog @ jacob_Dexpe_de(t_err)
@@ -273,14 +272,6 @@ def d_compose_se2_wrt_B(a):
     return jacob_Dexpe_de_se2(a)
 
 
-def _inverse_se2(m):
-    r = m[:2, :2]
-    out = np.eye(3)
-    out[:2, :2] = r.T
-    out[:2, 2] = -r.T @ m[:2, 2]
-    return out
-
-
 def edge_error_se2(d, p1, p2):
     """Planar pseudo-log residual e = params(D^{-1} P1^{-1} P2).
 
@@ -288,12 +279,8 @@ def edge_error_se2(d, p1, p2):
     already wrapped to (-pi, pi].  Jacobians follow right-multiplicative
     increments of P1 and P2.
     """
-    md = _mat4(d)
-    m1 = _mat4(p1)
-    m2 = _mat4(p2)
-    d_inv = _inverse_se2(md)
-    b = _inverse_se2(m1) @ m2
-    t_err = d_inv @ b
+    d_inv = inverse_rt(_mat4(d))
+    b, t_err = _relative(d_inv, _mat4(p1), _mat4(p2))
     e = se2_pseudo_log(t_err)
     j1 = d_compose_se2_wrt_A(d_inv, b) @ (-jacob_Dexpe_de_se2(d_inv))
     j2 = jacob_Dexpe_de_se2(t_err)

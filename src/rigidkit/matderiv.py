@@ -14,7 +14,8 @@ makes the chain rules with the on-manifold Jacobians come out as plain
 matrix products.
 
 Functions accept plain ndarrays; 4x4 inputs may carry any bottom row (it
-is ignored).
+is ignored).  :func:`hat3` and :func:`inverse_rt` also take stacks, (..., 3)
+and (..., n, n), and give each row or matrix the bits of its own call.
 """
 
 import numpy as np
@@ -70,13 +71,23 @@ def transpose_permutation(m, n):
 
 
 def hat3(w):
-    """Skew-symmetric cross-product matrix of a 3-vector."""
-    x, y, z = np.asarray(w, dtype=float)
-    return np.array([
-        [0.0, -z, y],
-        [z, 0.0, -x],
-        [-y, x, 0.0],
-    ])
+    """Skew-symmetric cross-product matrix of a 3-vector.
+
+    w is (3,) or a stack (..., 3); the result is (3, 3) or (..., 3, 3),
+    with hat3(w) @ v == cross(w, v).
+
+    Raises
+    ------
+    GeometryError
+        If the last axis of w does not have length 3.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape[-1:] != (3,):
+        raise GeometryError("hat3: w must be a 3-vector or a stack (..., 3) of them")
+    out = np.zeros(w.shape[:-1] + (3, 3))
+    out[..., 2, 1], out[..., 0, 2], out[..., 1, 0] = w[..., 0], w[..., 1], w[..., 2]
+    out[..., 1, 2], out[..., 2, 0], out[..., 0, 1] = -w[..., 0], -w[..., 1], -w[..., 2]
+    return out
 
 
 def vee3(s):
@@ -157,16 +168,21 @@ def apply_vec12(v, p):
 def inverse_rt(m):
     """Closed-form inverse of a rigid transformation: (R^T, -R^T t).
 
-    Applied verbatim to the top 3x4 block; for non-orthonormal R this is
-    the transpose-based map whose derivative :func:`d_inverse_wrt_pose`
-    returns, not the general matrix inverse.
+    m is an (n, n) homogeneous matrix, n = 4 for SE(3) and 3 for SE(2),
+    or a stack (..., n, n); the result has the same shape.  A 3x4 block
+    is taken as the top of a 4x4.  Applied verbatim to the top block:
+    the bottom row of the input is ignored, and for non-orthonormal R
+    this is the transpose-based map whose derivative
+    :func:`d_inverse_wrt_pose` returns, not the general matrix inverse.
+    Every matrix of a stack gets the bits of its own call.
     """
     m = np.asarray(m, dtype=float)
-    r = m[:3, :3]
-    t = m[:3, 3]
-    out = np.eye(4)
-    out[:3, :3] = r.T
-    out[:3, 3] = -r.T @ t
+    k = m.shape[-1] - 1
+    rt = np.swapaxes(m[..., :k, :k], -1, -2)
+    out = np.zeros(m.shape[:-2] + (k + 1, k + 1))
+    out[..., :k, :k] = rt
+    out[..., :k, k:] = -rt @ m[..., :k, k:]
+    out[..., k, k] = 1.0
     return out
 
 

@@ -260,18 +260,8 @@ def _inv_rotate_vec(v, a):
     return core._rotation_from_unit_quat(*u).T @ (a - v[:3])
 
 
-def _se2_params(m):
-    return np.array([m[0, 2], m[1, 2], np.arctan2(m[1, 0], m[0, 0])])
-
-
-def _se3_edge_value(md_inv, m1, m2):
-    t = md_inv @ matderiv.inverse_rt(m1) @ m2
-    return np.concatenate([t[:3, 3], lie.so3_log(t[:3, :3])])
-
-
-def _se2_edge_value(md_inv, m1, m2):
-    t = md_inv @ manifold_jac._inverse_se2(m1) @ m2
-    return _se2_params(t)
+def _edge_value(md_inv, m1, m2):
+    return lie._pseudo_log(md_inv @ matderiv.inverse_rt(m1) @ m2)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +504,7 @@ def _chk_dlog_so3(rng):
 @_register("manifold.dpseudolog_se3")
 def _chk_dpseudolog(rng):
     t = _hompose(rng)
-    num = numeric_jacobian(
-        lambda v: np.concatenate([v[9:],
-                                  lie.so3_log(v[:9].reshape((3, 3), order="F"))]),
-        t.vec12)
+    num = numeric_jacobian(lambda v: lie.se3_pseudo_log(v.reshape((3, 4), order="F")), t.vec12)
     return manifold_jac.dpseudolog_se3(t), num
 
 
@@ -587,30 +574,41 @@ def _se3_edge_setup(rng):
     return d, p1, p2
 
 
-@_register("manifold.edge_error_se3.j1")
-def _chk_edge3_j1(rng):
-    d, p1, p2 = _se3_edge_setup(rng)
-    res = manifold_jac.edge_error_se3(d, p1, p2)
-    d_inv = matderiv.inverse_rt(d.mat)
-    num = manifold_numeric_jacobian(
-        lambda m: _se3_edge_value(d_inv, m, p2.mat), p1, side="right")
-    return res.jac1, num
+def _se2_edge_setup(rng):
+    p1, p2 = _se2_pose(rng, 1.5), _se2_pose(rng, 1.5)
+    b = matderiv.inverse_rt(p1.mat) @ p2.mat
+    eps = np.array([0.3 * rng.uniform(-1, 1), 0.3 * rng.uniform(-1, 1),
+                    rng.uniform(-0.3, 0.3)])
+    d = core.HomPose2(b @ lie.se2_pseudo_exp(eps).mat)
+    return d, p1, p2
 
 
-@_register("manifold.edge_error_se3.j2")
-def _chk_edge3_j2(rng):
-    d, p1, p2 = _se3_edge_setup(rng)
-    res = manifold_jac.edge_error_se3(d, p1, p2)
-    d_inv = matderiv.inverse_rt(d.mat)
-    num = manifold_numeric_jacobian(
-        lambda m: _se3_edge_value(d_inv, p1.mat, m), p2, side="right")
-    return res.jac2, num
+def _register_edge_checks(kind, setup, error):
+    """Register manifold.edge_error_<kind>.j1 and .j2: the Jacobians of an
+    edge error w.r.t. right increments of P1 and of P2, the measurement
+    and the other pose held."""
+    def check(rng, k):
+        d, p1, p2 = setup(rng)
+        res = error(d, p1, p2)
+        d_inv = matderiv.inverse_rt(d.mat)
+
+        def f(m):
+            return _edge_value(d_inv, *((m, p2.mat) if k == 0 else (p1.mat, m)))
+
+        return (res.jac1, res.jac2)[k], manifold_numeric_jacobian(f, (p1, p2)[k], side="right")
+
+    for k in (0, 1):
+        _register("manifold.edge_error_%s.j%d" % (kind, k + 1))(functools.partial(check, k=k))
+
+
+_register_edge_checks("se3", _se3_edge_setup, manifold_jac.edge_error_se3)
+_register_edge_checks("se2", _se2_edge_setup, manifold_jac.edge_error_se2)
 
 
 @_register("manifold.jacob_Dexpe_de_se2")
 def _chk_Dexpe_se2(rng):
     d = _se2_pose(rng)
-    num = manifold_numeric_jacobian(_se2_params, d, side="right")
+    num = manifold_numeric_jacobian(lie.se2_pseudo_log, d, side="right")
     return manifold_jac.jacob_Dexpe_de_se2(d), num
 
 
@@ -618,7 +616,7 @@ def _chk_Dexpe_se2(rng):
 def _chk_compose_se2_a(rng):
     a, b = _se2_pose(rng, 1.5), _se2_pose(rng, 1.5)
     num = numeric_jacobian(
-        lambda v: _se2_params(core.HomPose2.from_xyt(*v).mat @ b.mat),
+        lambda v: lie.se2_pseudo_log(core.HomPose2.from_xyt(*v).mat @ b.mat),
         np.array([a.mat[0, 2], a.mat[1, 2], a.angle]))
     return manifold_jac.d_compose_se2_wrt_A(a, b), num
 
@@ -627,38 +625,9 @@ def _chk_compose_se2_a(rng):
 def _chk_compose_se2_b(rng):
     a, b = _se2_pose(rng, 1.5), _se2_pose(rng, 1.5)
     num = numeric_jacobian(
-        lambda v: _se2_params(a.mat @ core.HomPose2.from_xyt(*v).mat),
+        lambda v: lie.se2_pseudo_log(a.mat @ core.HomPose2.from_xyt(*v).mat),
         np.array([b.mat[0, 2], b.mat[1, 2], b.angle]))
     return manifold_jac.d_compose_se2_wrt_B(a), num
-
-
-def _se2_edge_setup(rng):
-    p1, p2 = _se2_pose(rng, 1.5), _se2_pose(rng, 1.5)
-    b = manifold_jac._inverse_se2(p1.mat) @ p2.mat
-    eps = np.array([0.3 * rng.uniform(-1, 1), 0.3 * rng.uniform(-1, 1),
-                    rng.uniform(-0.3, 0.3)])
-    d = core.HomPose2(b @ lie.se2_pseudo_exp(eps).mat)
-    return d, p1, p2
-
-
-@_register("manifold.edge_error_se2.j1")
-def _chk_edge2_j1(rng):
-    d, p1, p2 = _se2_edge_setup(rng)
-    res = manifold_jac.edge_error_se2(d, p1, p2)
-    d_inv = manifold_jac._inverse_se2(d.mat)
-    num = manifold_numeric_jacobian(
-        lambda m: _se2_edge_value(d_inv, m, p2.mat), p1, side="right")
-    return res.jac1, num
-
-
-@_register("manifold.edge_error_se2.j2")
-def _chk_edge2_j2(rng):
-    d, p1, p2 = _se2_edge_setup(rng)
-    res = manifold_jac.edge_error_se2(d, p1, p2)
-    d_inv = manifold_jac._inverse_se2(d.mat)
-    num = manifold_numeric_jacobian(
-        lambda m: _se2_edge_value(d_inv, p1.mat, m), p2, side="right")
-    return res.jac2, num
 
 
 @_register("vision.dproject_dp")

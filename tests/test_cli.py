@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import rigidkit
 from rigidkit import (EulerPose, QuatPose, Quaternion, check_catalog,
-                      compose_pose_quat, se3_exp, ypr_to_matrix, ypr_to_quat)
+                      compose_pose_quat, compose_pose_ypr, se3_exp, ypr_to_matrix,
+                      ypr_to_quat)
 from rigidkit import cli
 from rigidkit.cli import main
 
@@ -149,6 +150,22 @@ def test_compose_quat_matches_library(runner):
     out = _run_json(runner, ["compose"], payload)
     expected = compose_pose_quat(p1, p2)[0].vec
     assert np.abs(np.array(out["data"]) - expected).max() < 1e-14
+
+
+def test_compose_ypr_in_the_gimbal_band(runner):
+    # the composed pitch is pi/2, where the ypr Jacobians are undefined
+    payload = {"p1": {"type": "ypr", "data": [0, 0, 0, 0, 1.2707963267948966, 0]},
+               "p2": {"type": "ypr", "data": [1, 0, 0, 0, 0.3, 0]}}
+    out = _run_json(runner, ["compose"], payload)
+    assert out["type"] == "ypr"
+    expected = [0.29552020666133966, 0.0, -0.955336489125606, 0.0, math.pi / 2, 0.0]
+    assert np.abs(np.array(out["data"]) - expected).max() <= 1e-12
+    # away from the band the value is compose_pose_ypr's
+    p2v = [-0.3, 0.8, 2.0, -1.0, 0.5, 0.3]
+    out = _run_json(runner, ["compose"], {"p1": YPR, "p2": {"type": "ypr", "data": p2v}})
+    expected = compose_pose_ypr(EulerPose.from_vec(np.array(YPR["data"])),
+                                EulerPose.from_vec(np.array(p2v)))[0].vec
+    assert np.abs(np.array(out["data"]) - expected).max() <= 1e-12
 
 
 def test_compose_mixed_kinds_rejected(runner):

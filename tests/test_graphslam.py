@@ -13,8 +13,9 @@ from rigidkit import (GeometryError, HomPose, HomPose2, PoseGraph,
                       se2_pseudo_exp, se3_pseudo_exp, so3_exp, so3_log, step,
                       synth_graph)
 from rigidkit import graphslam
-from rigidkit.graphslam import (_DENSE_LIMIT, IterationStats, _damped, _inverse_rigid,
-                                _linearize, _Packed, _solve)
+from rigidkit.graphslam import (_DENSE_LIMIT, IterationStats, _damped, _linearize,
+                                _Packed, _solve)
+from rigidkit.matderiv import inverse_rt
 
 INFO2 = np.diag([400.0, 400.0, 10000.0])
 
@@ -129,6 +130,48 @@ def test_kind_and_block_size():
 def test_solver_config_bad_method():
     with pytest.raises(GeometryError):
         SolverConfig(method="steepest-descent")
+
+
+def _one_exact_edge():
+    """Fixed identity vertex 0, vertex 1 at (1, 0, 0), and an edge measuring exactly that."""
+    g = PoseGraph()
+    g.add_vertex(0, HomPose2(np.eye(3)), fixed=True)
+    g.add_vertex(1, HomPose2.from_xyt(1.0, 0.0, 0.0))
+    g.add_edge(0, 1, HomPose2.from_xyt(1.0, 0.0, 0.0), np.eye(3))
+    return g
+
+
+# a lambda that is not > 0, or a factor that is not > 1, never passes the
+# 1e12 that ends a run of rejected trials
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_lm_settings_that_never_end_are_rejected(bad):
+    with pytest.raises(GeometryError, match="lm_initial_lambda"):
+        SolverConfig(lm_initial_lambda=bad)
+    with pytest.raises(GeometryError, match="lm_factor"):
+        SolverConfig(lm_factor=bad)
+    with pytest.raises(GeometryError, match="lm_factor"):
+        SolverConfig(method="gauss-newton", lm_factor=1.0)
+    with pytest.raises(GeometryError, match="lambda_"):
+        step(_one_exact_edge(), SolverConfig(), bad)
+    # the defaults end after 17 rejected trials
+    _, st = step(_one_exact_edge(), SolverConfig())
+    assert (st.rejected, st.update_norm) == (17, 0.0)
+
+
+@pytest.mark.parametrize("method", ["levenberg-marquardt", "gauss-newton"])
+def test_step_without_a_free_coordinate_returns_the_graph(method):
+    all_fixed = _one_exact_edge()
+    all_fixed.fix(1)
+    lone = PoseGraph()
+    lone.add_vertex(0, HomPose(np.eye(4)), fixed=True)
+    cfg = SolverConfig(method=method)
+    for g in (all_fixed, lone):
+        out, st = step(g, cfg)
+        assert out is g
+        assert st == IterationStats(0, chi2(g), 0.0, cfg.lm_initial_lambda, 0)
+        assert step(g, cfg, 0.5)[1].lambda_ == 0.5
+        final, stats = optimize(g, cfg)
+        assert final is g and len(stats) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +509,7 @@ def _rot(axis, angle):
 
 def _kernel(delta, p1, p2):
     kind = "se3" if isinstance(delta, HomPose) else "se2"
-    r, jac = _linearize(kind, _inverse_rigid(delta.mat[None]), p1.mat[None], p2.mat[None])
+    r, jac = _linearize(kind, inverse_rt(delta.mat[None]), p1.mat[None], p2.mat[None])
     return r[0], jac[0, 0], jac[0, 1]
 
 

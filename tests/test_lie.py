@@ -14,6 +14,7 @@ from rigidkit import (AxisAngle, GeometryError, HomPose, HomPose2,
                       se3_pseudo_log, so3_exp, so3_exp_coordinate,
                       so3_exp_quat, so3_log, so3_log_quat)
 from rigidkit.core import QuatPose
+from rigidkit.lie import _pseudo_exp
 
 
 # frozen oracle: 30-term series value for a fixed rotation vector
@@ -197,6 +198,14 @@ def test_pseudo_maps_mutual_inverse():
         m = HomPose.from_rt(so3_exp(rand_rotvec(rng, lo=0.0, hi=3.0)),
                             rng.uniform(-3, 3, 3))
         assert np.abs(se3_pseudo_exp(se3_pseudo_log(m)).mat - m.mat).max() < 1e-12
+    # a stack (2, 10, 4, 4) gives each matrix's own pseudo-log
+    mats = np.array([se3_pseudo_exp(np.concatenate([rng.uniform(-3, 3, 3),
+                                                    rand_rotvec(rng, lo=0.0, hi=3.1)])).mat
+                     for _ in range(20)]).reshape(2, 10, 4, 4)
+    logs = se3_pseudo_log(mats)
+    assert logs.shape == (2, 10, 6)
+    assert all(np.array_equal(logs[i, j], se3_pseudo_log(mats[i, j]))
+               for i in range(2) for j in range(10))
 
 
 def test_pseudo_exp_keeps_translation_verbatim():
@@ -236,6 +245,31 @@ def test_se2_pseudo_maps():
         assert np.abs(se2_pseudo_log(se2_pseudo_exp(v)) - v).max() < 1e-12
     m = se2_pseudo_exp(np.array([1.0, 2.0, 0.7])).mat
     assert np.array_equal(m[:2, 2], [1.0, 2.0])
+    # a stack (2, 10, 3, 3) gives each matrix's own pseudo-log
+    mats = np.array([se2_pseudo_exp(rng.uniform(-3.1, 3.1, 3)).mat
+                     for _ in range(20)]).reshape(2, 10, 3, 3)
+    logs = se2_pseudo_log(mats)
+    assert logs.shape == (2, 10, 3)
+    assert all(np.array_equal(logs[i, j], se2_pseudo_log(mats[i, j]))
+               for i in range(2) for j in range(10))
+
+
+# rotation angles below the Taylor switch at 1e-4, generic, and within
+# 1e-7 of a half turn
+@pytest.mark.parametrize("lo, hi", [(0.0, 9.9e-5), (1e-4, 3.0), (np.pi - 1e-7, np.pi)])
+def test_stacked_pseudo_exp_matches_the_scalar_maps(lo, hi):
+    rng = np.random.default_rng([14, int(hi * 1e6)])
+    axes = rng.normal(size=(200, 3))
+    angles = rng.uniform(lo, hi, 200)
+    angles[:2] = lo, hi
+    v3 = np.column_stack([rng.uniform(-3, 3, (200, 3)),
+                          axes / np.linalg.norm(axes, axis=1, keepdims=True) * angles[:, None]])
+    v2 = np.column_stack([rng.uniform(-3, 3, (200, 2)), angles * rng.choice([-1.0, 1.0], 200)])
+    for v, scalar in ((v3, se3_pseudo_exp), (v2, se2_pseudo_exp)):
+        stack = _pseudo_exp(v)
+        assert stack.shape == (200,) + scalar(v[0]).mat.shape
+        for row, m in zip(v, stack):
+            assert np.abs(m - scalar(row).mat).max() <= 1e-14
 
 
 def test_exp_log_types():

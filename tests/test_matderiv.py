@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from conftest import rand_hompose
-from rigidkit import (apply_vec12, d_apply_wrt_point, d_apply_wrt_pose,
-                      d_compose_wrt_A, d_compose_wrt_B, d_invapply_wrt_point,
+from rigidkit import (GeometryError, HomPose2, apply_vec12, d_apply_wrt_point,
+                      d_apply_wrt_pose, d_compose_wrt_A, d_compose_wrt_B, d_invapply_wrt_point,
                       d_invapply_wrt_pose, d_inverse_wrt_pose, hat3,
                       inverse_rt, kron, numeric_jacobian, pose_to_vec12,
                       transpose_permutation, unvec, vec, vec12_to_pose, vee3)
@@ -42,6 +42,14 @@ def test_hat_is_cross_product():
     for _ in range(20):
         a, b = rng.normal(size=3), rng.normal(size=3)
         assert np.allclose(hat3(a) @ b, np.cross(a, b), atol=1e-15)
+    # a stack (2, 5, 3) gives each row's own matrix
+    w = rng.normal(size=(2, 5, 3))
+    stack = hat3(w)
+    assert stack.shape == (2, 5, 3, 3)
+    assert all(np.array_equal(stack[i, j], hat3(w[i, j])) for i in range(2) for j in range(5))
+    for bad in (np.zeros(4), np.zeros(2), np.zeros((5, 2)), 1.0):
+        with pytest.raises(GeometryError, match="hat3"):
+            hat3(bad)
 
 
 def test_hat_vee_round_trip():
@@ -75,6 +83,19 @@ def test_inverse_rt_matches_general_inverse():
     rng = np.random.default_rng(6)
     m = rand_hompose(rng).mat
     assert np.allclose(inverse_rt(m), np.linalg.inv(m), atol=1e-12)
+    # stacks of SE(3) and SE(2) matrices: each matrix gets the bits of its
+    # own call, and one call gives exactly (R^T, -R^T t)
+    planar = [HomPose2.from_xyt(*rng.uniform(-3.0, 3.0, 3)).mat for _ in range(50)]
+    for stack in (np.array([rand_hompose(rng).mat for _ in range(50)]), np.array(planar)):
+        k = stack.shape[-1] - 1
+        inv = inverse_rt(stack)
+        assert inv.shape == stack.shape
+        for m, mi in zip(stack, inv):
+            assert np.array_equal(inverse_rt(m), mi)
+            assert np.array_equal(mi[:k, :k], m[:k, :k].T)
+            assert np.array_equal(mi[:k, k], -m[:k, :k].T @ m[:k, k])
+            assert np.array_equal(mi[k], np.eye(k + 1)[k])
+        assert np.allclose(inv @ stack, np.eye(k + 1), atol=1e-12)
 
 
 def test_compose_derivative_left_factor():
