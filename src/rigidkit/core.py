@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, SingularConfigurationError
-from .matderiv import _mat4
+from .matderiv import _POSE, _checked
 
 _GIMBAL_DELTA = 0.5 - 1e-7
 
@@ -111,7 +111,7 @@ class EulerPose:
 
     @classmethod
     def from_vec(cls, v):
-        v = np.asarray(v, dtype=float)
+        v = _checked(v, "EulerPose.from_vec: v", (6,))
         return cls(v[0], v[1], v[2], v[3], v[4], v[5])
 
 
@@ -139,7 +139,7 @@ class QuatPose:
 
     @classmethod
     def from_vec(cls, v):
-        v = np.asarray(v, dtype=float)
+        v = _checked(v, "QuatPose.from_vec: v", (7,))
         return cls(v[0], v[1], v[2], Quaternion(v[3], v[4], v[5], v[6]))
 
 
@@ -166,11 +166,7 @@ class HomPose:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=float)
-        if m.shape != (4, 4):
-            raise GeometryError("HomPose: matrix must be 4x4")
-        if not np.all(np.isfinite(m)):
-            raise GeometryError("HomPose: non-finite entry")
+        m = _checked(self.mat, "HomPose: matrix", (4, 4)).copy()
         if not (m[3, 0] == 0.0 and m[3, 1] == 0.0 and m[3, 2] == 0.0 and m[3, 3] == 1.0):
             raise GeometryError("HomPose: bottom row must be (0, 0, 0, 1)")
         r = m[:3, :3]
@@ -196,15 +192,14 @@ class HomPose:
     @classmethod
     def from_rt(cls, r, t):
         m = np.eye(4)
-        m[:3, :3] = np.asarray(r, dtype=float)
-        m[:3, 3] = np.asarray(t, dtype=float)
+        m[:3, :3] = _checked(r, "HomPose.from_rt: r", (3, 3))
+        m[:3, 3] = _checked(t, "HomPose.from_rt: t", (3,))
         return cls(m)
 
     @classmethod
     def from_vec12(cls, v):
-        v = np.asarray(v, dtype=float)
         m = np.eye(4)
-        m[:3, :4] = v.reshape((3, 4), order="F")
+        m[:3, :4] = _checked(v, "HomPose.from_vec12: v", (12,)).reshape((3, 4), order="F")
         return cls(m)
 
     @classmethod
@@ -221,11 +216,7 @@ class HomPose2:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=float)
-        if m.shape != (3, 3):
-            raise GeometryError("HomPose2: matrix must be 3x3")
-        if not np.all(np.isfinite(m)):
-            raise GeometryError("HomPose2: non-finite entry")
+        m = _checked(self.mat, "HomPose2: matrix", (3, 3)).copy()
         if not (m[2, 0] == 0.0 and m[2, 1] == 0.0 and m[2, 2] == 1.0):
             raise GeometryError("HomPose2: bottom row must be (0, 0, 1)")
         r = m[:2, :2]
@@ -273,7 +264,8 @@ def _rigid_checks(m):
         ortho = np.linalg.norm(np.swapaxes(r, 1, 2) @ r - np.eye(k), axis=(1, 2)) < 1e-9
         det = np.linalg.det(r)
     return [
-        (np.isfinite(m).all(axis=(1, 2)), name + ": non-finite entry"),
+        (np.isfinite(m).all(axis=(1, 2)),
+         "%s: matrix must be a finite %dx%d" % (name, k + 1, k + 1)),
         ((m[:, k, :k] == 0.0).all(axis=1) & (m[:, k, k] == 1.0),
          name + ": bottom row must be (%s1)" % ("0, " * k)),
         (ortho, name + ": rotation block is not orthonormal"),
@@ -357,12 +349,7 @@ class GaussianPose:
     def __post_init__(self):
         kind = pose_kind(self.mean)
         dim = _KIND_DIM[kind]
-        c = np.array(self.cov, dtype=float)
-        if c.shape != (dim, dim):
-            raise GeometryError(
-                "GaussianPose: covariance must be %dx%d for a %s pose" % (dim, dim, kind))
-        if not np.all(np.isfinite(c)):
-            raise GeometryError("GaussianPose: non-finite covariance entry")
+        c = _checked(self.cov, "GaussianPose: covariance", (dim, dim))
         object.__setattr__(self, "cov", _checked_covariance(c, "GaussianPose"))
 
     @property
@@ -708,7 +695,7 @@ def jacobian_ypr_wrt_matrix(m):
         When the pitch or roll extraction is at a singular configuration
         (first column aligned with z, or third row's yz part vanishing).
     """
-    r = _mat4(m)[:3, :3]
+    r = _checked(m, "jacobian_ypr_wrt_matrix: m", *_POSE)[:3, :3]
     k = r[0, 0] * r[0, 0] + r[1, 0] * r[1, 0]
     m33 = r[2, 1] * r[2, 1] + r[2, 2] * r[2, 2]
     if k <= 1e-12 or m33 <= 1e-12:

@@ -38,7 +38,7 @@ from .core import (HomPose, HomPose2, _first_failure, _quat_from_rotation,
                    _quat_to_matrix_rows, _rigid_checks)
 from .errors import GeometryError
 from .graphslam import PoseGraph
-from .lie import _pseudo_exp, se2_pseudo_log
+from .lie import _pseudo_exp, _pseudo_log
 
 __all__ = ["read_g2o", "write_g2o", "format_g2o"]
 
@@ -183,7 +183,7 @@ def format_g2o(g):
     """Render a PoseGraph as g2o text (vertices, FIX records, edges)."""
     if g.kind not in ("se2", "se3"):
         raise GeometryError("format_g2o: graph is empty")
-    vtag, etag, fields = (("VERTEX_SE2", "EDGE_SE2", se2_pseudo_log) if g.kind == "se2"
+    vtag, etag, fields = (("VERTEX_SE2", "EDGE_SE2", _pseudo_log) if g.kind == "se2"
                           else ("VERTEX_SE3:QUAT", "EDGE_SE3:QUAT", _se3_fields))
     ids = sorted(g.vertices)
     vals = fields(np.array([g.vertices[v].mat for v in ids]))

@@ -36,7 +36,7 @@ from .core import (EulerPose, GaussianPose, HomPose, QuatPose,
                    _rotation_raw_quat_rate, _rotation_ypr_rate,
                    _ypr_rate_block, jacobian_ypr_to_quat, quat_normalize)
 from .errors import GeometryError
-from .matderiv import inverse_rt
+from .matderiv import _checked, inverse_rt
 
 
 @dataclass(frozen=True)
@@ -47,22 +47,11 @@ class GaussianPoint3:
     cov: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.mean, dtype=float)
-        c = np.array(self.cov, dtype=float)
-        if m.shape != (3,) or not np.all(np.isfinite(m)):
-            raise GeometryError("GaussianPoint3: mean must be a finite 3-vector")
-        if c.shape != (3, 3) or not np.all(np.isfinite(c)):
-            raise GeometryError("GaussianPoint3: covariance must be a finite 3x3")
+        m = _checked(self.mean, "GaussianPoint3: mean", (3,)).copy()
+        c = _checked(self.cov, "GaussianPoint3: covariance", (3, 3))
         m.setflags(write=False)
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "cov", _checked_covariance(c, "GaussianPoint3"))
-
-
-def _point(a):
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,) or not np.isfinite(a).all():
-        raise GeometryError("point must be a finite 3-vector")
-    return a
 
 
 def _rotate_rate(dvec_r, a):
@@ -87,7 +76,7 @@ def compose_point_quat(p, a):
         value (3,); jac_pose (3, 7) w.r.t. (x, y, z, qr, qx, qy, qz);
         jac_point (3, 3) = the rotation matrix.
     """
-    a = _point(a)
+    a = _checked(a, "compose_point_quat: a", (3,))
     q = p.q.vec
     rot = _rotation_from_unit_quat(*(q / np.linalg.norm(q)).tolist())
     value = np.array([p.x, p.y, p.z]) + rot @ a
@@ -103,7 +92,7 @@ def compose_point_ypr(p, a):
     (value, jac_pose, jac_point)
         jac_pose (3, 6) w.r.t. (x, y, z, yaw, pitch, roll).
     """
-    a = _point(a)
+    a = _checked(a, "compose_point_ypr: a", (3,))
     rot = _rotation_from_angles(p.yaw, p.pitch, p.roll)
     value = np.array([p.x, p.y, p.z]) + rot @ a
     j = _rotate_rate(_rotation_ypr_rate(p.yaw, p.pitch, p.roll), a)
@@ -116,7 +105,7 @@ def compose_point_ypr_small_rot_jacobian(a):
     First-order model for small yaw/pitch/roll; the angle block reduces
     to a fixed bilinear pattern in the point coordinates.
     """
-    ax, ay, az = _point(a)
+    ax, ay, az = _checked(a, "compose_point_ypr_small_rot_jacobian: a", (3,))
     return np.hstack([np.eye(3), np.array([
         [-ay, az, 0.0],
         [ax, 0.0, -az],
@@ -126,7 +115,7 @@ def compose_point_ypr_small_rot_jacobian(a):
 
 def compose_point_matrix(m, a):
     """Transform point a by a matrix pose (value only)."""
-    a = _point(a)
+    a = _checked(a, "compose_point_matrix: a", (3,))
     return m.mat[:3, :3] @ a + m.mat[:3, 3]
 
 
@@ -141,7 +130,7 @@ def inv_compose_point_quat(a, p):
     (value, jac_pose, jac_point)
         value = R^T (a - t); jac_pose (3, 7); jac_point (3, 3) = R^T.
     """
-    a = _point(a)
+    a = _checked(a, "inv_compose_point_quat: a", (3,))
     q = p.q.vec
     rot = _rotation_from_unit_quat(*(q / np.linalg.norm(q)).tolist())
     d = a - np.array([p.x, p.y, p.z])
@@ -152,7 +141,7 @@ def inv_compose_point_quat(a, p):
 
 def inv_compose_point_matrix(a, m):
     """Express global point a in the local frame of a matrix pose."""
-    a = _point(a)
+    a = _checked(a, "inv_compose_point_matrix: a", (3,))
     r = m.mat[:3, :3]
     return r.T @ (a - m.mat[:3, 3])
 

@@ -18,14 +18,15 @@ rotation, and the Jacobians' rotation block is the right-Jacobian
 inverse of that log; both are accurate at every angle, so an edge at or
 near a half turn is solved like any other.  The rigid primitives are
 the stack forms of the scalar functions, not copies of them:
-:func:`matderiv.inverse_rt` and :func:`matderiv.hat3`,
-``manifold_jac._relative`` for the residual transform, the pseudo-log
-of :mod:`rigidkit.lie` for the residual and ``lie._pseudo_exp`` for the
-retraction.  Poses inside a solve are plain arrays: they become
-HomPose / HomPose2 objects only in the graph a public call returns,
-after one batched check of the free rows with the pose constructors'
-tests and tolerances, and fixed vertices keep their original objects.  The public calls pack their argument on each call;
-:func:`optimize` packs once.
+the unchecked bodies of :func:`matderiv.inverse_rt` and
+:func:`matderiv.hat3`, ``manifold_jac._relative`` for the residual
+transform, ``lie._pseudo_log`` for the residual and ``lie._pseudo_exp``
+for the retraction; none checks its arguments.  Poses inside a solve
+are plain arrays: they become HomPose / HomPose2 objects only in the
+graph a public call returns, after one batched check of the free rows
+with the pose constructors' tests and tolerances, and fixed vertices
+keep their original objects.  The public calls pack their argument on
+each call; :func:`optimize` packs once.
 
 chi2 is sum over edges of e^T Lambda e.  The normal equations accumulate
 H = sum J^T Lambda J and b = sum J^T Lambda e, so the gradient of chi2
@@ -59,7 +60,7 @@ from .core import HomPose, HomPose2, _first_failure, _rigid_checks
 from .errors import GeometryError, RankDeficiencyError
 from .lie import _pseudo_exp, _pseudo_log, _vinv_coeff, se2_pseudo_exp, se3_pseudo_exp
 from .manifold_jac import _relative
-from .matderiv import hat3, inverse_rt
+from .matderiv import _hat3, _inverse_rt
 
 _DENSE_LIMIT = 1500
 _LM_MAX_LAMBDA = 1e12
@@ -317,13 +318,13 @@ def _jacobians(kind, dinv, b, t, res):
         jac[:, 1, 2, 2] = 1.0
         return jac
     w = res[:, 3:]
-    k = hat3(w)
+    k = _hat3(w)
     g = (np.eye(3) + 0.5 * k
          + _vinv_coeff(np.linalg.norm(w, axis=1))[:, None, None] * (k @ k))
     rd = dinv[:, :3, :3]
     jac = np.zeros((n, 2, 6, 6))
     jac[:, 0, :3, :3] = -rd
-    jac[:, 0, :3, 3:] = rd @ hat3(b[:, :3, 3])
+    jac[:, 0, :3, 3:] = rd @ _hat3(b[:, :3, 3])
     jac[:, 0, 3:, 3:] = -g @ np.swapaxes(b[:, :3, :3], 1, 2)
     jac[:, 1, :3, :3] = t[:, :3, :3]
     jac[:, 1, 3:, 3:] = g
@@ -408,7 +409,7 @@ class _Packed:
                              dtype=float).reshape(-1, n, n)
         self.I = np.array([row[e.i] for e in g.edges], dtype=np.intp)
         self.J = np.array([row[e.j] for e in g.edges], dtype=np.intp)
-        self.dinv = inverse_rt(np.array([e.delta.mat for e in g.edges],
+        self.dinv = _inverse_rt(np.array([e.delta.mat for e in g.edges],
                                         dtype=float).reshape(-1, n, n))
         self.info = np.array([e.information for e in g.edges],
                              dtype=float).reshape(-1, d, d)
@@ -764,7 +765,7 @@ def synth_graph(kind, n, sigmas, seed):
     estimates = {0: poses[0]}
     measurements = []
     for (i, j) in pairs:
-        delta = cls(inverse_rt(poses[i].mat) @ poses[j].mat)
+        delta = cls(_inverse_rt(poses[i].mat) @ poses[j].mat)
         xi = np.concatenate([rng.normal(0.0, sig_t, size=dt),
                              rng.normal(0.0, sig_r, size=dr)])
         noisy_delta = cls(delta.mat @ pexp(xi).mat)

@@ -19,9 +19,11 @@ of it, which is accurate at every angle up to and including pi.
 exponentials take one vector; ``_pseudo_exp`` is their stack form, the
 solver's retraction, and they are its oracle.
 
-Functions here trust their inputs (no orthonormality checks): the finite
-difference machinery perturbs raw matrix entries and needs these formulas
-to extend smoothly off the manifold.
+The public functions check that each array argument is numeric, finite
+and of an allowed shape (``matderiv._checked``), but never that a matrix
+is orthonormal: the finite-difference machinery perturbs raw matrix
+entries and needs these formulas to extend smoothly off the manifold.
+The stack forms ``_pseudo_log`` and ``_pseudo_exp`` check nothing.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ import numpy as np
 
 from .core import HomPose, HomPose2, Quaternion, _quat_from_rotation
 from .errors import GeometryError, NearPiRotationError
-from .matderiv import _mat4, hat3
+from .matderiv import _POSE, _checked, _hat3
 
 _TAYLOR_EPS = 1e-4
 _PI_EDGE = np.pi - 1e-6
@@ -44,16 +46,15 @@ class AxisAngle:
     angle: float
 
     def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float).copy()
-        if axis.shape != (3,):
-            raise GeometryError("AxisAngle: axis must be a 3-vector")
+        axis = _checked(self.axis, "AxisAngle: axis", (3,)).copy()
         if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
             raise GeometryError("AxisAngle: axis must be unit length")
-        if not -1e-12 <= float(self.angle) <= np.pi + 1e-12:
+        angle = float(_checked(self.angle, "AxisAngle: angle", ()))
+        if not -1e-12 <= angle <= np.pi + 1e-12:
             raise GeometryError("AxisAngle: angle must lie in [0, pi]")
         axis.setflags(write=False)
         object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "angle", angle)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +123,9 @@ def so3_exp(w):
     -------
     (3, 3) ndarray
     """
-    w = np.asarray(w, dtype=float)
+    w = _checked(w, "so3_exp: w", (3,))
     theta = np.linalg.norm(w)
-    k = hat3(w)
+    k = _hat3(w)
     return np.eye(3) + _sinc(theta) * k + _cosc(theta) * (k @ k)
 
 
@@ -173,7 +174,7 @@ def so3_exp_quat(w):
     Quaternion
         (cos(theta/2), sin(theta/2)/theta * w), canonical sign.
     """
-    w = np.asarray(w, dtype=float)
+    w = _checked(w, "so3_exp_quat: w", (3,))
     theta = np.linalg.norm(w)
     if theta < _TAYLOR_EPS:
         t2 = theta * theta
@@ -206,7 +207,7 @@ def so3_log(r):
     sign follows the skew part of r while it is nonzero, and otherwise
     makes the component of the largest diagonal entry positive.
     """
-    return _log_quat(_quat_from_rotation(r))
+    return _log_quat(_quat_from_rotation(_checked(r, "so3_log: r", (..., 3, 3))))
 
 
 def so3_log_quat(q):
@@ -227,10 +228,10 @@ def se3_exp(v):
     The stored translation is V(w) @ (dx, dy, dz): the exponential couples
     translation and rotation.
     """
-    v = np.asarray(v, dtype=float)
+    v = _checked(v, "se3_exp: v", (6,))
     t, w = v[:3], v[3:]
     theta = np.linalg.norm(w)
-    k = hat3(w)
+    k = _hat3(w)
     vmat = np.eye(3) + _cosc(theta) * k + _sinc3(theta) * (k @ k)
     m = np.eye(4)
     m[:3, :3] = so3_exp(w)
@@ -248,20 +249,20 @@ def se3_log(m):
         translation recovery is unreliable; se3_pseudo_log stays usable
         there.
     """
-    m = _mat4(m)
-    w = so3_log(m[:3, :3])
+    m = _checked(m, "se3_log: m", *_POSE)
+    w = _log_quat(_quat_from_rotation(m[:3, :3]))
     theta = np.linalg.norm(w)
     if theta > _PI_EDGE:
         raise NearPiRotationError(
             "se3_log: rotation angle within 1e-6 of pi; use se3_pseudo_log")
-    k = hat3(w)
+    k = _hat3(w)
     vinv = np.eye(3) - 0.5 * k + _vinv_coeff(theta) * (k @ k)
     return np.concatenate([vinv @ m[:3, 3], w])
 
 
 def se3_pseudo_exp(v):
     """Like :func:`se3_exp` but the translation is stored verbatim."""
-    v = np.asarray(v, dtype=float)
+    v = _checked(v, "se3_pseudo_exp: v", (6,))
     m = np.eye(4)
     m[:3, :3] = so3_exp(v[3:])
     m[:3, 3] = v[:3]
@@ -274,7 +275,7 @@ def se3_pseudo_log(m):
     m is (4, 4) (or its top 3x4 block) or a stack (..., 4, 4); the
     result is (6,) or (..., 6).
     """
-    return _pseudo_log(m)
+    return _pseudo_log(_checked(m, "se3_pseudo_log: m", (..., 4, 4), (..., 3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +283,7 @@ def se3_pseudo_log(m):
 
 def se2_exp(v):
     """Planar rigid transformation of (dx, dy, dtheta)."""
-    v = np.asarray(v, dtype=float)
+    v = _checked(v, "se2_exp: v", (3,))
     phi = v[2]
     c, s = np.cos(phi), np.sin(phi)
     a = _sinc(phi)
@@ -295,7 +296,7 @@ def se2_exp(v):
 
 def se2_log(m):
     """(dx, dy, dtheta) logarithm of a planar rigid transformation."""
-    x, y, phi = se2_pseudo_log(m)
+    x, y, phi = _pseudo_log(_checked(m, "se2_log: m", (3, 3)))
     a = _half_cot_half(phi)
     h = 0.5 * phi
     return np.array([a * x + h * y, -h * x + a * y, phi])
@@ -303,7 +304,7 @@ def se2_log(m):
 
 def se2_pseudo_exp(v):
     """Planar transformation with translation stored verbatim."""
-    v = np.asarray(v, dtype=float)
+    v = _checked(v, "se2_pseudo_exp: v", (3,))
     c, s = np.cos(v[2]), np.sin(v[2])
     m = np.eye(3)
     m[:2, :2] = np.array([[c, -s], [s, c]])
@@ -316,25 +317,26 @@ def se2_pseudo_log(m):
 
     m is (3, 3) or a stack (..., 3, 3); the result is (3,) or (..., 3).
     """
-    return _pseudo_log(m)
+    return _pseudo_log(_checked(m, "se2_pseudo_log: m", (..., 3, 3)))
 
 
 # ---------------------------------------------------------------------------
 # stack forms of the pseudo pair, told apart by size
 
 def _pseudo_log(m):
-    """Pseudo-logarithm of an SE(3) (..., 4, 4) or SE(2) (..., 3, 3) matrix.
+    """Pseudo-logarithm of float SE(3) (..., 4, 4) or SE(2) (..., 3, 3) matrices.
 
     (t, so3_log(R)), shape (..., 6), or (x, y, atan2-wrapped angle),
-    shape (..., 3).
+    shape (..., 3).  Unchecked: the public maps check, the solver's
+    matrices are rigid by construction.
     """
-    m = _mat4(m)
     if m.shape[-1] == 3:
         out = np.empty(m.shape[:-2] + (3,))
         out[..., :2] = m[..., :2, 2]
         out[..., 2] = np.arctan2(m[..., 1, 0], m[..., 0, 0])
         return out
-    return np.concatenate([m[..., :3, 3], so3_log(m[..., :3, :3])], axis=-1)
+    return np.concatenate([m[..., :3, 3], _log_quat(_quat_from_rotation(m[..., :3, :3]))],
+                          axis=-1)
 
 
 def _pseudo_exp(v):
@@ -361,7 +363,7 @@ def _pseudo_exp(v):
     sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / safe)
     cosc = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
                     (1.0 - np.cos(theta)) / (safe * safe))
-    k = hat3(w)
+    k = _hat3(w)
     out = np.zeros(lead + (4, 4))
     out[..., :3, :3] = (np.eye(3) + sinc[..., None, None] * k
                         + cosc[..., None, None] * (k @ k))

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _quat_from_rotation_rate
-from .lie import _mat4, se2_pseudo_log, se3_pseudo_log
-from .matderiv import d_compose_wrt_A, d_invapply_wrt_pose, hat3, inverse_rt, kron
+from .lie import _pseudo_log
+from .matderiv import _POSE, _checked, _hat3, _inverse_rt, d_compose_wrt_A, d_invapply_wrt_pose
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def dexp_so3_at_zero():
     perturbed rotation moves as w x e_j.
     """
     e = np.eye(3)
-    return np.vstack([-hat3(e[0]), -hat3(e[1]), -hat3(e[2])])
+    return np.vstack([-_hat3(e[0]), -_hat3(e[1]), -_hat3(e[2])])
 
 
 def dexp_so3_quat(w):
@@ -44,7 +44,7 @@ def dexp_so3_quat(w):
     Rows are (qr, qx, qy, qz); columns follow w.  At w = 0 the scalar row
     vanishes and the vector block is I3/2.
     """
-    w = np.asarray(w, dtype=float)
+    w = _checked(w, "dexp_so3_quat: w", (3,))
     theta = np.linalg.norm(w)
     if theta < 1e-4:
         t2 = theta * theta
@@ -83,7 +83,7 @@ def dlog_so3(r):
     c = (q0/m2 - a/|v|) / |v|^2, whose cancellation error stays at
     rounding level after the product with v v^T.
     """
-    q, dq = _quat_from_rotation_rate(_mat4(r)[:3, :3])
+    q, dq = _quat_from_rotation_rate(_checked(r, "dlog_so3: r", (3, 3)))
     q0, v = q[0], q[1:]
     n2 = float(v @ v)
     m2 = q0 * q0 + n2
@@ -105,7 +105,7 @@ def dpseudolog_se3(t):
     The translation block is a plain selection; the rotation block is
     :func:`dlog_so3` of the rotation part.
     """
-    m = _mat4(t)
+    m = _checked(t, "dpseudolog_se3: t", *_POSE)
     out = np.zeros((6, 12))
     out[:3, 9:] = np.eye(3)
     out[3:, :9] = dlog_so3(m[:3, :3])
@@ -122,12 +122,12 @@ def jacob_expeD_de(d):
     row groups; [I3, -hat(t_D)] for the translation rows].  Identical to
     d_compose_wrt_A(D) @ dexp_se3_at_zero().
     """
-    m = _mat4(d)
+    m = _checked(d, "jacob_expeD_de: d", *_POSE)
     out = np.zeros((12, 6))
     for j in range(3):
-        out[3 * j:3 * j + 3, 3:] = -hat3(m[:3, j])
+        out[3 * j:3 * j + 3, 3:] = -_hat3(m[:3, j])
     out[9:, :3] = np.eye(3)
-    out[9:, 3:] = -hat3(m[:3, 3])
+    out[9:, 3:] = -_hat3(m[:3, 3])
     return out
 
 
@@ -137,7 +137,7 @@ def jacob_Dexpe_de(d):
     Equals kron(I4, R_D) @ dexp_se3_at_zero(): rotation columns mix the
     columns of R_D, translation rows rotate the increment.
     """
-    m = _mat4(d)
+    m = _checked(d, "jacob_Dexpe_de: d", *_POSE)
     c1, c2, c3 = m[:3, 0], m[:3, 1], m[:3, 2]
     z = np.zeros(3)
     out = np.zeros((12, 6))
@@ -150,9 +150,9 @@ def jacob_Dexpe_de(d):
 
 def jacob_expeDp_de(d, p):
     """3x6 derivative of (exp(eps) @ D) * p at eps = 0: [I3 | -hat(D*p)]."""
-    m = _mat4(d)
-    g = m[:3, :3] @ np.asarray(p, dtype=float) + m[:3, 3]
-    return np.hstack([np.eye(3), -hat3(g)])
+    m = _checked(d, "jacob_expeDp_de: d", *_POSE)
+    g = m[:3, :3] @ _checked(p, "jacob_expeDp_de: p", (3,)) + m[:3, 3]
+    return np.hstack([np.eye(3), -_hat3(g)])
 
 
 def jacob_p_ominus_expeD_de(d, p):
@@ -160,8 +160,8 @@ def jacob_p_ominus_expeD_de(d, p):
 
     [-R_D^T | M] with row i of M the cross product (column i of R_D) x p.
     """
-    m = _mat4(d)
-    p = np.asarray(p, dtype=float)
+    m = _checked(d, "jacob_p_ominus_expeD_de: d", *_POSE)
+    p = _checked(p, "jacob_p_ominus_expeD_de: p", (3,))
     r = m[:3, :3]
     rows = np.vstack([np.cross(r[:, j], p) for j in range(3)])
     return np.hstack([-r.T, rows])
@@ -172,8 +172,8 @@ def jacob_AexpeD_de(a, d):
 
     Equals kron(I4, R_A) @ jacob_expeD_de(D).
     """
-    ra = _mat4(a)[:3, :3]
-    return kron(np.eye(4), ra) @ jacob_expeD_de(d)
+    ra = _checked(a, "jacob_AexpeD_de: a", *_POSE)[:3, :3]
+    return np.kron(np.eye(4), ra) @ jacob_expeD_de(_checked(d, "jacob_AexpeD_de: d", *_POSE))
 
 
 def jacob_AexpeDp_de(a, d, p, approx=False):
@@ -183,17 +183,19 @@ def jacob_AexpeDp_de(a, d, p, approx=False):
     and the cheap pattern [I3 | -hat(p + t_D)] is returned instead of the
     exact R_A @ [I3 | -hat(D*p)].
     """
-    md = _mat4(d)
-    p = np.asarray(p, dtype=float)
+    md = _checked(d, "jacob_AexpeDp_de: d", *_POSE)
+    p = _checked(p, "jacob_AexpeDp_de: p", (3,))
     if approx:
-        return np.hstack([np.eye(3), -hat3(p + md[:3, 3])])
-    ra = _mat4(a)[:3, :3]
+        return np.hstack([np.eye(3), -_hat3(p + md[:3, 3])])
+    ra = _checked(a, "jacob_AexpeDp_de: a", *_POSE)[:3, :3]
     return ra @ jacob_expeDp_de(d, p)
 
 
 def jacob_p_ominus_AexpeD_de(a, d, p):
     """3x6 derivative of (A @ exp(eps) @ D)^{-1} * p at eps = 0."""
-    return d_invapply_wrt_pose(_mat4(a) @ _mat4(d), p) @ jacob_AexpeD_de(a, d)
+    name = "jacob_p_ominus_AexpeD_de: "
+    mad = _checked(a, name + "a", (4, 4)) @ _checked(d, name + "d", (4, 4))
+    return d_invapply_wrt_pose(mad, _checked(p, name + "p", (3,))) @ jacob_AexpeD_de(a, d)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +207,7 @@ def _relative(dinv, m1, m2):
     dinv, m1 and m2 are matrices or stacks of them: the per-edge errors
     here and the solver's batched pass share this product.
     """
-    b = inverse_rt(m1) @ m2
+    b = _inverse_rt(m1) @ m2
     return b, dinv @ b
 
 
@@ -235,9 +237,10 @@ def edge_error_se3(d, p1, p2):
     included; the rotation block of jac2 is the right-Jacobian inverse
     J_r(w)^-1 of the residual rotation w.
     """
-    d_inv = inverse_rt(_mat4(d))
-    b, t_err = _relative(d_inv, _mat4(p1), _mat4(p2))
-    e = se3_pseudo_log(t_err)
+    d_inv = _inverse_rt(_checked(d, "edge_error_se3: d", (4, 4)))
+    b, t_err = _relative(d_inv, _checked(p1, "edge_error_se3: p1", (4, 4)),
+                         _checked(p2, "edge_error_se3: p2", (4, 4)))
+    e = _pseudo_log(t_err)
     dlog = dpseudolog_se3(t_err)
     j1 = dlog @ d_compose_wrt_A(b) @ (-jacob_Dexpe_de(d_inv))
     j2 = dlog @ jacob_Dexpe_de(t_err)
@@ -249,7 +252,7 @@ def edge_error_se3(d, p1, p2):
 
 def jacob_Dexpe_de_se2(d):
     """3x3 derivative of params(D @ exp(eps)) at eps = 0 for planar poses."""
-    m = _mat4(d)
+    m = _checked(d, "jacob_Dexpe_de_se2: d", (3, 3))
     out = np.eye(3)
     out[:2, :2] = m[:2, :2]
     return out
@@ -257,8 +260,8 @@ def jacob_Dexpe_de_se2(d):
 
 def d_compose_se2_wrt_A(a, b):
     """3x3 derivative of params(A @ B) w.r.t. (x_A, y_A, phi_A)."""
-    ma = _mat4(a)
-    mb = _mat4(b)
+    ma = _checked(a, "d_compose_se2_wrt_A: a", (3, 3))
+    mb = _checked(b, "d_compose_se2_wrt_A: b", (3, 3))
     sa, ca = ma[1, 0], ma[0, 0]
     xb, yb = mb[0, 2], mb[1, 2]
     out = np.eye(3)
@@ -269,7 +272,7 @@ def d_compose_se2_wrt_A(a, b):
 
 def d_compose_se2_wrt_B(a):
     """3x3 derivative of params(A @ B) w.r.t. (x_B, y_B, phi_B)."""
-    return jacob_Dexpe_de_se2(a)
+    return jacob_Dexpe_de_se2(_checked(a, "d_compose_se2_wrt_B: a", (3, 3)))
 
 
 def edge_error_se2(d, p1, p2):
@@ -279,9 +282,10 @@ def edge_error_se2(d, p1, p2):
     already wrapped to (-pi, pi].  Jacobians follow right-multiplicative
     increments of P1 and P2.
     """
-    d_inv = inverse_rt(_mat4(d))
-    b, t_err = _relative(d_inv, _mat4(p1), _mat4(p2))
-    e = se2_pseudo_log(t_err)
+    d_inv = _inverse_rt(_checked(d, "edge_error_se2: d", (3, 3)))
+    b, t_err = _relative(d_inv, _checked(p1, "edge_error_se2: p1", (3, 3)),
+                         _checked(p2, "edge_error_se2: p2", (3, 3)))
+    e = _pseudo_log(t_err)
     j1 = d_compose_se2_wrt_A(d_inv, b) @ (-jacob_Dexpe_de_se2(d_inv))
     j2 = jacob_Dexpe_de_se2(t_err)
     return EdgeErrorSE2(e, j1, j2)

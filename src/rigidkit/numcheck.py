@@ -47,14 +47,14 @@ def numeric_jacobian(f, x0, h=1e-6):
     -------
     (m, n) ndarray
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = matderiv._checked(x0, "numeric_jacobian: x0", (None,))
     cols = []
     for i in range(x0.size):
         step = np.zeros_like(x0)
         step[i] = h
         cols.append((np.asarray(f(x0 + step), dtype=float)
                      - np.asarray(f(x0 - step), dtype=float)) / (2.0 * h))
-    return np.column_stack(cols)
+    return np.column_stack(cols) if cols else np.zeros((np.size(f(x0)), 0))
 
 
 def manifold_numeric_jacobian(f, base, side="left", h=1e-6):
@@ -74,13 +74,8 @@ def manifold_numeric_jacobian(f, base, side="left", h=1e-6):
         HomPose / HomPose2 or their raw matrices.
     side : {'left', 'right'}
     """
-    m = lie._mat4(base)
-    if m.shape == (4, 4):
-        dim, pexp = 6, lie.se3_pseudo_exp
-    elif m.shape == (3, 3):
-        dim, pexp = 3, lie.se2_pseudo_exp
-    else:
-        raise ValueError("base must be a 4x4 or 3x3 homogeneous matrix")
+    m = matderiv._checked(base, "manifold_numeric_jacobian: base", (4, 4), (3, 3))
+    dim, pexp = (6, lie.se3_pseudo_exp) if len(m) == 4 else (3, lie.se2_pseudo_exp)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     cols = []
@@ -261,7 +256,7 @@ def _inv_rotate_vec(v, a):
 
 
 def _edge_value(md_inv, m1, m2):
-    return lie._pseudo_log(md_inv @ matderiv.inverse_rt(m1) @ m2)
+    return lie._pseudo_log(md_inv @ matderiv._inverse_rt(m1) @ m2)
 
 
 # ---------------------------------------------------------------------------

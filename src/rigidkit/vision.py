@@ -12,16 +12,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BehindCameraError, GeometryError
-from .geometry import _point
 from .manifold_jac import jacob_p_ominus_expeD_de
-from .matderiv import hat3
+from .matderiv import _checked, _hat3
 
 _MIN_DEPTH = 1e-8
 
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Focal lengths and principal point of a pinhole camera, in pixels."""
+    """Focal lengths and principal point of a pinhole camera, in pixels.
+
+    All four must be finite numbers, and the focal lengths positive.
+    """
 
     fx: float
     fy: float
@@ -29,7 +31,9 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
+        fx, fy, _, _ = _checked([self.fx, self.fy, self.cx, self.cy],
+                                "CameraIntrinsics: fx, fy, cx, cy", (4,))
+        if not (fx > 0 and fy > 0):
             raise GeometryError("focal lengths must be positive")
 
 
@@ -47,7 +51,7 @@ def project(k, p):
     BehindCameraError
         If the depth is at or below 1e-8.
     """
-    p = _point(p)
+    p = _checked(p, "project: p", (3,))
     _check_depth(p[2], "project")
     return np.array([k.cx + k.fx * p[0] / p[2],
                      k.cy + k.fy * p[1] / p[2]])
@@ -55,7 +59,7 @@ def project(k, p):
 
 def dproject_dp(k, p):
     """2x3 derivative of the pixel with respect to the camera-frame point."""
-    p = _point(p)
+    p = _checked(p, "dproject_dp: p", (3,))
     _check_depth(p[2], "dproject_dp")
     x, y, z = p
     return np.array([[k.fx / z, 0.0, -k.fx * x / z ** 2],
@@ -69,14 +73,14 @@ def project_pose_point(k, a, p):
     derivative for a left increment exp(eps) @ A of the pose, J_p the 2x3
     derivative in the world point.
     """
-    p = _point(p)
-    m = np.asarray(a.mat, dtype=float)
+    p = _checked(p, "project_pose_point: p", (3,))
+    m = _checked(a, "project_pose_point: a", (4, 4))
     r = m[:3, :3]
     g = r @ p + m[:3, 3]
     _check_depth(g[2], "project_pose_point")
     dh = dproject_dp(k, g)
     pixel = project(k, g)
-    j_eps = dh @ np.hstack([np.eye(3), -hat3(g)])
+    j_eps = dh @ np.hstack([np.eye(3), -_hat3(g)])
     j_p = dh @ r
     return pixel, j_eps, j_p
 
@@ -88,8 +92,8 @@ def project_inv_pose_point(k, a, p):
     camera's pose in the world.  Returns (pixel, J_eps, J_p) with J_eps
     taken for a left increment exp(eps) @ A.
     """
-    p = _point(p)
-    m = np.asarray(a.mat, dtype=float)
+    p = _checked(p, "project_inv_pose_point: p", (3,))
+    m = _checked(a, "project_inv_pose_point: a", (4, 4))
     r = m[:3, :3]
     local = r.T @ (p - m[:3, 3])
     _check_depth(local[2], "project_inv_pose_point")

@@ -231,7 +231,7 @@ def _huge_pose():
       "point": {"data": [1e200, 0, 0], "cov": (1e-8 * np.eye(3)).tolist()}},
      "error: GaussianPoint3: covariance must be a finite 3x3\n"),
     ({"op": "compose", "p1": _huge_pose(), "p2": _huge_pose()},
-     "error: GaussianPose: non-finite covariance entry\n"),
+     "error: GaussianPose: covariance must be a finite 6x6\n"),
 ])
 def test_propagate_overflowing_covariance_gives_one_error_line(payload, message):
     out = _in_own_interpreter(["propagate"], stdin=json.dumps(payload))
@@ -477,7 +477,7 @@ def _slam_in_own_interpreter(tmp_path, text):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("VERTEX_SE2 0 0 0 inf\n", "error: line 1: HomPose2: non-finite entry\n"),
+    ("VERTEX_SE2 0 0 0 inf\n", "error: line 1: HomPose2: matrix must be a finite 3x3\n"),
     ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\nEDGE_SE2 0 1 1 0 0 1 1e308 0 1 0 1\n",
      "error: line 3: PoseGraph: edge (0, 1) information must be a finite 3x3 matrix\n"),
 ])

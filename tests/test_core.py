@@ -63,6 +63,8 @@ def test_euler_pose_rejects_out_of_range_pitch():
         EulerPose(0, 0, 0, 0.0, math.pi / 2 + 1e-6, 0.0)
     # the boundary itself is allowed
     EulerPose(0, 0, 0, 0.0, math.pi / 2, 0.0)
+    with pytest.raises(GeometryError, match="^EulerPose.from_vec: v must be a finite 6-vector"):
+        EulerPose.from_vec([1, 2, 3])
 
 
 def _raw_quat(qr, qx, qy, qz):
@@ -78,6 +80,8 @@ def _raw_quat(qr, qx, qy, qz):
 def test_quat_pose_rejects_non_unit():
     with pytest.raises(GeometryError):
         QuatPose(0, 0, 0, _raw_quat(2.0, 0.0, 0.0, 0.0))
+    with pytest.raises(GeometryError, match="^QuatPose.from_vec: v must be a finite 7-vector"):
+        QuatPose.from_vec([1, 2, 3])
 
 
 def test_hom_pose_validation():
@@ -95,6 +99,14 @@ def test_hom_pose_validation():
     reflect[:3, 0] *= -1.0
     with pytest.raises(GeometryError):
         HomPose(reflect)
+    # the classmethods check their arguments' shapes first
+    with pytest.raises(GeometryError, match="^HomPose.from_vec12: v must be a finite 12-vector"):
+        HomPose.from_vec12(np.ones(5))
+    with pytest.raises(GeometryError, match="^HomPose.from_rt: r must be a finite 3x3"):
+        HomPose.from_rt(np.eye(2), [1, 2, 3])
+    with pytest.raises(GeometryError, match="^HomPose.from_rt: t must be a finite 3-vector"):
+        HomPose.from_rt(np.eye(3), [1, 2, math.nan])
+    assert np.array_equal(HomPose.from_vec12(HomPose(good).vec12).mat, good)
 
 
 def test_hom_pose2_validation():

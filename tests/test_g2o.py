@@ -562,7 +562,7 @@ def test_batched_writer_byte_equal_to_reference(g):
      "line 2: PoseGraph: cannot mix planar and 3D vertices (vertex 1)"),
     ("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 0\n", "line 1: quat_normalize: zero-norm quaternion"),
     ("VERTEX_SE3:QUAT 0 0 0 0 nan 0 0 1\n", "line 1: Quaternion: non-finite component"),
-    ("VERTEX_SE2 0 0 inf 0\n", "line 1: HomPose2: non-finite entry"),
+    ("VERTEX_SE2 0 0 inf 0\n", "line 1: HomPose2: matrix must be a finite 3x3"),
     ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 0 0 0\nEDGE_SE2 0 1 0 0 0 1 0 0 1 0 nan\n",
      "line 3: PoseGraph: edge (0, 1) information must be a finite 3x3 matrix"),
     ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 0 0 0\nEDGE_SE2 0 1 0 0 0 1 1e308 0 1 0 1\n",

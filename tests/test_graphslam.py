@@ -686,7 +686,7 @@ def test_unpack_rejects_rows_the_constructor_rejects(kind):
     mirror[0, 0] = -1.0
     lifted = np.eye(n)
     lifted[n - 1, 0] = 1e-3
-    for row, reason in [(nan, "non-finite"), (skewed, "not orthonormal"),
+    for row, reason in [(nan, "must be a finite"), (skewed, "not orthonormal"),
                         (mirror, "determinant"), (lifted, "bottom row")]:
         with pytest.raises(GeometryError, match=reason) as caught:
             _planted(kind, row)

@@ -71,6 +71,9 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=-1.0, fy=400.0, cx=0.0, cy=0.0)
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=500.0, fy=0.0, cx=0.0, cy=0.0)
+    for fields in [(np.inf, 400.0, np.nan, 0.0), ("a", 1, 2, 3), (500.0, 400.0, None, 240.0)]:
+        with pytest.raises(GeometryError, match="^CameraIntrinsics: fx, fy, cx, cy must be"):
+            CameraIntrinsics(*fields)
 
 
 def test_bad_inputs_raise_geometry_error():
