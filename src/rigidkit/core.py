@@ -25,14 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, SingularConfigurationError
-from .matderiv import _POSE, _checked
+from .matderiv import _POSE, _checked, _typed
 
 _GIMBAL_DELTA = 0.5 - 1e-7
 
 
 def wrap_angle(a):
     """Wrap an angle to (-pi, pi]."""
-    r = math.remainder(float(a), 2.0 * math.pi)
+    return _wrap(float(_checked(a, "wrap_angle: a", ())))
+
+
+def _wrap(a):
+    """:func:`wrap_angle` of a finite float a, unchecked."""
+    r = math.remainder(a, 2.0 * math.pi)
     if r <= -math.pi:
         r = math.pi
     return r
@@ -40,6 +45,9 @@ def wrap_angle(a):
 
 # ---------------------------------------------------------------------------
 # types
+
+_QUATERNION_FIELDS = "Quaternion: qr, qx, qy, qz"
+
 
 @dataclass(frozen=True)
 class Quaternion:
@@ -57,9 +65,7 @@ class Quaternion:
     qz: float
 
     def __post_init__(self):
-        vals = [float(self.qr), float(self.qx), float(self.qy), float(self.qz)]
-        if not all(math.isfinite(v) for v in vals):
-            raise GeometryError("Quaternion: non-finite component")
+        vals = _checked([self.qr, self.qx, self.qy, self.qz], _QUATERNION_FIELDS, (4,)).tolist()
         if vals[0] < 0.0:
             vals = [-v for v in vals]
         for name, v in zip(("qr", "qx", "qy", "qz"), vals):
@@ -91,19 +97,17 @@ class EulerPose:
     roll: float
 
     def __post_init__(self):
-        vals = [float(getattr(self, n)) for n in ("x", "y", "z", "yaw", "pitch", "roll")]
-        if not all(math.isfinite(v) for v in vals):
-            raise GeometryError("EulerPose: non-finite component")
-        object.__setattr__(self, "x", vals[0])
-        object.__setattr__(self, "y", vals[1])
-        object.__setattr__(self, "z", vals[2])
-        object.__setattr__(self, "yaw", wrap_angle(vals[3]))
-        pitch = vals[4]
+        x, y, z, yaw, pitch, roll = _checked(
+            [self.x, self.y, self.z, self.yaw, self.pitch, self.roll],
+            "EulerPose: x, y, z, yaw, pitch, roll", (6,)).tolist()
         if abs(pitch) > 0.5 * math.pi + 1e-9:
             raise GeometryError("EulerPose: pitch outside [-pi/2, pi/2]")
-        pitch = min(0.5 * math.pi, max(-0.5 * math.pi, pitch))
-        object.__setattr__(self, "pitch", pitch)
-        object.__setattr__(self, "roll", wrap_angle(vals[5]))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "yaw", _wrap(yaw))
+        object.__setattr__(self, "pitch", min(0.5 * math.pi, max(-0.5 * math.pi, pitch)))
+        object.__setattr__(self, "roll", _wrap(roll))
 
     @property
     def vec(self):
@@ -125,12 +129,11 @@ class QuatPose:
     q: Quaternion
 
     def __post_init__(self):
-        for n in ("x", "y", "z"):
-            v = float(getattr(self, n))
-            if not math.isfinite(v):
-                raise GeometryError("QuatPose: non-finite translation")
-            object.__setattr__(self, n, v)
-        if abs(self.q.norm - 1.0) > 1e-6:
+        x, y, z = _checked([self.x, self.y, self.z], "QuatPose: x, y, z", (3,)).tolist()
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        if abs(_typed(self.q, "QuatPose: q", Quaternion).norm - 1.0) > 1e-6:
             raise GeometryError("QuatPose: quaternion is not unit length")
 
     @property
@@ -241,8 +244,9 @@ class HomPose2:
 
     @classmethod
     def from_xyt(cls, x, y, theta):
+        x, y, theta = _checked([x, y, theta], "HomPose2.from_xyt: x, y, theta", (3,)).tolist()
         c, s = np.cos(theta), np.sin(theta)
-        return cls(np.array([[c, -s, float(x)], [s, c, float(y)], [0.0, 0.0, 1.0]]))
+        return cls(np.array([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]]))
 
     @classmethod
     def identity(cls):
@@ -290,20 +294,22 @@ def _first_failure(checks):
 _KIND_DIM = {"ypr": 6, "quat": 7, "matrix": 12}
 
 
+_POSE_TYPES = (EulerPose, QuatPose, HomPose)
+
+
 def pose_kind(p):
     """Parameterization tag ('ypr' | 'quat' | 'matrix') of a pose value."""
     if isinstance(p, EulerPose):
         return "ypr"
     if isinstance(p, QuatPose):
         return "quat"
-    if isinstance(p, HomPose):
-        return "matrix"
-    raise GeometryError("unknown pose type: %r" % (type(p).__name__,))
+    _typed(p, "pose_kind: p", _POSE_TYPES)
+    return "matrix"
 
 
 def pose_param_vector(p):
     """Flat parameter vector of a pose (length 6, 7 or 12)."""
-    if isinstance(p, HomPose):
+    if isinstance(_typed(p, "pose_param_vector: p", _POSE_TYPES), HomPose):
         return p.vec12
     return p.vec
 
@@ -347,7 +353,7 @@ class GaussianPose:
     cov: np.ndarray
 
     def __post_init__(self):
-        kind = pose_kind(self.mean)
+        kind = pose_kind(_typed(self.mean, "GaussianPose: mean", _POSE_TYPES))
         dim = _KIND_DIM[kind]
         c = _checked(self.cov, "GaussianPose: covariance", (dim, dim))
         object.__setattr__(self, "cov", _checked_covariance(c, "GaussianPose"))
@@ -557,7 +563,7 @@ def quat_normalize(q):
     GeometryError
         For (numerically) zero norm.
     """
-    v = q.vec
+    v = _typed(q, "quat_normalize: q", Quaternion).vec
     n = np.linalg.norm(v)
     if n < 1e-12:
         raise GeometryError("quat_normalize: zero-norm quaternion")
@@ -579,12 +585,13 @@ def _quat_to_matrix_rows(t, q):
     m[:, :3, :3] = np.moveaxis(_rotation_from_unit_quat(*u.T), -1, 0)
     m[:, :3, 3] = t
     m[:, 3, 3] = 1.0
-    return m, [(finite, "Quaternion: non-finite component"),
+    return m, [(finite, _QUATERNION_FIELDS + " must be a finite 4-vector"),
                (norm >= 1e-12, "quat_normalize: zero-norm quaternion")] + _rigid_checks(m)
 
 
 def ypr_to_quat(p):
     """Euler pose -> quaternion pose (canonical sign)."""
+    _typed(p, "ypr_to_quat: p", EulerPose)
     c = _quat_components_from_angles(p.yaw, p.pitch, p.roll)
     return QuatPose(p.x, p.y, p.z, Quaternion(c[0], c[1], c[2], c[3]))
 
@@ -596,6 +603,7 @@ def jacobian_ypr_to_quat(p):
     canonical sign flip is a discrete representative choice and is not
     part of the map.
     """
+    _typed(p, "jacobian_ypr_to_quat: p", EulerPose)
     cy, sy = np.cos(0.5 * p.yaw), np.sin(0.5 * p.yaw)
     cp, sp = np.cos(0.5 * p.pitch), np.sin(0.5 * p.pitch)
     cr, sr = np.cos(0.5 * p.roll), np.sin(0.5 * p.roll)
@@ -626,7 +634,7 @@ def quat_to_ypr(p):
     (|qr*qy - qx*qz| above 0.5 - 1e-7) the dedicated |pitch| = pi/2
     branches fire, with roll fixed to zero.
     """
-    u, _ = quat_normalize(p.q)
+    u, _ = quat_normalize(_typed(p, "quat_to_ypr: p", QuatPose).q)
     qr, qx, qy, qz = u.vec
     delta = qr * qy - qx * qz
     if delta <= -_GIMBAL_DELTA:
@@ -649,7 +657,7 @@ def jacobian_quat_to_ypr(p):
     SingularConfigurationError
         In the gimbal band, where the Euler angles are not a chart.
     """
-    u, jn = quat_normalize(p.q)
+    u, jn = quat_normalize(_typed(p, "jacobian_quat_to_ypr: p", QuatPose).q)
     block = _ypr_rate_block(u.vec) @ jn
     out = np.zeros((6, 7))
     out[:3, :3] = np.eye(3)
@@ -659,26 +667,27 @@ def jacobian_quat_to_ypr(p):
 
 def ypr_to_matrix(p):
     """Euler pose -> homogeneous matrix pose."""
+    _typed(p, "ypr_to_matrix: p", EulerPose)
     return HomPose.from_rt(_rotation_from_angles(p.yaw, p.pitch, p.roll),
                            [p.x, p.y, p.z])
 
 
 def quat_to_matrix(p):
     """Quaternion pose -> homogeneous matrix pose (normalizes internally)."""
-    u, _ = quat_normalize(p.q)
+    u, _ = quat_normalize(_typed(p, "quat_to_matrix: p", QuatPose).q)
     return HomPose.from_rt(_rotation_from_unit_quat(*u.vec), [p.x, p.y, p.z])
 
 
 def matrix_to_ypr(m):
     """Homogeneous matrix pose -> Euler pose."""
-    r = m.mat
+    r = _typed(m, "matrix_to_ypr: m", HomPose).mat
     yaw, pitch, roll = _angles_from_rotation(r[:3, :3])
     return EulerPose(r[0, 3], r[1, 3], r[2, 3], yaw, pitch, roll)
 
 
 def matrix_to_quat(m):
     """Homogeneous matrix pose -> quaternion pose (largest-pivot extraction)."""
-    r = m.mat
+    r = _typed(m, "matrix_to_quat: m", HomPose).mat
     qr, qx, qy, qz = _quat_from_rotation(r[:3, :3])
     return QuatPose(r[0, 3], r[1, 3], r[2, 3], Quaternion(qr, qx, qy, qz))
 
@@ -744,6 +753,7 @@ def _rotation_ypr_rate(yaw, pitch, roll):
 
 def jacobian_matrix_wrt_ypr(p):
     """12x6 derivative of :func:`ypr_to_matrix` in the 12-vector view."""
+    _typed(p, "jacobian_matrix_wrt_ypr: p", EulerPose)
     out = np.zeros((12, 6))
     out[9:, :3] = np.eye(3)
     out[:9, 3:] = _rotation_ypr_rate(p.yaw, p.pitch, p.roll)
@@ -777,7 +787,7 @@ def jacobian_matrix_wrt_quat(p):
     """12x7 derivative of :func:`quat_to_matrix` (normalization chained)."""
     out = np.zeros((12, 7))
     out[9:, :3] = np.eye(3)
-    out[:9, 3:] = _rotation_raw_quat_rate(p.q.vec)
+    out[:9, 3:] = _rotation_raw_quat_rate(_typed(p, "jacobian_matrix_wrt_quat: p", QuatPose).q.vec)
     return out
 
 
@@ -796,7 +806,7 @@ def convert_gaussian(src, target):
     """
     if target not in _KIND_DIM:
         raise GeometryError("convert_gaussian: unknown target %r" % (target,))
-    kind = src.kind
+    kind = _typed(src, "convert_gaussian: src", GaussianPose).kind
     if kind == target:
         return GaussianPose(src.mean, src.cov)
     mean, jac = _CONVERSIONS[(kind, target)](src.mean)

@@ -36,7 +36,7 @@ from .core import (EulerPose, GaussianPose, HomPose, QuatPose,
                    _rotation_raw_quat_rate, _rotation_ypr_rate,
                    _ypr_rate_block, jacobian_ypr_to_quat, quat_normalize)
 from .errors import GeometryError
-from .matderiv import _checked, inverse_rt
+from .matderiv import _checked, _typed, inverse_rt
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def compose_point_quat(p, a):
         jac_point (3, 3) = the rotation matrix.
     """
     a = _checked(a, "compose_point_quat: a", (3,))
-    q = p.q.vec
+    q = _typed(p, "compose_point_quat: p", QuatPose).q.vec
     rot = _rotation_from_unit_quat(*(q / np.linalg.norm(q)).tolist())
     value = np.array([p.x, p.y, p.z]) + rot @ a
     jac_pose = np.hstack([np.eye(3), _rotate_rate(_rotation_raw_quat_rate(q), a)])
@@ -93,6 +93,7 @@ def compose_point_ypr(p, a):
         jac_pose (3, 6) w.r.t. (x, y, z, yaw, pitch, roll).
     """
     a = _checked(a, "compose_point_ypr: a", (3,))
+    _typed(p, "compose_point_ypr: p", EulerPose)
     rot = _rotation_from_angles(p.yaw, p.pitch, p.roll)
     value = np.array([p.x, p.y, p.z]) + rot @ a
     j = _rotate_rate(_rotation_ypr_rate(p.yaw, p.pitch, p.roll), a)
@@ -116,7 +117,8 @@ def compose_point_ypr_small_rot_jacobian(a):
 def compose_point_matrix(m, a):
     """Transform point a by a matrix pose (value only)."""
     a = _checked(a, "compose_point_matrix: a", (3,))
-    return m.mat[:3, :3] @ a + m.mat[:3, 3]
+    m = _typed(m, "compose_point_matrix: m", HomPose).mat
+    return m[:3, :3] @ a + m[:3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +133,7 @@ def inv_compose_point_quat(a, p):
         value = R^T (a - t); jac_pose (3, 7); jac_point (3, 3) = R^T.
     """
     a = _checked(a, "inv_compose_point_quat: a", (3,))
-    q = p.q.vec
+    q = _typed(p, "inv_compose_point_quat: p", QuatPose).q.vec
     rot = _rotation_from_unit_quat(*(q / np.linalg.norm(q)).tolist())
     d = a - np.array([p.x, p.y, p.z])
     value = rot.T @ d
@@ -142,8 +144,8 @@ def inv_compose_point_quat(a, p):
 def inv_compose_point_matrix(a, m):
     """Express global point a in the local frame of a matrix pose."""
     a = _checked(a, "inv_compose_point_matrix: a", (3,))
-    r = m.mat[:3, :3]
-    return r.T @ (a - m.mat[:3, 3])
+    m = _typed(m, "inv_compose_point_matrix: m", HomPose).mat
+    return m[:3, :3].T @ (a - m[:3, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +218,8 @@ def _compose_quat_vecs(v1, v2):
 
 
 def _compose_quat_raw(p1, p2):
-    return _compose_quat_vecs(p1.vec, p2.vec)
+    return _compose_quat_vecs(_typed(p1, "compose_pose_quat: p1", QuatPose).vec,
+                              _typed(p2, "compose_pose_quat: p2", QuatPose).vec)
 
 
 def compose_pose_quat(p1, p2):
@@ -252,6 +255,8 @@ def compose_pose_ypr(p1, p2):
     SingularConfigurationError
         If the composed pose lies in the gimbal band of the Euler chart.
     """
+    _typed(p1, "compose_pose_ypr: p1", EulerPose)
+    _typed(p2, "compose_pose_ypr: p2", EulerPose)
     r1 = _rotation_from_angles(p1.yaw, p1.pitch, p1.roll)
     r2 = _rotation_from_angles(p2.yaw, p2.pitch, p2.roll)
     t = np.array([p1.x, p1.y, p1.z]) + r1 @ np.array([p2.x, p2.y, p2.z])
@@ -279,7 +284,8 @@ def compose_pose_ypr(p1, p2):
 
 def compose_pose_matrix(m1, m2):
     """Compose two matrix poses (value only)."""
-    return HomPose(m1.mat @ m2.mat)
+    return HomPose(_typed(m1, "compose_pose_matrix: m1", HomPose).mat
+                   @ _typed(m2, "compose_pose_matrix: m2", HomPose).mat)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +300,7 @@ def inverse_pose_quat(p):
         Inverse pose (-R^T t, conjugate quaternion) and its (7, 7)
         derivative (normalization chained, conjugation as diag(1,-1,-1,-1)).
     """
-    u, jn = quat_normalize(p.q)
+    u, jn = quat_normalize(_typed(p, "inverse_pose_quat: p", QuatPose).q)
     rot = _rotation_from_unit_quat(*u.vec)
     t = np.array([p.x, p.y, p.z])
     value = QuatPose.from_vec(np.concatenate([
@@ -308,7 +314,7 @@ def inverse_pose_quat(p):
 
 def inverse_pose_matrix(m):
     """Inverse of a matrix pose via the closed form (R^T, -R^T t)."""
-    return HomPose(inverse_rt(m.mat))
+    return HomPose(inverse_rt(_typed(m, "inverse_pose_matrix: m", HomPose).mat))
 
 
 # ---------------------------------------------------------------------------

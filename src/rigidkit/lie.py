@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import HomPose, HomPose2, Quaternion, _quat_from_rotation
 from .errors import GeometryError, NearPiRotationError
-from .matderiv import _POSE, _checked, _hat3
+from .matderiv import _POSE, _checked, _hat3, _typed
 
 _TAYLOR_EPS = 1e-4
 _PI_EDGE = np.pi - 1e-6
@@ -131,6 +131,7 @@ def so3_exp(w):
 
 def rot_z(theta):
     """Rotation about the z axis."""
+    theta = _checked(theta, "rot_z: theta", ())
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
@@ -147,7 +148,7 @@ def axis_angle_factorization(a):
         If the axis is (numerically) parallel to z, where the first two
         columns are undefined.
     """
-    n = np.asarray(a.axis, dtype=float)
+    n = _typed(a, "axis_angle_factorization: a", AxisAngle).axis
     s2 = n[0] * n[0] + n[1] * n[1]
     if s2 <= 1e-12:
         raise GeometryError(
@@ -162,7 +163,7 @@ def axis_angle_factorization(a):
 
 def so3_exp_coordinate(a):
     """Rotation matrix from axis/angle via the z-axis conjugation route."""
-    p = axis_angle_factorization(a)
+    p = axis_angle_factorization(_typed(a, "so3_exp_coordinate: a", AxisAngle))
     return p @ rot_z(a.angle) @ p.T
 
 
@@ -216,7 +217,7 @@ def so3_log_quat(q):
     The angle is evaluated as 2*atan2(|qv|, qr) (identical to 2*acos(qr)
     on the unit sphere, but conditioned well at every angle).
     """
-    return _log_quat(q.vec)
+    return _log_quat(_typed(q, "so3_log_quat: q", Quaternion).vec)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,21 @@ def _checked(x, name, *shapes):
     return a.astype(float, copy=False)
 
 
+def _typed(x, name, types):
+    """x, if it is an instance of types (a class or a tuple of classes).
+
+    Raises
+    ------
+    GeometryError
+        "<name> must be a <Type>" (or "an <Type>, <Type> or <Type>") otherwise.
+    """
+    if not isinstance(x, types):
+        names = [t.__name__ for t in (types if isinstance(types, tuple) else (types,))]
+        text = ", ".join(names[:-1]) + " or " * (len(names) > 1) + names[-1]
+        raise GeometryError("%s must be %s %s" % (name, "an" if text[0] in "AEIOU" else "a", text))
+    return x
+
+
 def vec(a):
     """Stack the columns of a matrix into one vector.
 
@@ -105,6 +120,11 @@ def transpose_permutation(m, n):
     (m*n, m*n) ndarray
         P such that  P @ vec(A) == vec(A.T).
     """
+    for name, v in (("m", m), ("n", n)):
+        v = float(_checked(v, "transpose_permutation: " + name, ()))
+        if v < 0 or v != int(v):
+            raise GeometryError("transpose_permutation: %s must be a non-negative integer" % name)
+    m, n = int(m), int(n)
     p = np.zeros((m * n, m * n))
     for i in range(m):
         for j in range(n):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BehindCameraError, GeometryError
 from .manifold_jac import jacob_p_ominus_expeD_de
-from .matderiv import _checked, _hat3
+from .matderiv import _checked, _hat3, _typed
 
 _MIN_DEPTH = 1e-8
 
@@ -52,6 +52,7 @@ def project(k, p):
         If the depth is at or below 1e-8.
     """
     p = _checked(p, "project: p", (3,))
+    _typed(k, "project: k", CameraIntrinsics)
     _check_depth(p[2], "project")
     return np.array([k.cx + k.fx * p[0] / p[2],
                      k.cy + k.fy * p[1] / p[2]])
@@ -60,6 +61,7 @@ def project(k, p):
 def dproject_dp(k, p):
     """2x3 derivative of the pixel with respect to the camera-frame point."""
     p = _checked(p, "dproject_dp: p", (3,))
+    _typed(k, "dproject_dp: k", CameraIntrinsics)
     _check_depth(p[2], "dproject_dp")
     x, y, z = p
     return np.array([[k.fx / z, 0.0, -k.fx * x / z ** 2],
@@ -74,6 +76,7 @@ def project_pose_point(k, a, p):
     derivative in the world point.
     """
     p = _checked(p, "project_pose_point: p", (3,))
+    _typed(k, "project_pose_point: k", CameraIntrinsics)
     m = _checked(a, "project_pose_point: a", (4, 4))
     r = m[:3, :3]
     g = r @ p + m[:3, 3]
@@ -93,6 +96,7 @@ def project_inv_pose_point(k, a, p):
     taken for a left increment exp(eps) @ A.
     """
     p = _checked(p, "project_inv_pose_point: p", (3,))
+    _typed(k, "project_inv_pose_point: k", CameraIntrinsics)
     m = _checked(a, "project_inv_pose_point: a", (4, 4))
     r = m[:3, :3]
     local = r.T @ (p - m[:3, 3])

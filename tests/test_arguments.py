@@ -1,17 +1,21 @@
-"""Every raw-array entry rejects malformed arguments with a GeometryError.
+"""Every public entry rejects malformed arguments with a GeometryError.
 
 A signature-driven sweep: each in-scope public function gets a table of
-one good value per parameter and the shapes its array parameters allow,
-in the notation of the private validator (None is any size, a leading
-... any stack).  One array argument at a time is replaced by a drawn
-value: a wrong shape, a wrong-size stack, NaN or inf anywhere in an
-allowed shape, a string, None, a ragged list, a complex array.  The call
-must give a GeometryError subclass that names the argument, or, for an
-allowed shape with finite entries, a GeometryError or a finite result;
-never a numpy warning.
+one good value per parameter and the shapes its array and scalar
+parameters allow, in the notation of the private validator (None is any
+size, a leading ... any stack, () a scalar).  One such argument at a
+time is replaced by a drawn value: a wrong shape, a wrong-size stack,
+NaN or inf anywhere in an allowed shape, a string, None, a ragged list,
+a complex array.  The call must give a GeometryError subclass that names
+the argument, or, for an allowed shape with finite entries, a
+GeometryError or a finite result; never a numpy warning.  A parameter
+that takes a pose, quaternion, axis-angle, Gaussian or intrinsics
+object must reject a raw array or another object with "<function>:
+<parameter> must be a <Type>".
 """
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -34,6 +38,7 @@ QUAT = core.ypr_to_quat(YPR)
 
 POSE = [(4, 4), (3, 4)]
 P3 = ([(3,)], [0.2, -0.1, 2.0])
+AXIS_ANGLE = AxisAngle([0.0, 0.6, 0.8], 0.5)
 
 # parameter -> (allowed shapes, good value) for array parameters, or the
 # good value alone for the others (poses, intrinsics, callables, flags)
@@ -92,7 +97,8 @@ SPECS = {
     geometry.compose_point_matrix: {"m": HomPose(M4), "a": P3},
     geometry.inv_compose_point_quat: {"a": P3, "p": QUAT},
     geometry.inv_compose_point_matrix: {"a": P3, "m": HomPose(M4)},
-    CameraIntrinsics: {"fx": 500.0, "fy": 400.0, "cx": 320.0, "cy": 240.0},
+    CameraIntrinsics: {"fx": ([()], 500.0), "fy": ([()], 400.0), "cx": ([()], 320.0),
+                       "cy": ([()], 240.0)},
     vision.project: {"k": K, "p": P3},
     vision.dproject_dp: {"k": K, "p": P3},
     vision.project_pose_point: {"k": K, "a": ([(4, 4)], M4), "p": P3},
@@ -108,25 +114,53 @@ SPECS = {
     QuatPose.from_vec: {"v": ([(7,)], QUAT.vec)},
     GaussianPose: {"mean": YPR, "cov": ([(6, 6)], np.eye(6))},
     core.jacobian_ypr_wrt_matrix: {"m": (POSE, M4)},
+    core.wrap_angle: {"a": ([()], 0.5)},
+    lie.rot_z: {"theta": ([()], 0.3)},
+    matderiv.transpose_permutation: {"m": ([()], 2), "n": ([()], 3)},
+    core.Quaternion: {"qr": ([()], 0.5), "qx": ([()], -0.5), "qy": ([()], 0.5),
+                      "qz": ([()], 0.5)},
+    EulerPose: {"x": ([()], 0.1), "y": ([()], 0.2), "z": ([()], 0.3), "yaw": ([()], 0.4),
+                "pitch": ([()], 0.5), "roll": ([()], 0.6)},
+    QuatPose: {"x": ([()], 0.1), "y": ([()], 0.2), "z": ([()], 0.3), "q": QUAT.q},
+    HomPose2.from_xyt: {"x": ([()], 0.5), "y": ([()], -1.0), "theta": ([()], 0.3)},
+    core.quat_normalize: {"q": QUAT.q},
+    core.ypr_to_quat: {"p": YPR},
+    core.jacobian_ypr_to_quat: {"p": YPR},
+    core.quat_to_ypr: {"p": QUAT},
+    core.jacobian_quat_to_ypr: {"p": QUAT},
+    core.ypr_to_matrix: {"p": YPR},
+    core.quat_to_matrix: {"p": QUAT},
+    core.matrix_to_ypr: {"m": HomPose(M4)},
+    core.matrix_to_quat: {"m": HomPose(M4)},
+    core.jacobian_matrix_wrt_ypr: {"p": YPR},
+    core.jacobian_matrix_wrt_quat: {"p": QUAT},
+    core.convert_gaussian: {"src": GaussianPose(YPR, np.eye(6)), "target": "quat"},
+    core.pose_kind: {"p": YPR},
+    core.pose_param_vector: {"p": YPR},
+    geometry.compose_pose_quat: {"p1": QUAT, "p2": QUAT},
+    geometry.compose_pose_ypr: {"p1": YPR, "p2": YPR},
+    geometry.compose_pose_matrix: {"m1": HomPose(M4), "m2": HomPose(M4)},
+    geometry.inverse_pose_quat: {"p": QUAT},
+    geometry.inverse_pose_matrix: {"m": HomPose(M4)},
+    lie.axis_angle_factorization: {"a": AXIS_ANGLE},
+    lie.so3_exp_coordinate: {"a": AXIS_ANGLE},
+    lie.so3_log_quat: {"q": QUAT.q},
 }
 
-# __all__ functions of the raw-array modules that take no array: their
-# arguments are pose, quaternion, axis-angle or Gaussian objects, scalars,
-# or nothing
-NO_ARRAY = {
-    "EdgeErrorSE2", "EdgeErrorSE3", "JacobianReport", "axis_angle_factorization",
-    "check_catalog", "compose_pose_matrix", "compose_pose_quat", "compose_pose_ypr",
-    "dexp_se3_at_zero", "dexp_so3_at_zero", "inverse_pose_matrix", "inverse_pose_quat",
-    "propagate_binary", "rot_z", "so3_exp_coordinate", "so3_log_quat",
-    "transpose_permutation",
+# __all__ callables of the swept modules that are not in the table: result
+# types, no arguments, or arguments under rules of their own
+NOT_SWEPT = {
+    "EdgeErrorSE2", "EdgeErrorSE3", "JacobianReport", "check_catalog",
+    "dexp_se3_at_zero", "dexp_so3_at_zero", "propagate_binary",
 }
-
-# the CameraIntrinsics fields are checked as one 4-vector
-_FIELDS = {"fx", "fy", "cx", "cy"}
 
 CASES = [(fn, name) for fn, spec in SPECS.items() for name, value in spec.items()
-         if (isinstance(value, tuple) and isinstance(value[0], list))
-         or (fn is CameraIntrinsics and name in _FIELDS)]
+         if isinstance(value, tuple) and isinstance(value[0], list)]
+
+# the parameters that take an object of one of these types
+TYPES = (AxisAngle, CameraIntrinsics, EulerPose, GaussianPose, HomPose, QuatPose, core.Quaternion)
+TYPED = [(fn, name) for fn, spec in SPECS.items() for name, value in spec.items()
+         if isinstance(value, TYPES)]
 
 
 def _allowed(shapes, shape):
@@ -179,6 +213,12 @@ def _values(draw, shapes):
                                  np.ones(3) * 1j, object(), {"a": 1}]))
 
 
+def _good(fn):
+    """The good value of each parameter of fn."""
+    return {k: v[1] if isinstance(v, tuple) and isinstance(v[0], list) else v
+            for k, v in SPECS[fn].items()}
+
+
 def _finite(out):
     if isinstance(out, (tuple, list)):
         return all(_finite(o) for o in out)
@@ -200,22 +240,15 @@ def test_every_raw_array_function_is_swept():
     for name in rigidkit.__all__:
         obj = getattr(rigidkit, name)
         if callable(obj) and getattr(obj, "__module__", None) in {m.__name__ for m in modules}:
-            if obj.__module__ == core.__name__ and name not in swept:
-                continue  # the pose-typed conversions and their Jacobians
-            assert name in swept or name in NO_ARRAY, name
+            assert name in swept or name in NOT_SWEPT, name
 
 
 @pytest.mark.parametrize("fn, name", CASES, ids=["%s-%s" % (f.__qualname__, n) for f, n in CASES])
 @settings(max_examples=30)
 @given(data=st.data())
 def test_malformed_argument_raises_geometry_error(fn, name, data):
-    spec = SPECS[fn]
-    kwargs = {k: v[1] if isinstance(v, tuple) and isinstance(v[0], list) else v
-              for k, v in spec.items()}
-    if fn is CameraIntrinsics:
-        shapes = [()]
-    else:
-        shapes = spec[name][0]
+    kwargs = _good(fn)
+    shapes = SPECS[fn][name][0]
     value = data.draw(_values(shapes), label=name)
     kwargs[name] = value
     arr = None
@@ -262,3 +295,41 @@ def test_stack_forms_still_accepted():
     assert matderiv.hat3(np.zeros((0, 3))).shape == (0, 3, 3)
     # a pose object counts as its matrix
     assert np.array_equal(matderiv.pose_to_vec12(HomPose(M4)), matderiv.pose_to_vec12(M4))
+
+
+@pytest.mark.parametrize("fn, name", TYPED, ids=["%s-%s" % (f.__qualname__, n) for f, n in TYPED])
+@pytest.mark.parametrize("value", [M4, np.ones(7), HomPose2(M3), None, "abc"],
+                         ids=["4x4", "7-vector", "HomPose2", "None", "str"])
+def test_wrong_object_raises_geometry_error(fn, name, value):
+    kwargs = _good(fn)
+    kwargs[name] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="^%s: %s must be an? [A-Z]"
+                           % (re.escape(fn.__qualname__), name)):
+            fn(**kwargs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EulerPose("a", 0, 0, 0, 0, 0),
+     "EulerPose: x, y, z, yaw, pitch, roll must be a finite"),
+    (lambda: EulerPose(np.ones(2), 0, 0, 0, 0, 0), "EulerPose: x, "),
+    (lambda: HomPose2.from_xyt("a", 0, 0), "HomPose2.from_xyt: x, y, theta must be a finite"),
+    (lambda: core.Quaternion(None, 0, 0, 1), "Quaternion: qr, qx, qy, qz must be a finite"),
+    (lambda: QuatPose(0, 0, 0, None), "QuatPose: q must be a Quaternion"),
+    (lambda: core.wrap_angle("x"), "wrap_angle: a must be a finite"),
+    (lambda: core.wrap_angle(math.nan), "wrap_angle: a must be a finite"),
+    (lambda: lie.rot_z("x"), "rot_z: theta must be a finite"),
+    (lambda: lie.rot_z(math.nan), "rot_z: theta must be a finite"),
+    (lambda: matderiv.transpose_permutation(-1, 3), "transpose_permutation: m must be a non-neg"),
+    (lambda: core.ypr_to_quat(np.eye(4)), "ypr_to_quat: p must be an EulerPose"),
+    (lambda: core.quat_to_matrix(np.ones(7)), "quat_to_matrix: p must be a QuatPose"),
+    (lambda: core.matrix_to_ypr(np.eye(4)), "matrix_to_ypr: m must be a HomPose"),
+    (lambda: geometry.compose_pose_matrix(np.eye(4), np.eye(4)),
+     "compose_pose_matrix: m1 must be a HomPose"),
+    (lambda: lie.so3_log_quat(np.ones(4)), "so3_log_quat: q must be a Quaternion"),
+    (lambda: core.quat_normalize(np.ones(4)), "quat_normalize: q must be a Quaternion"),
+])
+def test_former_python_errors_now_raise(call, message):
+    with pytest.raises(GeometryError, match="^" + re.escape(message)):
+        call()

@@ -1,12 +1,16 @@
 """Finite-difference engine and the analytic-derivative catalog runner."""
+from zlib import crc32
+
 import numpy as np
 import pytest
 
 from conftest import rand_hompose
-from rigidkit import (check_catalog, jacob_Dexpe_de, jacob_expeD_de,
-                      manifold_numeric_jacobian, numeric_jacobian,
-                      pose_to_vec12, se2_pseudo_exp, se3_pseudo_exp)
+from rigidkit import (apply_vec12, check_catalog, jacob_Dexpe_de, jacob_expeD_de,
+                      manifold_numeric_jacobian, numeric_jacobian, pose_to_vec12, project,
+                      project_inv_pose_point, project_pose_point, se2_pseudo_exp,
+                      se3_pseudo_exp, so3_exp_quat, vec12_to_pose, ypr_to_matrix)
 from rigidkit import numcheck
+from rigidkit.core import _angles_from_rotation
 
 
 def test_numeric_jacobian_polynomial():
@@ -128,11 +132,97 @@ def test_manifold_fd_equals_the_uncached_formula(pexp, dim, side):
 
 
 def test_cached_perturbations_are_read_only():
-    for pexp, dim in [(se2_pseudo_exp, 3), (se3_pseudo_exp, 6)]:
-        pairs = numcheck._perturbations(pexp, dim, 1e-6)
-        assert len(pairs) == dim
-        for plus, minus in pairs:
-            for m in (plus, minus):
-                assert not m.flags.writeable
-                with pytest.raises(ValueError):
-                    m[0, 0] = 2.0
+    for pexp, dim, k in [(se2_pseudo_exp, 3, 3), (se3_pseudo_exp, 6, 4)]:
+        stack = numcheck._perturbations(k, 1e-6)
+        assert stack.shape == (2 * dim, k, k)
+        steps = np.concatenate([1e-6 * np.eye(dim), -1e-6 * np.eye(dim)])
+        assert stack.tobytes() == np.array([pexp(e).mat for e in steps]).tobytes()
+        for a in (stack, numcheck._steps(dim, 1e-6)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_batching_changes_no_bit(seed, monkeypatch):
+    # the kernel calls each stack map once on all 2n perturbed inputs; one
+    # call per input must give every report bit for bit
+    batched = check_catalog(seed=seed, n=10)
+    central = numcheck._central
+
+    def one_row_at_a_time(f, x, h):
+        return central(lambda xs: np.concatenate([f(xs[i:i + 1]) for i in range(len(xs))]),
+                       x, h)
+
+    monkeypatch.setattr(numcheck, "_central", one_row_at_a_time)
+    rowwise = check_catalog(seed=seed, n=10)
+    assert len(batched) == len(rowwise) == 48
+    for a, b in zip(batched, rowwise):
+        assert (a.op, a.max_abs_error, a.worst_row, a.worst_col, a.worst_sample) == \
+            (b.op, b.max_abs_error, b.worst_row, b.worst_col, b.worst_sample)
+        assert a.analytic.tobytes() == b.analytic.tobytes()
+        assert a.numeric.tobytes() == b.numeric.tobytes()
+
+
+def test_public_adapters_call_f_on_one_point():
+    def f(x):
+        if np.shape(x) != (3,):
+            raise ValueError("f takes one point")
+        return np.array([x[0] * x[1], np.sin(x[2])])
+
+    x0 = np.array([0.3, -1.1, 0.7])
+    steps = 1e-6 * np.eye(3)
+    want = np.column_stack([(f(x0 + s) - f(x0 - s)) / 2e-6 for s in steps])
+    assert numeric_jacobian(f, x0).tobytes() == want.tobytes()
+
+    def g(m):
+        if np.shape(m) != (4, 4):
+            raise ValueError("g takes one matrix")
+        return pose_to_vec12(m)
+
+    d = rand_hompose(np.random.default_rng(3))
+    assert np.abs(manifold_numeric_jacobian(g, d, side="left") - jacob_expeD_de(d)).max() < 1e-6
+
+
+def _stand_ins(rng):
+    """name: (stack map, the library function it stands for, its inputs), for
+    the formulas the catalog writes out in place of a library call."""
+    k, a, p = numcheck._intrinsics(rng), numcheck._hompose(rng), numcheck._translation(rng)
+    r, t = a.mat[:3, :3], a.mat[:3, 3]
+    n = 200
+    front = [numcheck._front_point(rng) for _ in range(n)]
+    points = [numcheck._translation(rng) for _ in range(n)]
+    mats = [numcheck._hompose(rng).mat for _ in range(n)]
+    rotvecs = [numcheck._rotvec(rng) * 10.0 ** -rng.integers(0, 10) for _ in range(n)]
+    near_rotations = [ypr_to_matrix(numcheck._ypr_pose(rng)).mat[:3, :3]
+                      + 1e-6 * rng.normal(size=(3, 3)) for _ in range(n)]
+    return {
+        "so3_exp_quat": (numcheck._so3_exp_quat, lambda w: so3_exp_quat(w).vec, rotvecs),
+        "project": (lambda x: numcheck._project(k, x), lambda x: project(k, x), front),
+        "angles": (numcheck._ypr, _angles_from_rotation, near_rotations),
+        "project_pose_point": (lambda x: numcheck._project(k, numcheck._act(a.mat, x)),
+                               lambda x: project_pose_point(k, a, x)[0],
+                               [r.T @ (g - t) for g in front]),
+        "project_inv_pose_point": (lambda x: numcheck._project(k, numcheck._act_inv(a.mat, x)),
+                                   lambda x: project_inv_pose_point(k, a, x)[0],
+                                   [r @ g + t for g in front]),
+        "apply_vec12.pose": (lambda m: numcheck._act(m, p),
+                             lambda m: apply_vec12(pose_to_vec12(m), p), mats),
+        "apply_vec12.point": (lambda x: numcheck._act(a.mat, x),
+                              lambda x: apply_vec12(a.vec12, x), points),
+        "pose_to_vec12": (numcheck._vec12, pose_to_vec12, mats),
+        "vec12_to_pose": (numcheck._pose, vec12_to_pose, [pose_to_vec12(m) for m in mats]),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "so3_exp_quat", "project", "angles", "project_pose_point", "project_inv_pose_point",
+    "apply_vec12.pose", "apply_vec12.point", "pose_to_vec12", "vec12_to_pose"])
+def test_stand_in_equals_the_library_row_by_row(name):
+    # each check must differentiate the value the library returns: on the
+    # catalog's own samplers the stand-in gives every row the library's bits
+    stack, lib, xs = _stand_ins(np.random.default_rng(crc32(name.encode("ascii"))))[name]
+    got = stack(np.array(xs))
+    assert len(got) == len(xs)
+    for i, x in enumerate(xs):
+        assert got[i].tobytes() == np.asarray(lib(x), dtype=float).tobytes(), i
