@@ -423,6 +423,10 @@ def jacobian_check(seed, samples, tol, as_json):
 
     Exits 0 when all operations pass, 3 otherwise.
     """
+    if samples < 1:
+        raise _InputError("--samples must be an integer >= 1")
+    if not 0.0 <= tol < math.inf:
+        raise _InputError("--tol must be a finite number >= 0")
     reports = _pooled_catalog(seed, samples, tol)
     failed = [r for r in reports if not r.passed]
     if as_json:

@@ -123,7 +123,11 @@ def so3_exp(w):
     -------
     (3, 3) ndarray
     """
-    w = _checked(w, "so3_exp: w", (3,))
+    return _so3_exp(_checked(w, "so3_exp: w", (3,)))
+
+
+def _so3_exp(w):
+    """:func:`so3_exp` of a float (3,) array, unchecked."""
     theta = np.linalg.norm(w)
     k = _hat3(w)
     return np.eye(3) + _sinc(theta) * k + _cosc(theta) * (k @ k)

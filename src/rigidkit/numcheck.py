@@ -7,14 +7,15 @@ flip) and compares against the closed-form Jacobian.  Derivatives taken
 with respect to an on-manifold increment are checked by perturbing the
 pose with the pseudo-exponential on the matching side.
 
-One central-difference kernel serves every check.  For n coordinates it
-builds the 2n perturbed inputs, x0 + h e_i and then x0 - h e_i (or the
+One central-difference kernel serves every check.  For each of N samples
+it builds the 2n perturbed inputs, x0 + h e_i and then x0 - h e_i (or the
 pseudo-exponentials of those steps times the base pose), calls the
-target map once on that stack and returns the (m, n) Jacobian whose
-column i is (f(x0 + h e_i) - f(x0 - h e_i)) / 2h.  The catalog's target
-maps are stack maps, (N, n) -> (N, m) or (N, k, k) -> (N, m), that give
-each row the bits of the same formula on that input alone, so a report
-does not depend on how many inputs share a call.  They call the
+target map once on all 2nN of them and returns the (N, m, n) Jacobians
+whose column i is (f(x0 + h e_i) - f(x0 - h e_i)) / 2h.  The catalog's
+target maps are stack maps, (N, n) -> (N, m) or (N, k, k) -> (N, m), any
+further arguments given per row, that give each row the bits of the
+same formula on that input alone, so a report does not depend on how
+many inputs share a call.  They call the
 unchecked private bodies of the library or write the formula out: the
 inputs are built here, so the public argument checks would test nothing.
 :func:`numeric_jacobian` and :func:`manifold_numeric_jacobian` are the
@@ -22,22 +23,27 @@ kernel with an adapter that calls a single-point map once per input; the
 check of the SE(3) exponential at zero uses that adapter too, as the
 library has no stack form of :func:`~rigidkit.lie.se3_exp`.
 
-:func:`check_catalog` runs the whole catalog deterministically: the same
-seed yields bit-identical reports, independent of the order in which
-checks were registered and of the process that runs each check, because
-every check gets its own generator seeded from (seed, crc32 of the check
-name).  Domain-restricted samplers keep each draw far from singular
+:func:`check_catalog` draws all n samples of a check, validates their
+pose matrices at once (the samplers skip the constructors' checks), then
+calls the public function once per sample and the target map once; the
+two checks that draw nothing run once.  The same seed yields
+bit-identical reports, independent of the order in which checks were
+registered and of the process that runs each check, because every check
+gets its own generator seeded from (seed, crc32 of the check name).
+Domain-restricted samplers keep each draw far from singular
 configurations, where a finite difference would measure the singularity
 instead of the formula.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 from zlib import crc32
 
 import numpy as np
 
 from . import core, geometry, lie, manifold_jac, matderiv, vision
+from .errors import GeometryError
 
 __all__ = [
     "JacobianReport",
@@ -69,7 +75,7 @@ def numeric_jacobian(f, x0, h=1e-6):
     x0 = matderiv._checked(x0, "numeric_jacobian: x0", (None,))
     if not x0.size:
         return np.zeros((np.size(f(x0)), 0))
-    return _fd(_rows(f), x0, h)
+    return _fd(_rows(f), (x0[None],), 0, h)[0]
 
 
 def manifold_numeric_jacobian(f, base, side="left", h=1e-6):
@@ -94,7 +100,7 @@ def manifold_numeric_jacobian(f, base, side="left", h=1e-6):
     m = matderiv._checked(base, "manifold_numeric_jacobian: base", (4, 4), (3, 3))
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    return _manifold_fd(_rows(f), m, side, h)
+    return _manifold_fd(_rows(f), (m[None],), 0, side, h)[0]
 
 
 def _rows(f):
@@ -103,33 +109,35 @@ def _rows(f):
 
 
 # ---------------------------------------------------------------------------
-# the kernel: one call of a stack map per Jacobian
+# the kernel: one call of a stack map for the Jacobians of all samples
 
-def _central(f, x, h):
-    """(m, n) central differences of the stack map f from one call on x.
+def _central(f, args, i, x, h):
+    """(N, m, n) central differences of the stack map f from one call.
 
-    x holds 2n inputs, the n plus-perturbed ones first and then their n
-    minus-perturbed ones; f maps them to 2n rows of m values.  Column i
-    is (f(x_i) - f(x_{n+i})) / 2h.
+    x (N, 2n, ...) holds each sample's n plus-perturbed values of args[i],
+    then its n minus-perturbed ones; the other args (N, ...) are repeated
+    for the 2n inputs of their sample.
     """
-    y = f(x)
-    n = len(x) // 2
-    return ((y[:n] - y[n:]) / (2.0 * h)).T
+    width = x.shape[1]
+    y = f(*[x.reshape((-1,) + x.shape[2:]) if j == i else np.repeat(a, width, axis=0)
+            for j, a in enumerate(args)]).reshape(len(x), width, -1)
+    n = width // 2
+    return np.swapaxes((y[:, :n] - y[:, n:]) / (2.0 * h), 1, 2)
 
 
-def _fd(f, x0, h=1e-6):
-    """Jacobian of the stack map f, (N, n) -> (N, m), at the (n,) vector x0."""
-    return _central(f, x0 + _steps(len(x0), h), h)
+def _fd(f, args, i=0, h=1e-6):
+    """Jacobians of the stack map f(*args) w.r.t. args[i] (N, n), at each row."""
+    x = args[i]
+    return _central(f, args, i, x[:, None] + _steps(x.shape[1], h), h)
 
 
-def _manifold_fd(f, base, side, h=1e-6):
-    """Jacobian of the stack map f, (N, k, k) -> (N, m), for an increment of base.
-
-    The pseudo-exponentials of the steps multiply the k x k base on the
-    given side, as in :func:`manifold_numeric_jacobian`.
-    """
-    e = _perturbations(len(base), h)
-    return _central(f, e @ base if side == "left" else base @ e, h)
+def _manifold_fd(f, args, i, side="left", h=1e-6):
+    """Jacobians of the stack map f(*args) for an increment of each pose of
+    args[i] (N, k, k), by the pseudo-exponentials of the steps on the given
+    side, as in :func:`manifold_numeric_jacobian`."""
+    base = args[i][:, None]
+    e = _perturbations(base.shape[-1], h)
+    return _central(f, args, i, e @ base if side == "left" else base @ e, h)
 
 
 @functools.lru_cache(maxsize=16)
@@ -155,7 +163,11 @@ def _perturbations(k, h):
 
 @dataclass(frozen=True)
 class JacobianReport:
-    """Outcome of one catalog entry: worst deviation over all samples."""
+    """Outcome of one catalog entry: worst deviation over all samples.
+
+    A difference that is not finite is the worst: it fails the check, and
+    the report points at its first occurrence.
+    """
 
     op: str
     max_abs_error: float
@@ -167,9 +179,10 @@ class JacobianReport:
     passed: bool
 
     def to_json_dict(self):
+        """The report as strict JSON values: a non-finite maxAbsError is null."""
         return {
             "op": self.op,
-            "maxAbsError": self.max_abs_error,
+            "maxAbsError": self.max_abs_error if np.isfinite(self.max_abs_error) else None,
             "worstRow": self.worst_row,
             "worstCol": self.worst_col,
             "worstSample": self.worst_sample,
@@ -193,9 +206,27 @@ def _translation(rng):
     return rng.uniform(-2.0, 2.0, size=3)
 
 
+def _rt(r, t):
+    """The homogeneous matrix [r t; 0 1] of a k x k block r and a k-vector t."""
+    m = np.eye(len(t) + 1)
+    m[:-1, :-1], m[:-1, -1] = r, t
+    return m
+
+
+def _rot2(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return [[c, -s], [s, c]]
+
+
+def _rigid(m):
+    """m as a read-only HomPose or HomPose2 without the constructor's
+    checks: :func:`_check_op` validates a check's sampled matrices at once."""
+    m.setflags(write=False)
+    return (core.HomPose if len(m) == 4 else core.HomPose2)._trusted(m)
+
+
 def _hompose(rng, hi=2.8):
-    return core.HomPose.from_rt(lie.so3_exp(_rotvec(rng, 0.05, hi)),
-                                _translation(rng))
+    return _rigid(_rt(lie._so3_exp(_rotvec(rng, 0.05, hi)), _translation(rng)))
 
 
 def _quat_pose(rng):
@@ -225,8 +256,7 @@ def _ypr_pose(rng):
 
 def _se2_pose(rng, max_angle=3.0):
     t = rng.uniform(-2.0, 2.0, size=2)
-    return core.HomPose2.from_xyt(t[0], t[1],
-                                  rng.uniform(-max_angle, max_angle))
+    return _rigid(_rt(_rot2(rng.uniform(-max_angle, max_angle)), t))
 
 
 def _intrinsics(rng):
@@ -239,6 +269,80 @@ def _intrinsics(rng):
 def _front_point(rng):
     return np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
                      rng.uniform(0.5, 3.0)])
+
+
+def _raw_quat(rng):
+    v = rng.normal(size=4)
+    v[0] = abs(v[0]) + 0.2
+    v *= rng.uniform(0.5, 2.0) / np.linalg.norm(v)
+    return v
+
+
+def _quat_point(rng):
+    return _quat_pose(rng), _translation(rng)
+
+
+def _ypr_point(rng):
+    return _ypr_pose(rng), _translation(rng)
+
+
+def _hompose_point(rng):
+    return _hompose(rng), _translation(rng)
+
+
+def _hompose_pair(rng):
+    return _hompose(rng), _hompose(rng)
+
+
+def _two_poses_point(rng):
+    return _hompose(rng), _hompose(rng), _translation(rng)
+
+
+def _ypr_pair(rng):
+    while True:
+        p1, p2 = _ypr_pose(rng), _ypr_pose(rng)
+        r = (core._rotation_from_angles(p1.yaw, p1.pitch, p1.roll)
+             @ core._rotation_from_angles(p2.yaw, p2.pitch, p2.roll))
+        yaw, pitch, roll = core._angles_from_rotation(r)
+        if abs(pitch) <= 1.2 and abs(yaw) <= 3.05 and abs(roll) <= 3.05:
+            return p1, p2
+
+
+def _se3_edge_setup(rng):
+    p1, p2 = _hompose(rng), _hompose(rng)
+    b = matderiv._inverse_rt(p1.mat) @ p2.mat
+    eps = np.concatenate([0.3 * rng.uniform(-1, 1, size=3), _rotvec(rng, 0.02, 0.3)])
+    return _rigid(b @ _rt(lie._so3_exp(eps[3:]), eps[:3])), p1, p2  # b se3_pseudo_exp(eps)
+
+
+def _se2_edge_setup(rng):
+    p1, p2 = _se2_pose(rng, 1.5), _se2_pose(rng, 1.5)
+    b = matderiv._inverse_rt(p1.mat) @ p2.mat
+    eps = np.array([0.3 * rng.uniform(-1, 1), 0.3 * rng.uniform(-1, 1),
+                    rng.uniform(-0.3, 0.3)])
+    return _rigid(b @ _rt(_rot2(eps[2]), eps[:2])), p1, p2  # b se2_pseudo_exp(eps)
+
+
+def _camera_setup(rng):
+    k, a = _intrinsics(rng), _hompose(rng)
+    g = _front_point(rng)
+    p = a.mat[:3, :3].T @ (g - a.mat[:3, 3])  # pulls A*p back onto g
+    return k, a, p
+
+
+def _inv_camera_setup(rng):
+    k, a = _intrinsics(rng), _hompose(rng)
+    local = _front_point(rng)
+    p = a.mat[:3, :3] @ local + a.mat[:3, 3]  # pulls A^{-1}*p back onto local
+    return k, a, p
+
+
+def _numbers(v):
+    """What a stack map reads of one sampled value: a pose's matrix or
+    parameter vector, the intrinsics (fx, fy, cx, cy), or the array itself."""
+    if isinstance(v, vision.CameraIntrinsics):
+        return v.fx, v.fy, v.cx, v.cy
+    return getattr(v, "mat", getattr(v, "vec", v))
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +427,10 @@ def _act_inv(m, p):
 
 
 def _project(k, p):
-    """vision.project of each row of p (N, 3), without the depth test."""
-    return np.stack([k.cx + k.fx * p[:, 0] / p[:, 2], k.cy + k.fy * p[:, 1] / p[:, 2]],
-                    axis=-1)
+    """vision.project of each row of p (N, 3) through the intrinsics rows k
+    (fx, fy, cx, cy), without the depth test."""
+    return np.stack([k[..., 2] + k[..., 0] * p[:, 0] / p[:, 2],
+                     k[..., 3] + k[..., 1] * p[:, 1] / p[:, 2]], axis=-1)
 
 
 def _ypr_from_quatvec(v):
@@ -356,7 +461,7 @@ def _ypr_from_vec12(v):
 
 def _quat_compose_vec(v1, v2):
     """Translation and normalized Hamilton product of the 7-vector rows of
-    v1 and v2 (N, 7), either of them one row (1, 7)."""
+    v1 and v2 (N, 7)."""
     t = v1[:, :3] + _times(_rot_quat(_unit(v1[:, 3:])), v2[:, :3])
     h = geometry._hamilton(v1[:, 3:].T, v2[:, 3:].T).T
     h = _unit(h)
@@ -369,6 +474,11 @@ def _quat_compose_vec(v1, v2):
 def _ypr_compose_vec(v1, v2):
     r1, r2 = _rot_ypr(v1[:, 3:]), _rot_ypr(v2[:, 3:])
     return np.concatenate([v1[:, :3] + _times(r1, v2[:, :3]), _ypr(r1 @ r2)], axis=1)
+
+
+def _ypr_act(v, a):
+    """The points a (N, 3) moved by the (x, y, z, yaw, pitch, roll) rows v."""
+    return v[:, :3] + _times(_rot_ypr(v[:, 3:]), a)
 
 
 def _rotate_vec(v, a):
@@ -399,403 +509,179 @@ def _edge_value(md_inv, m1, m2):
     return lie._pseudo_log(md_inv @ matderiv._inverse_rt(m1) @ m2)
 
 
+def _project_act(k, m, p):
+    return _project(k, _act(m, p))
+
+
+def _project_act_inv(k, m, p):
+    return _project(k, _act_inv(m, p))
+
+
 # ---------------------------------------------------------------------------
 # the catalog
 
 _CHECKS = {}
 
 
-def _register(name):
-    def wrap(fn):
-        _CHECKS[name] = fn
-        return fn
-    return wrap
-
-
-@_register("core.quat_normalize")
-def _chk_quat_normalize(rng):
-    v = rng.normal(size=4)
-    v[0] = abs(v[0]) + 0.2
-    v *= rng.uniform(0.5, 2.0) / np.linalg.norm(v)
-    _, jn = core.quat_normalize(core.Quaternion(*v))
-    return jn, _fd(_unit, v)
-
-
-@_register("core.jacobian_ypr_to_quat")
-def _chk_ypr_to_quat(rng):
-    p = _ypr_pose(rng)
-    return core.jacobian_ypr_to_quat(p), _fd(_quatvec_from_ypr, p.vec)
-
-
-@_register("core.jacobian_quat_to_ypr")
-def _chk_quat_to_ypr(rng):
-    p = _safe_quat_pose(rng)
-    return core.jacobian_quat_to_ypr(p), _fd(_ypr_from_quatvec, p.vec)
-
-
-@_register("core.jacobian_ypr_wrt_matrix")
-def _chk_ypr_wrt_matrix(rng):
-    m = core.ypr_to_matrix(_ypr_pose(rng))
-    return core.jacobian_ypr_wrt_matrix(m), _fd(_ypr_from_vec12, m.vec12)
-
-
-@_register("core.jacobian_matrix_wrt_ypr")
-def _chk_matrix_wrt_ypr(rng):
-    p = _ypr_pose(rng)
-    return core.jacobian_matrix_wrt_ypr(p), _fd(_vec12_from_ypr, p.vec)
-
-
-@_register("core.jacobian_matrix_wrt_quat")
-def _chk_matrix_wrt_quat(rng):
-    p = _quat_pose(rng)
-    return core.jacobian_matrix_wrt_quat(p), _fd(_vec12_from_quatvec, p.vec)
-
-
-@_register("geometry.compose_point_quat.pose")
-def _chk_cpq_pose(rng):
-    p, a = _quat_pose(rng), _translation(rng)
-    _, jac, _ = geometry.compose_point_quat(p, a)
-    return jac, _fd(lambda v: _rotate_vec(v, a), p.vec)
-
-
-@_register("geometry.compose_point_quat.point")
-def _chk_cpq_point(rng):
-    p, a = _quat_pose(rng), _translation(rng)
-    _, _, jac = geometry.compose_point_quat(p, a)
-    return jac, _fd(lambda x: _rotate_vec(p.vec[None], x), a)
-
-
-@_register("geometry.compose_point_ypr.pose")
-def _chk_cpy_pose(rng):
-    p, a = _ypr_pose(rng), _translation(rng)
-    _, jac, _ = geometry.compose_point_ypr(p, a)
-    return jac, _fd(lambda v: v[:, :3] + _times(_rot_ypr(v[:, 3:]), a), p.vec)
-
-
-@_register("geometry.compose_point_ypr.point")
-def _chk_cpy_point(rng):
-    p, a = _ypr_pose(rng), _translation(rng)
-    _, _, jac = geometry.compose_point_ypr(p, a)
-    rot = core._rotation_from_angles(p.yaw, p.pitch, p.roll)
-    return jac, _fd(lambda x: _times(rot, x) + p.vec[:3], a)
-
-
-@_register("geometry.inv_compose_point_quat.pose")
-def _chk_icpq_pose(rng):
-    p, a = _quat_pose(rng), _translation(rng)
-    _, jac, _ = geometry.inv_compose_point_quat(a, p)
-    return jac, _fd(lambda v: _inv_rotate_vec(v, a), p.vec)
-
-
-@_register("geometry.inv_compose_point_quat.point")
-def _chk_icpq_point(rng):
-    p, a = _quat_pose(rng), _translation(rng)
-    _, _, jac = geometry.inv_compose_point_quat(a, p)
-    return jac, _fd(lambda x: _inv_rotate_vec(p.vec[None], x), a)
-
-
-@_register("geometry.compose_pose_quat.j1")
-def _chk_cq_j1(rng):
-    p1, p2 = _quat_pose(rng), _quat_pose(rng)
-    _, j1, _ = geometry.compose_pose_quat(p1, p2)
-    return j1, _fd(lambda v: _quat_compose_vec(v, p2.vec[None]), p1.vec)
-
-
-@_register("geometry.compose_pose_quat.j2")
-def _chk_cq_j2(rng):
-    p1, p2 = _quat_pose(rng), _quat_pose(rng)
-    _, _, j2 = geometry.compose_pose_quat(p1, p2)
-    return j2, _fd(lambda v: _quat_compose_vec(p1.vec[None], v), p2.vec)
-
-
-def _ypr_pair(rng):
-    while True:
-        p1, p2 = _ypr_pose(rng), _ypr_pose(rng)
-        r = (core._rotation_from_angles(p1.yaw, p1.pitch, p1.roll)
-             @ core._rotation_from_angles(p2.yaw, p2.pitch, p2.roll))
-        yaw, pitch, roll = core._angles_from_rotation(r)
-        if abs(pitch) <= 1.2 and abs(yaw) <= 3.05 and abs(roll) <= 3.05:
-            return p1, p2
-
-
-@_register("geometry.compose_pose_ypr.j1")
-def _chk_cy_j1(rng):
-    p1, p2 = _ypr_pair(rng)
-    _, j1, _ = geometry.compose_pose_ypr(p1, p2)
-    return j1, _fd(lambda v: _ypr_compose_vec(v, p2.vec[None]), p1.vec)
-
-
-@_register("geometry.compose_pose_ypr.j2")
-def _chk_cy_j2(rng):
-    p1, p2 = _ypr_pair(rng)
-    _, _, j2 = geometry.compose_pose_ypr(p1, p2)
-    return j2, _fd(lambda v: _ypr_compose_vec(p1.vec[None], v), p2.vec)
-
-
-@_register("geometry.inverse_pose_quat")
-def _chk_inverse_quat(rng):
-    p = _quat_pose(rng)
-    _, jac = geometry.inverse_pose_quat(p)
-    return jac, _fd(_inverse_quatvec, p.vec)
-
-
-@_register("matderiv.d_compose_wrt_A")
-def _chk_d_compose_a(rng):
-    a, b = _hompose(rng), _hompose(rng)
-    return matderiv.d_compose_wrt_A(b.mat), _fd(lambda v: _vec12(_pose(v) @ b.mat),
-                                                 a.vec12)
-
-
-@_register("matderiv.d_compose_wrt_B")
-def _chk_d_compose_b(rng):
-    a, b = _hompose(rng), _hompose(rng)
-    return matderiv.d_compose_wrt_B(a.mat), _fd(lambda v: _vec12(a.mat @ _pose(v)),
-                                                 b.vec12)
-
-
-@_register("matderiv.d_apply_wrt_point")
-def _chk_d_apply_point(rng):
-    a, p = _hompose(rng), _translation(rng)
-    return matderiv.d_apply_wrt_point(a.mat), _fd(lambda x: _act(a.mat, x), p)
-
-
-@_register("matderiv.d_apply_wrt_pose")
-def _chk_d_apply_pose(rng):
-    a, p = _hompose(rng), _translation(rng)
-    return matderiv.d_apply_wrt_pose(p), _fd(lambda v: _act(_pose(v), p), a.vec12)
-
-
-@_register("matderiv.d_inverse_wrt_pose")
-def _chk_d_inverse(rng):
-    a = _hompose(rng)
-    num = _fd(lambda v: _vec12(matderiv._inverse_rt(_pose(v))), a.vec12)
-    return matderiv.d_inverse_wrt_pose(a.mat), num
-
-
-@_register("matderiv.d_invapply_wrt_point")
-def _chk_d_invapply_point(rng):
-    a, p = _hompose(rng), _translation(rng)
-    inv = matderiv._inverse_rt(a.mat)
-    return matderiv.d_invapply_wrt_point(a.mat), _fd(lambda x: _act(inv, x), p)
-
-
-@_register("matderiv.d_invapply_wrt_pose")
-def _chk_d_invapply_pose(rng):
-    a, p = _hompose(rng), _translation(rng)
-    num = _fd(lambda v: _act(matderiv._inverse_rt(_pose(v)), p), a.vec12)
-    return matderiv.d_invapply_wrt_pose(a.mat, p), num
-
-
-@_register("manifold.dexp_so3_at_zero")
-def _chk_dexp_so3_zero(rng):
-    def f(w):
-        return _vec(lie._pseudo_exp(np.concatenate([np.zeros_like(w), w], axis=1))[:, :3, :3])
-
-    return manifold_jac.dexp_so3_at_zero(), _fd(f, np.zeros(3))
-
-
-@_register("manifold.dexp_so3_quat")
-def _chk_dexp_so3_quat(rng):
-    w = _rotvec(rng)
-    return manifold_jac.dexp_so3_quat(w), _fd(_so3_exp_quat, w)
-
-
-@_register("manifold.dexp_se3_at_zero")
-def _chk_dexp_se3_zero(rng):
-    # no stack form of se3_exp: the library map, one perturbed input at a time
-    num = _fd(_rows(lambda v: lie.se3_exp(v).vec12), np.zeros(6))
-    return manifold_jac.dexp_se3_at_zero(), num
-
-
-@_register("manifold.dlog_so3")
-def _chk_dlog_so3(rng):
-    r = lie.so3_exp(_rotvec(rng, 0.05, np.pi - 0.15))
-    num = _fd(lambda v: lie._log_quat(core._quat_from_rotation(_unvec(v, 3))),
-              r.reshape(-1, order="F"))
-    return manifold_jac.dlog_so3(r), num
-
-
-@_register("manifold.dpseudolog_se3")
-def _chk_dpseudolog(rng):
-    t = _hompose(rng)
-    return manifold_jac.dpseudolog_se3(t), _fd(lambda v: lie._pseudo_log(_unvec(v, 3)), t.vec12)
-
-
-@_register("manifold.jacob_expeD_de")
-def _chk_expeD(rng):
-    d = _hompose(rng)
-    return manifold_jac.jacob_expeD_de(d), _manifold_fd(_vec12, d.mat, "left")
-
-
-@_register("manifold.jacob_Dexpe_de")
-def _chk_Dexpe(rng):
-    d = _hompose(rng)
-    return manifold_jac.jacob_Dexpe_de(d), _manifold_fd(_vec12, d.mat, "right")
-
-
-@_register("manifold.jacob_expeDp_de")
-def _chk_expeDp(rng):
-    d, p = _hompose(rng), _translation(rng)
-    return manifold_jac.jacob_expeDp_de(d, p), _manifold_fd(lambda m: _act(m, p), d.mat, "left")
-
-
-@_register("manifold.jacob_p_ominus_expeD_de")
-def _chk_p_ominus_expeD(rng):
-    d, p = _hompose(rng), _translation(rng)
-    num = _manifold_fd(lambda m: _act_inv(m, p), d.mat, "left")
-    return manifold_jac.jacob_p_ominus_expeD_de(d, p), num
-
-
-@_register("manifold.jacob_AexpeD_de")
-def _chk_AexpeD(rng):
-    a, d = _hompose(rng), _hompose(rng)
-    num = _manifold_fd(lambda m: _vec12(a.mat @ m), d.mat, "left")
-    return manifold_jac.jacob_AexpeD_de(a, d), num
-
-
-@_register("manifold.jacob_AexpeDp_de")
-def _chk_AexpeDp(rng):
-    a, d, p = _hompose(rng), _hompose(rng), _translation(rng)
-    num = _manifold_fd(lambda m: _act(a.mat @ m, p), d.mat, "left")
-    return manifold_jac.jacob_AexpeDp_de(a, d, p), num
-
-
-@_register("manifold.jacob_p_ominus_AexpeD_de")
-def _chk_p_ominus_AexpeD(rng):
-    a, d, p = _hompose(rng), _hompose(rng), _translation(rng)
-    num = _manifold_fd(lambda m: _act_inv(a.mat @ m, p), d.mat, "left")
-    return manifold_jac.jacob_p_ominus_AexpeD_de(a, d, p), num
-
-
-def _se3_edge_setup(rng):
-    p1, p2 = _hompose(rng), _hompose(rng)
-    b = matderiv.inverse_rt(p1.mat) @ p2.mat
-    eps = np.concatenate([0.3 * rng.uniform(-1, 1, size=3), _rotvec(rng, 0.02, 0.3)])
-    d = core.HomPose(b @ lie.se3_pseudo_exp(eps).mat)
-    return d, p1, p2
-
-
-def _se2_edge_setup(rng):
-    p1, p2 = _se2_pose(rng, 1.5), _se2_pose(rng, 1.5)
-    b = matderiv.inverse_rt(p1.mat) @ p2.mat
-    eps = np.array([0.3 * rng.uniform(-1, 1), 0.3 * rng.uniform(-1, 1),
-                    rng.uniform(-0.3, 0.3)])
-    d = core.HomPose2(b @ lie.se2_pseudo_exp(eps).mat)
-    return d, p1, p2
+def _register(name, sample, analytic, numeric):
+    """sample(rng) draws a value or a tuple of values (None: nothing);
+    analytic(*values) is the Jacobian under test; numeric(*stacks) gives
+    the (N, m, k) numeric ones, stacks[j] holding _numbers of value j."""
+    _CHECKS[name] = (sample, analytic, numeric)
+
+
+def _register_pair(name, sample, fn, f, suffixes):
+    """Checks of fn(x, y) -> (value, J wrt x, J wrt y); f is its stack map."""
+    for i, suffix in enumerate(suffixes):
+        _register("%s.%s" % (name, suffix), sample, lambda *s, i=i: fn(*s)[i + 1],
+                  lambda *s, i=i: _fd(f, s, i))
 
 
 def _register_edge_checks(kind, setup, error):
-    """Register manifold.edge_error_<kind>.j1 and .j2: the Jacobians of an
-    edge error w.r.t. right increments of P1 and of P2, the measurement
-    and the other pose held."""
-    def check(rng, k):
-        d, p1, p2 = setup(rng)
-        res = error(d, p1, p2)
-        d_inv = matderiv._inverse_rt(d.mat)
-
-        def f(m):
-            return _edge_value(d_inv, *((m, p2.mat) if k == 0 else (p1.mat, m)))
-
-        return (res.jac1, res.jac2)[k], _manifold_fd(f, (p1, p2)[k].mat, "right")
-
-    for k in (0, 1):
-        _register("manifold.edge_error_%s.j%d" % (kind, k + 1))(functools.partial(check, k=k))
+    """The Jacobians of an edge error w.r.t. right increments of P1 and of
+    P2, the measurement and the other pose held."""
+    for k in (1, 2):
+        _register("manifold.edge_error_%s.j%d" % (kind, k), setup,
+                  lambda d, p1, p2, k=k: getattr(error(d, p1, p2), "jac%d" % k),
+                  lambda d, p1, p2, k=k: _manifold_fd(
+                      _edge_value, (matderiv._inverse_rt(d), p1, p2), k, "right"))
 
 
+def _register_camera_checks(fn, setup, f):
+    """Checks of fn(k, a, p) -> (pixel, J wrt a left increment of a, J wrt p)."""
+    name = "vision." + fn.__name__
+    _register(name + ".eps", setup, lambda *s: fn(*s)[1],
+              lambda *s: _manifold_fd(f, s, 1))
+    _register(name + ".point", setup, lambda *s: fn(*s)[2], lambda *s: _fd(f, s, 2))
+
+
+_register("core.quat_normalize", _raw_quat,
+          lambda v: core.quat_normalize(core.Quaternion(*v))[1], lambda v: _fd(_unit, (v,)))
+_register("core.jacobian_ypr_to_quat", _ypr_pose, core.jacobian_ypr_to_quat,
+          lambda p: _fd(_quatvec_from_ypr, (p,)))
+_register("core.jacobian_quat_to_ypr", _safe_quat_pose, core.jacobian_quat_to_ypr,
+          lambda p: _fd(_ypr_from_quatvec, (p,)))
+_register("core.jacobian_ypr_wrt_matrix", lambda rng: core.ypr_to_matrix(_ypr_pose(rng)),
+          core.jacobian_ypr_wrt_matrix, lambda m: _fd(_ypr_from_vec12, (_vec12(m),)))
+_register("core.jacobian_matrix_wrt_ypr", _ypr_pose, core.jacobian_matrix_wrt_ypr,
+          lambda p: _fd(_vec12_from_ypr, (p,)))
+_register("core.jacobian_matrix_wrt_quat", _quat_pose, core.jacobian_matrix_wrt_quat,
+          lambda p: _fd(_vec12_from_quatvec, (p,)))
+
+_register_pair("geometry.compose_point_quat", _quat_point, geometry.compose_point_quat,
+               _rotate_vec, ("pose", "point"))
+_register_pair("geometry.compose_point_ypr", _ypr_point, geometry.compose_point_ypr, _ypr_act,
+               ("pose", "point"))
+_register_pair("geometry.compose_pose_quat", lambda rng: (_quat_pose(rng), _quat_pose(rng)),
+               geometry.compose_pose_quat, _quat_compose_vec, ("j1", "j2"))
+_register_pair("geometry.compose_pose_ypr", _ypr_pair, geometry.compose_pose_ypr,
+               _ypr_compose_vec, ("j1", "j2"))
+
+# inv_compose_point_quat takes (point, pose) and gives J wrt the pose first
+_register("geometry.inv_compose_point_quat.pose", _quat_point,
+          lambda p, a: geometry.inv_compose_point_quat(a, p)[1],
+          lambda p, a: _fd(_inv_rotate_vec, (p, a)))
+_register("geometry.inv_compose_point_quat.point", _quat_point,
+          lambda p, a: geometry.inv_compose_point_quat(a, p)[2],
+          lambda p, a: _fd(_inv_rotate_vec, (p, a), 1))
+_register("geometry.inverse_pose_quat", _quat_pose, lambda p: geometry.inverse_pose_quat(p)[1],
+          lambda p: _fd(_inverse_quatvec, (p,)))
+
+_register("matderiv.d_compose_wrt_A", _hompose_pair,
+          lambda a, b: matderiv.d_compose_wrt_A(b.mat),
+          lambda a, b: _fd(lambda v, b: _vec12(_pose(v) @ b), (_vec12(a), b)))
+_register("matderiv.d_compose_wrt_B", _hompose_pair,
+          lambda a, b: matderiv.d_compose_wrt_B(a.mat),
+          lambda a, b: _fd(lambda a, v: _vec12(a @ _pose(v)), (a, _vec12(b)), 1))
+_register("matderiv.d_apply_wrt_point", _hompose_point,
+          lambda a, p: matderiv.d_apply_wrt_point(a.mat), lambda a, p: _fd(_act, (a, p), 1))
+_register("matderiv.d_apply_wrt_pose", _hompose_point,
+          lambda a, p: matderiv.d_apply_wrt_pose(p),
+          lambda a, p: _fd(lambda v, p: _act(_pose(v), p), (_vec12(a), p)))
+_register("matderiv.d_inverse_wrt_pose", _hompose,
+          lambda a: matderiv.d_inverse_wrt_pose(a.mat),
+          lambda a: _fd(lambda v: _vec12(matderiv._inverse_rt(_pose(v))), (_vec12(a),)))
+_register("matderiv.d_invapply_wrt_point", _hompose_point,
+          lambda a, p: matderiv.d_invapply_wrt_point(a.mat),
+          lambda a, p: _fd(_act, (matderiv._inverse_rt(a), p), 1))
+_register("matderiv.d_invapply_wrt_pose", _hompose_point,
+          lambda a, p: matderiv.d_invapply_wrt_pose(a.mat, p),
+          lambda a, p: _fd(lambda v, p: _act(matderiv._inverse_rt(_pose(v)), p), (_vec12(a), p)))
+
+_register("manifold.dexp_so3_at_zero", None, manifold_jac.dexp_so3_at_zero,
+          lambda: _fd(lambda w: _vec(lie._pseudo_exp(
+              np.concatenate([np.zeros_like(w), w], axis=1))[:, :3, :3]), (np.zeros((1, 3)),)))
+_register("manifold.dexp_so3_quat", _rotvec, manifold_jac.dexp_so3_quat,
+          lambda w: _fd(_so3_exp_quat, (w,)))
+# no stack form of se3_exp: the library map, one perturbed input at a time
+_register("manifold.dexp_se3_at_zero", None, manifold_jac.dexp_se3_at_zero,
+          lambda: _fd(_rows(lambda v: lie.se3_exp(v).vec12), (np.zeros((1, 6)),)))
+_register("manifold.dlog_so3", lambda rng: lie._so3_exp(_rotvec(rng, 0.05, np.pi - 0.15)),
+          manifold_jac.dlog_so3,
+          lambda r: _fd(lambda v: lie._log_quat(core._quat_from_rotation(_unvec(v, 3))), (_vec(r),)))
+_register("manifold.dpseudolog_se3", _hompose, manifold_jac.dpseudolog_se3,
+          lambda t: _fd(lambda v: lie._pseudo_log(_unvec(v, 3)), (_vec12(t),)))
+_register("manifold.jacob_expeD_de", _hompose, manifold_jac.jacob_expeD_de,
+          lambda d: _manifold_fd(_vec12, (d,), 0))
+_register("manifold.jacob_Dexpe_de", _hompose, manifold_jac.jacob_Dexpe_de,
+          lambda d: _manifold_fd(_vec12, (d,), 0, "right"))
+_register("manifold.jacob_expeDp_de", _hompose_point, manifold_jac.jacob_expeDp_de,
+          lambda d, p: _manifold_fd(_act, (d, p), 0))
+_register("manifold.jacob_p_ominus_expeD_de", _hompose_point, manifold_jac.jacob_p_ominus_expeD_de,
+          lambda d, p: _manifold_fd(_act_inv, (d, p), 0))
+_register("manifold.jacob_AexpeD_de", _hompose_pair, manifold_jac.jacob_AexpeD_de,
+          lambda a, d: _manifold_fd(lambda a, m: _vec12(a @ m), (a, d), 1))
+_register("manifold.jacob_AexpeDp_de", _two_poses_point, manifold_jac.jacob_AexpeDp_de,
+          lambda a, d, p: _manifold_fd(lambda a, m, p: _act(a @ m, p), (a, d, p), 1))
+_register("manifold.jacob_p_ominus_AexpeD_de", _two_poses_point,
+          manifold_jac.jacob_p_ominus_AexpeD_de,
+          lambda a, d, p: _manifold_fd(lambda a, m, p: _act_inv(a @ m, p), (a, d, p), 1))
 _register_edge_checks("se3", _se3_edge_setup, manifold_jac.edge_error_se3)
 _register_edge_checks("se2", _se2_edge_setup, manifold_jac.edge_error_se2)
 
+_register("manifold.jacob_Dexpe_de_se2", _se2_pose, manifold_jac.jacob_Dexpe_de_se2,
+          lambda d: _manifold_fd(lie._pseudo_log, (d,), 0, "right"))
+_register("manifold.d_compose_se2_wrt_A", lambda rng: (_se2_pose(rng, 1.5), _se2_pose(rng, 1.5)),
+          manifold_jac.d_compose_se2_wrt_A,
+          lambda a, b: _fd(lambda v, b: lie._pseudo_log(lie._pseudo_exp(v) @ b),
+                           (lie._pseudo_log(a), b)))
+_register("manifold.d_compose_se2_wrt_B", lambda rng: (_se2_pose(rng, 1.5), _se2_pose(rng, 1.5)),
+          lambda a, b: manifold_jac.d_compose_se2_wrt_B(a),
+          lambda a, b: _fd(lambda a, v: lie._pseudo_log(a @ lie._pseudo_exp(v)),
+                           (a, lie._pseudo_log(b)), 1))
 
-@_register("manifold.jacob_Dexpe_de_se2")
-def _chk_Dexpe_se2(rng):
-    d = _se2_pose(rng)
-    return manifold_jac.jacob_Dexpe_de_se2(d), _manifold_fd(lie._pseudo_log, d.mat, "right")
-
-
-@_register("manifold.d_compose_se2_wrt_A")
-def _chk_compose_se2_a(rng):
-    a, b = _se2_pose(rng, 1.5), _se2_pose(rng, 1.5)
-    num = _fd(lambda v: lie._pseudo_log(lie._pseudo_exp(v) @ b.mat),
-              np.array([a.mat[0, 2], a.mat[1, 2], a.angle]))
-    return manifold_jac.d_compose_se2_wrt_A(a, b), num
-
-
-@_register("manifold.d_compose_se2_wrt_B")
-def _chk_compose_se2_b(rng):
-    a, b = _se2_pose(rng, 1.5), _se2_pose(rng, 1.5)
-    num = _fd(lambda v: lie._pseudo_log(a.mat @ lie._pseudo_exp(v)),
-              np.array([b.mat[0, 2], b.mat[1, 2], b.angle]))
-    return manifold_jac.d_compose_se2_wrt_B(a), num
-
-
-@_register("vision.dproject_dp")
-def _chk_dproject(rng):
-    k, p = _intrinsics(rng), _front_point(rng)
-    return vision.dproject_dp(k, p), _fd(lambda x: _project(k, x), p)
-
-
-def _camera_setup(rng):
-    k, a = _intrinsics(rng), _hompose(rng)
-    g = _front_point(rng)
-    p = a.mat[:3, :3].T @ (g - a.mat[:3, 3])  # pulls A*p back onto g
-    return k, a, p
-
-
-@_register("vision.project_pose_point.eps")
-def _chk_ppp_eps(rng):
-    k, a, p = _camera_setup(rng)
-    _, j_eps, _ = vision.project_pose_point(k, a, p)
-    return j_eps, _manifold_fd(lambda m: _project(k, _act(m, p)), a.mat, "left")
-
-
-@_register("vision.project_pose_point.point")
-def _chk_ppp_point(rng):
-    k, a, p = _camera_setup(rng)
-    _, _, j_p = vision.project_pose_point(k, a, p)
-    return j_p, _fd(lambda x: _project(k, _act(a.mat, x)), p)
-
-
-def _inv_camera_setup(rng):
-    k, a = _intrinsics(rng), _hompose(rng)
-    local = _front_point(rng)
-    p = a.mat[:3, :3] @ local + a.mat[:3, 3]  # pulls A^{-1}*p back onto local
-    return k, a, p
-
-
-@_register("vision.project_inv_pose_point.eps")
-def _chk_pip_eps(rng):
-    k, a, p = _inv_camera_setup(rng)
-    _, j_eps, _ = vision.project_inv_pose_point(k, a, p)
-    return j_eps, _manifold_fd(lambda m: _project(k, _act_inv(m, p)), a.mat, "left")
-
-
-@_register("vision.project_inv_pose_point.point")
-def _chk_pip_point(rng):
-    k, a, p = _inv_camera_setup(rng)
-    _, _, j_p = vision.project_inv_pose_point(k, a, p)
-    return j_p, _fd(lambda x: _project(k, _act_inv(a.mat, x)), p)
+_register("vision.dproject_dp", lambda rng: (_intrinsics(rng), _front_point(rng)),
+          vision.dproject_dp, lambda k, p: _fd(_project, (k, p), 1))
+_register_camera_checks(vision.project_pose_point, _camera_setup, _project_act)
+_register_camera_checks(vision.project_inv_pose_point, _inv_camera_setup, _project_act_inv)
 
 
 def _check_op(name, seed, n, tol):
-    """Run the check registered as name on n samples; one JacobianReport."""
-    fn = _CHECKS[name]
+    """Run the check registered as name on n samples; one JacobianReport.
+
+    The worst entry is the first non-finite difference, else the first
+    largest.
+    """
+    sample, analytic, numeric = _CHECKS[name]
     rng = np.random.default_rng([seed, crc32(name.encode("ascii"))])
-    worst = -1.0
-    record = None
-    for i in range(n):
-        analytic, numeric = fn(rng)
-        diff = np.abs(np.asarray(analytic) - np.asarray(numeric))
-        flat = int(np.argmax(diff))
-        err = float(diff.reshape(-1)[flat])
-        if err > worst:
-            worst = err
-            row, col = np.unravel_index(flat, diff.shape)
-            record = (int(row), int(col), i,
-                      np.asarray(analytic), np.asarray(numeric))
-    return JacobianReport(
-        op=name, max_abs_error=worst, worst_row=record[0],
-        worst_col=record[1], worst_sample=record[2], analytic=record[3],
-        numeric=record[4], passed=bool(worst <= tol))
+    drawn = [sample(rng) for _ in range(n)] if sample else [()]
+    drawn = [s if isinstance(s, tuple) else (s,) for s in drawn]
+    stacks = [np.array([_numbers(v) for v in col]) for col in zip(*drawn)]
+    for v, stack in zip(drawn[0], stacks):
+        if isinstance(v, (core.HomPose, core.HomPose2)):
+            fault = core._first_failure(core._rigid_checks(stack))
+            if fault:
+                raise GeometryError("%s: sample %d: %s" % (name, *fault))
+    a = np.array([analytic(*s) for s in drawn])
+    num = numeric(*stacks)
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(a - num)
+    bad = ~np.isfinite(diff)
+    i, row, col = np.unravel_index(int(np.argmax(bad if bad.any() else diff)), diff.shape)
+    err = float(diff[i, row, col])
+    return JacobianReport(op=name, max_abs_error=err, worst_row=int(row), worst_col=int(col),
+                          worst_sample=int(i), analytic=a[i], numeric=num[i],
+                          passed=bool(err <= tol))
 
 
 def check_catalog(seed=1, n=100, tol=1e-5):
@@ -812,14 +698,23 @@ def check_catalog(seed=1, n=100, tol=1e-5):
         CRC-32 of its name, so results do not depend on registration
         order and are bit-identical across runs.
     n : int
-        Samples per check.
+        Samples per check, at least 1.
     tol : float
         Maximum absolute deviation accepted between analytic and numeric
-        entries.
+        entries: finite and >= 0.
 
     Returns
     -------
     list of JacobianReport
         Sorted by operation name.
+
+    Raises
+    ------
+    GeometryError
+        If n is not an integer >= 1 or tol not a finite number >= 0.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise GeometryError("check_catalog: n must be an integer >= 1")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
+        raise GeometryError("check_catalog: tol must be a finite number >= 0")
     return [_check_op(name, seed, n, tol) for name in sorted(_CHECKS)]

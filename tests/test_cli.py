@@ -362,6 +362,41 @@ def test_jacobian_check_absurd_tolerance_fails(runner):
     assert "FAIL" in res.output
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--samples", "0"], "error: --samples must be an integer >= 1"),
+    (["--samples", "-3"], "error: --samples must be an integer >= 1"),
+    (["--tol", "nan"], "error: --tol must be a finite number >= 0"),
+    (["--tol", "-1"], "error: --tol must be a finite number >= 0"),
+    (["--tol", "inf"], "error: --tol must be a finite number >= 0"),
+])
+def test_jacobian_check_rejects_impossible_arguments(args, message, monkeypatch):
+    # rejected before any check runs: no pool is started
+    monkeypatch.setattr(cli, "_pooled_catalog", None)
+    res = CliRunner().invoke(main, ["jacobian-check", *args])
+    assert res.exit_code == 1
+    assert res.output.strip() == message
+
+
+def test_jacobian_check_json_stays_strict_on_a_nan(monkeypatch):
+    # a NaN Jacobian fails its check, and the report has no NaN token
+    from rigidkit import numcheck
+    name = "core.jacobian_matrix_wrt_quat"
+    sample, analytic, numeric = numcheck._CHECKS[name]
+    monkeypatch.setitem(numcheck._CHECKS, name,
+                        (sample, lambda p: analytic(p) * np.nan, numeric))
+    monkeypatch.setattr(cli, "_pooled_catalog", lambda seed, n, tol: check_catalog(seed, n, tol))
+    res = CliRunner().invoke(main, ["jacobian-check", "--samples", "3", "--json"])
+    assert res.exit_code == 3
+
+    def no_constant(token):
+        raise ValueError("not strict JSON: " + token)
+
+    reports = {r["op"]: r for r in json.loads(res.output, parse_constant=no_constant)}
+    assert reports.pop(name) == {"op": name, "maxAbsError": None, "worstRow": 0, "worstCol": 0,
+                                 "worstSample": 0, "pass": False}
+    assert len(reports) == 47 and all(r["pass"] for r in reports.values())
+
+
 @pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("seed", [1, 7])
 def test_pooled_catalog_equals_check_catalog(seed, cpus, monkeypatch):

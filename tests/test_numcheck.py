@@ -1,4 +1,5 @@
 """Finite-difference engine and the analytic-derivative catalog runner."""
+import json
 from zlib import crc32
 
 import numpy as np
@@ -11,6 +12,7 @@ from rigidkit import (apply_vec12, check_catalog, jacob_Dexpe_de, jacob_expeD_de
                       se3_pseudo_exp, so3_exp_quat, vec12_to_pose, ypr_to_matrix)
 from rigidkit import numcheck
 from rigidkit.core import _angles_from_rotation
+from rigidkit.errors import GeometryError
 
 
 def test_numeric_jacobian_polynomial():
@@ -145,23 +147,98 @@ def test_cached_perturbations_are_read_only():
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_batching_changes_no_bit(seed, monkeypatch):
-    # the kernel calls each stack map once on all 2n perturbed inputs; one
-    # call per input must give every report bit for bit
+    # the kernel calls each stack map once on the 2n perturbed inputs of all
+    # samples of a check; one sample at a time and one input at a time must
+    # give every report bit for bit
     batched = check_catalog(seed=seed, n=10)
     central = numcheck._central
 
-    def one_row_at_a_time(f, x, h):
-        return central(lambda xs: np.concatenate([f(xs[i:i + 1]) for i in range(len(xs))]),
-                       x, h)
+    def one_at_a_time(f, args, i, x, h):
+        def rowwise(*rows):
+            return np.concatenate([f(*(a[r:r + 1] for a in rows)) for r in range(len(rows[0]))])
 
-    monkeypatch.setattr(numcheck, "_central", one_row_at_a_time)
-    rowwise = check_catalog(seed=seed, n=10)
-    assert len(batched) == len(rowwise) == 48
-    for a, b in zip(batched, rowwise):
-        assert (a.op, a.max_abs_error, a.worst_row, a.worst_col, a.worst_sample) == \
-            (b.op, b.max_abs_error, b.worst_row, b.worst_col, b.worst_sample)
+        return np.concatenate([central(rowwise, [a[s:s + 1] for a in args], i, x[s:s + 1], h)
+                               for s in range(len(x))])
+
+    monkeypatch.setattr(numcheck, "_central", one_at_a_time)
+    reference = check_catalog(seed=seed, n=10)
+    assert len(batched) == len(reference) == 48
+    for a, b in zip(batched, reference):
+        assert (a.op, a.max_abs_error, a.worst_row, a.worst_col, a.worst_sample, a.passed) == \
+            (b.op, b.max_abs_error, b.worst_row, b.worst_col, b.worst_sample, b.passed)
         assert a.analytic.tobytes() == b.analytic.tobytes()
         assert a.numeric.tobytes() == b.numeric.tobytes()
+
+
+def _poison(monkeypatch, name, values):
+    """Make the check name's analytic Jacobian hold values[s] at (1, 2) in
+    each sample s of values (0-based, in the order they are drawn)."""
+    sample, analytic, numeric = numcheck._CHECKS[name]
+    calls = iter(range(1000))
+
+    def poisoned(*s):
+        j = np.array(analytic(*s), dtype=float)
+        j[1, 2] = values.get(next(calls), j[1, 2])
+        return j
+
+    monkeypatch.setitem(numcheck._CHECKS, name, (sample, poisoned, numeric))
+
+
+@pytest.mark.parametrize("first, later", [(np.nan, np.nan), (np.inf, np.nan), (-np.inf, 1e300)])
+def test_non_finite_difference_fails_at_its_first_sample(first, later, monkeypatch):
+    # the first sample with a non-finite difference is the worst: neither
+    # np.argmax's preference for NaN over inf nor a huge finite entry in a
+    # later sample may move the report
+    _poison(monkeypatch, "core.jacobian_matrix_wrt_quat", {3: first, 7: later})
+    r = numcheck._check_op("core.jacobian_matrix_wrt_quat", 1, 10, 1e-5)
+    assert not r.passed
+    assert (r.worst_sample, r.worst_row, r.worst_col) == (3, 1, 2)
+    assert not np.isfinite(r.max_abs_error)
+    assert np.array_equal(r.analytic[1, 2], first, equal_nan=True)
+    assert r.to_json_dict()["maxAbsError"] is None
+    json.dumps(r.to_json_dict(), allow_nan=False)
+
+
+def test_non_finite_difference_in_every_sample(monkeypatch):
+    _poison(monkeypatch, "core.jacobian_matrix_wrt_quat", dict.fromkeys(range(10), np.nan))
+    reports = {r.op: r for r in check_catalog(seed=1, n=10)}
+    r = reports.pop("core.jacobian_matrix_wrt_quat")
+    assert not r.passed and np.isnan(r.max_abs_error)
+    assert (r.worst_sample, r.worst_row, r.worst_col) == (0, 1, 2)
+    assert all(r.passed for r in reports.values())
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, "5", None, True, np.float64(4.0)])
+def test_catalog_rejects_bad_sample_counts(n):
+    with pytest.raises(GeometryError, match="check_catalog: n must be an integer >= 1"):
+        check_catalog(seed=1, n=n)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-300, np.inf, "1e-5", None, True])
+def test_catalog_rejects_bad_tolerances(tol):
+    with pytest.raises(GeometryError, match="check_catalog: tol must be a finite number >= 0"):
+        check_catalog(seed=1, n=1, tol=tol)
+
+
+def test_catalog_takes_integral_counts_and_a_zero_tolerance():
+    a = check_catalog(seed=1, n=np.int64(2), tol=np.float64(1e-5))
+    b = check_catalog(seed=1, n=2, tol=1e-5)
+    assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+    assert all(r.passed == (r.max_abs_error == 0.0) for r in check_catalog(seed=1, n=1, tol=0))
+
+
+def test_sampled_poses_are_validated_once_per_check(monkeypatch):
+    sample, analytic, numeric = numcheck._CHECKS["manifold.jacob_expeD_de"]
+    calls = iter(range(1000))
+
+    def skewed(rng):
+        d = sample(rng)
+        return numcheck._rigid(d.mat * 1.01) if next(calls) == 4 else d
+
+    monkeypatch.setitem(numcheck._CHECKS, "manifold.jacob_expeD_de", (skewed, analytic, numeric))
+    with pytest.raises(GeometryError, match="manifold.jacob_expeD_de: sample 4: HomPose: "
+                                            "bottom row must be"):
+        numcheck._check_op("manifold.jacob_expeD_de", 1, 10, 1e-5)
 
 
 def test_public_adapters_call_f_on_one_point():
@@ -188,6 +265,7 @@ def _stand_ins(rng):
     """name: (stack map, the library function it stands for, its inputs), for
     the formulas the catalog writes out in place of a library call."""
     k, a, p = numcheck._intrinsics(rng), numcheck._hompose(rng), numcheck._translation(rng)
+    kv = np.array(numcheck._numbers(k))
     r, t = a.mat[:3, :3], a.mat[:3, 3]
     n = 200
     front = [numcheck._front_point(rng) for _ in range(n)]
@@ -198,12 +276,12 @@ def _stand_ins(rng):
                       + 1e-6 * rng.normal(size=(3, 3)) for _ in range(n)]
     return {
         "so3_exp_quat": (numcheck._so3_exp_quat, lambda w: so3_exp_quat(w).vec, rotvecs),
-        "project": (lambda x: numcheck._project(k, x), lambda x: project(k, x), front),
+        "project": (lambda x: numcheck._project(kv, x), lambda x: project(k, x), front),
         "angles": (numcheck._ypr, _angles_from_rotation, near_rotations),
-        "project_pose_point": (lambda x: numcheck._project(k, numcheck._act(a.mat, x)),
+        "project_pose_point": (lambda x: numcheck._project(kv, numcheck._act(a.mat, x)),
                                lambda x: project_pose_point(k, a, x)[0],
                                [r.T @ (g - t) for g in front]),
-        "project_inv_pose_point": (lambda x: numcheck._project(k, numcheck._act_inv(a.mat, x)),
+        "project_inv_pose_point": (lambda x: numcheck._project(kv, numcheck._act_inv(a.mat, x)),
                                    lambda x: project_inv_pose_point(k, a, x)[0],
                                    [r @ g + t for g in front]),
         "apply_vec12.pose": (lambda m: numcheck._act(m, p),
