@@ -12,9 +12,10 @@ dimension matches the parameterization (6, 7 or 12).
 
 Every number must be finite; JSON's NaN and Infinity are malformed input.
 
-Exit codes: 1 for malformed input, 2 for domain errors (gimbal lock, a
-``logmap`` rotation too close to pi, points behind the camera, unsolvable
-graphs), 3 for a failed jacobian-check run.
+Exit codes: 1 for malformed input or command line (one ``error: ...``
+line on stderr), 2 for domain errors (gimbal lock, a ``logmap`` rotation
+too close to pi, points behind the camera, unsolvable graphs), 3 for a
+failed jacobian-check run.
 """
 
 import functools
@@ -40,7 +41,7 @@ from .geometry import (GaussianPoint3, compose_point_matrix, compose_point_quat,
 from .graphslam import SolverConfig, optimize
 from .lie import (se2_exp, se2_log, se2_pseudo_exp, se2_pseudo_log, se3_exp,
                   se3_log, se3_pseudo_exp, se3_pseudo_log)
-from .numcheck import _CHECKS, _check_op
+from .numcheck import _CHECKS, _by_op, _check_unit
 from .vision import (CameraIntrinsics, project, project_inv_pose_point,
                      project_pose_point)
 
@@ -164,7 +165,34 @@ _CONVERT = {
 }
 
 
-@click.group()
+# click >= 8.2 raises it for a bare `rigidkit`, showing the help; older
+# versions show it and exit 0
+_NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+class _Main(click.Group):
+    """click's group, but a command-line error (an option value it cannot
+    convert, a missing file, an unknown option) prints one ``error: ...``
+    line on stderr and exits 1, like other malformed input."""
+
+    def main(self, *args, standalone_mode=True, **kwargs):
+        if not standalone_mode:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        try:
+            code = super().main(*args, standalone_mode=False, **kwargs)
+        except _NO_ARGS_IS_HELP as exc:  # no command given: click's own help and code
+            exc.show()
+            sys.exit(exc.exit_code)
+        except click.ClickException as exc:
+            click.echo("error: %s" % " ".join(exc.format_message().split()), err=True)
+            sys.exit(1)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+        sys.exit(code if isinstance(code, int) else 0)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="rigidkit")
 def main():
     """Rigid-body pose toolkit: conversions, uncertainty, maps, SLAM."""
@@ -394,9 +422,9 @@ def _usable_cpus():
 
 
 def _pooled_catalog(seed, n, tol):
-    """numcheck.check_catalog's reports, the checks spread over a process pool.
+    """numcheck.check_catalog's reports, its units spread over a process pool.
 
-    One worker per CPU this process may use, at most one per check.  The
+    One worker per CPU this process may use, at most one per unit.  The
     pool lives in the command, whose module is guarded by its ``__main__``
     test, and not in the library: a library call that starts processes
     breaks scripts without that guard under the spawn and forkserver start
@@ -405,9 +433,9 @@ def _pooled_catalog(seed, n, tol):
     # imported here, so the other commands do not load it
     from concurrent.futures import ProcessPoolExecutor
 
-    names = sorted(_CHECKS)
-    with ProcessPoolExecutor(max_workers=min(_usable_cpus(), len(names))) as pool:
-        return list(pool.map(functools.partial(_check_op, seed=seed, n=n, tol=tol), names))
+    units = sorted(_CHECKS)
+    with ProcessPoolExecutor(max_workers=min(_usable_cpus(), len(units))) as pool:
+        return _by_op(pool.map(functools.partial(_check_unit, seed=seed, n=n, tol=tol), units))
 
 
 @main.command("jacobian-check")

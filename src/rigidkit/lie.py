@@ -20,17 +20,20 @@ exponentials take one vector; ``_pseudo_exp`` is their stack form, the
 solver's retraction, and they are its oracle.
 
 The public functions check that each array argument is numeric, finite
-and of an allowed shape (``matderiv._checked``), but never that a matrix
-is orthonormal: the finite-difference machinery perturbs raw matrix
-entries and needs these formulas to extend smoothly off the manifold.
-The stack forms ``_pseudo_log`` and ``_pseudo_exp`` check nothing.
+and of an allowed shape (``matderiv._checked``).  The logarithms also
+test each matrix for rigidity with the pose constructors' tests and
+tolerances (``core._rigid_checks``): a matrix off the group has no
+logarithm.  The stack forms ``_pseudo_log`` and ``_pseudo_exp`` check
+nothing: the finite-difference machinery perturbs raw matrix entries
+through them, off the manifold, and the solver's matrices are rigid by
+construction.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HomPose, HomPose2, Quaternion, _quat_from_rotation
+from .core import HomPose, HomPose2, Quaternion, _first_failure, _quat_from_rotation, _rigid_checks
 from .errors import GeometryError, NearPiRotationError
 from .matderiv import _POSE, _checked, _hat3, _typed
 
@@ -207,12 +210,18 @@ def so3_log(r):
 
     r is (3, 3) or a stack (..., 3, 3); the result is (3,) or (..., 3).
     The log of the largest-pivot quaternion of r, which is accurate at
-    every angle; off the rotation manifold the same formulas apply
-    entrywise.  At exactly pi both signs describe the same rotation: the
+    every angle.  At exactly pi both signs describe the same rotation: the
     sign follows the skew part of r while it is nonzero, and otherwise
     makes the component of the largest diagonal entry positive.
+
+    Raises
+    ------
+    GeometryError
+        If a matrix of r is not a rotation by HomPose's tests (Frobenius
+        defect of R^T R - I below 1e-9, determinant within 1e-9 of +1).
     """
-    return _log_quat(_quat_from_rotation(_checked(r, "so3_log: r", (..., 3, 3))))
+    return _log_quat(_quat_from_rotation(_rigid(_checked(r, "so3_log: r", (..., 3, 3)),
+                                                "so3_log: r", 3)))
 
 
 def so3_log_quat(q):
@@ -253,8 +262,10 @@ def se3_log(m):
         If the rotation angle exceeds pi - 1e-6, where the coupled
         translation recovery is unreliable; se3_pseudo_log stays usable
         there.
+    GeometryError
+        If m is not rigid by HomPose's tests.
     """
-    m = _checked(m, "se3_log: m", *_POSE)
+    m = _rigid(_checked(m, "se3_log: m", *_POSE), "se3_log: m", 3)
     w = _log_quat(_quat_from_rotation(m[:3, :3]))
     theta = np.linalg.norm(w)
     if theta > _PI_EDGE:
@@ -278,9 +289,11 @@ def se3_pseudo_log(m):
     """Inverse of :func:`se3_pseudo_exp`: (t, so3_log(R)).
 
     m is (4, 4) (or its top 3x4 block) or a stack (..., 4, 4); the
-    result is (6,) or (..., 6).
+    result is (6,) or (..., 6).  Raises GeometryError if a matrix of m is
+    not rigid by HomPose's tests.
     """
-    return _pseudo_log(_checked(m, "se3_pseudo_log: m", (..., 4, 4), (..., 3, 4)))
+    m = _checked(m, "se3_pseudo_log: m", (..., 4, 4), (..., 3, 4))
+    return _pseudo_log(_rigid(m, "se3_pseudo_log: m", 3))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +313,11 @@ def se2_exp(v):
 
 
 def se2_log(m):
-    """(dx, dy, dtheta) logarithm of a planar rigid transformation."""
-    x, y, phi = _pseudo_log(_checked(m, "se2_log: m", (3, 3)))
+    """(dx, dy, dtheta) logarithm of a planar rigid transformation.
+
+    Raises GeometryError if m is not rigid by HomPose2's tests.
+    """
+    x, y, phi = _pseudo_log(_rigid(_checked(m, "se2_log: m", (3, 3)), "se2_log: m", 2))
     a = _half_cot_half(phi)
     h = 0.5 * phi
     return np.array([a * x + h * y, -h * x + a * y, phi])
@@ -321,8 +337,39 @@ def se2_pseudo_log(m):
     """Inverse of :func:`se2_pseudo_exp`: (x, y, atan2-wrapped angle).
 
     m is (3, 3) or a stack (..., 3, 3); the result is (3,) or (..., 3).
+    Raises GeometryError if a matrix of m is not rigid by HomPose2's tests.
     """
-    return _pseudo_log(_checked(m, "se2_pseudo_log: m", (..., 3, 3)))
+    m = _checked(m, "se2_pseudo_log: m", (..., 3, 3))
+    return _pseudo_log(_rigid(m, "se2_pseudo_log: m", 2))
+
+
+# ---------------------------------------------------------------------------
+# the logarithms' rigidity test
+
+def _rigid(m, name, k):
+    """m, once each of its matrices passes the rigidity tests of HomPose
+    (k = 3) or HomPose2 (k = 2), with their tolerances.
+
+    m is (..., k, k), a rotation; (..., k, k + 1), the top block of a pose;
+    or (..., k + 1, k + 1), a pose.  A missing bottom row counts as
+    (0, ..., 0, 1).
+
+    Raises
+    ------
+    GeometryError
+        "<name>: <test's message>", with the stack index after name when
+        m is a stack.
+    """
+    h = np.zeros(m.shape[:-2] + (k + 1, k + 1))
+    h[..., k, k] = 1.0
+    h[..., :m.shape[-2], :m.shape[-1]] = m
+    fault = _first_failure(_rigid_checks(h.reshape(-1, k + 1, k + 1), name))
+    if fault:
+        row, msg = fault
+        at = "" if m.ndim == 2 else "[%s]" % ", ".join(
+            str(int(i)) for i in np.unravel_index(row, m.shape[:-2]))
+        raise GeometryError(name + at + msg[len(name):])
+    return m
 
 
 # ---------------------------------------------------------------------------

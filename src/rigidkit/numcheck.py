@@ -23,20 +23,36 @@ kernel with an adapter that calls a single-point map once per input; the
 check of the SE(3) exponential at zero uses that adapter too, as the
 library has no stack form of :func:`~rigidkit.lie.se3_exp`.
 
-:func:`check_catalog` draws all n samples of a check, validates their
-pose matrices at once (the samplers skip the constructors' checks), then
-calls the public function once per sample and the target map once; the
-two checks that draw nothing run once.  The same seed yields
-bit-identical reports, independent of the order in which checks were
-registered and of the process that runs each check, because every check
-gets its own generator seeded from (seed, crc32 of the check name).
-Domain-restricted samplers keep each draw far from singular
+:func:`check_catalog` runs the catalog as units, one per public function
+at n configurations: a function with two Jacobians under test (the
+compositions of ``geometry``, the edge errors, the camera projections) is
+one unit that reports both, so 48 checks run as 39 units.  A unit draws
+its n configurations, validates them, calls the public function once per
+configuration and takes the finite differences of each Jacobian with one
+call of its target map; the two units that draw nothing run once.  The
+same seed yields bit-identical reports, independent of the order in which
+units were registered and of the process that runs each, because every
+unit gets its own generator seeded from (seed, crc32 of the name of its
+first check).
+
+The samplers make each configuration's generator calls in the order of a
+one-draw-at-a-time sampler, then build every stack in one pass: the norms,
+rotations, quaternions and homogeneous matrices are computed on the
+(n, ...) arrays with the bits of the scalar formula on each row.  Each
+stack is validated once with the constructors' tests and gets the fields
+they store (``core._rigid_checks``, ``core._quat_pose_rows``,
+``core._euler_rows``, ``vision._intrinsics_checks``); the public call
+gets objects wrapped from validated rows, without the constructors'
+checks.  Domain-restricted samplers keep each draw far from singular
 configurations, where a finite difference would measure the singularity
-instead of the formula.
+instead of the formula; the two rejection samplers test every draw and
+keep the first n that pass.
 """
 
 import functools
+import itertools
 import numbers
+import operator
 from dataclasses import dataclass
 from zlib import crc32
 
@@ -188,162 +204,6 @@ class JacobianReport:
             "worstSample": self.worst_sample,
             "pass": self.passed,
         }
-
-
-# ---------------------------------------------------------------------------
-# samplers
-
-def _direction(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
-def _rotvec(rng, lo=0.05, hi=2.8):
-    return _direction(rng) * rng.uniform(lo, hi)
-
-
-def _translation(rng):
-    return rng.uniform(-2.0, 2.0, size=3)
-
-
-def _rt(r, t):
-    """The homogeneous matrix [r t; 0 1] of a k x k block r and a k-vector t."""
-    m = np.eye(len(t) + 1)
-    m[:-1, :-1], m[:-1, -1] = r, t
-    return m
-
-
-def _rot2(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return [[c, -s], [s, c]]
-
-
-def _rigid(m):
-    """m as a read-only HomPose or HomPose2 without the constructor's
-    checks: :func:`_check_op` validates a check's sampled matrices at once."""
-    m.setflags(write=False)
-    return (core.HomPose if len(m) == 4 else core.HomPose2)._trusted(m)
-
-
-def _hompose(rng, hi=2.8):
-    return _rigid(_rt(lie._so3_exp(_rotvec(rng, 0.05, hi)), _translation(rng)))
-
-
-def _quat_pose(rng):
-    t = _translation(rng)
-    q = lie.so3_exp_quat(_rotvec(rng))
-    return core.QuatPose(t[0], t[1], t[2], q)
-
-
-def _safe_quat_pose(rng):
-    """Quaternion pose away from the gimbal band and the yaw/roll cuts."""
-    while True:
-        p = _quat_pose(rng)
-        e = core.quat_to_ypr(p)
-        if (abs(e.pitch) <= 1.2 and abs(e.yaw) <= 3.05
-                and abs(e.roll) <= 3.05):
-            return p
-
-
-def _ypr_pose(rng):
-    t = _translation(rng)
-    deg85 = np.deg2rad(85.0)
-    return core.EulerPose(t[0], t[1], t[2],
-                          rng.uniform(-3.1, 3.1),
-                          rng.uniform(-deg85, deg85),
-                          rng.uniform(-3.1, 3.1))
-
-
-def _se2_pose(rng, max_angle=3.0):
-    t = rng.uniform(-2.0, 2.0, size=2)
-    return _rigid(_rt(_rot2(rng.uniform(-max_angle, max_angle)), t))
-
-
-def _intrinsics(rng):
-    return vision.CameraIntrinsics(rng.uniform(100.0, 600.0),
-                                   rng.uniform(100.0, 600.0),
-                                   rng.uniform(200.0, 400.0),
-                                   rng.uniform(100.0, 300.0))
-
-
-def _front_point(rng):
-    return np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
-                     rng.uniform(0.5, 3.0)])
-
-
-def _raw_quat(rng):
-    v = rng.normal(size=4)
-    v[0] = abs(v[0]) + 0.2
-    v *= rng.uniform(0.5, 2.0) / np.linalg.norm(v)
-    return v
-
-
-def _quat_point(rng):
-    return _quat_pose(rng), _translation(rng)
-
-
-def _ypr_point(rng):
-    return _ypr_pose(rng), _translation(rng)
-
-
-def _hompose_point(rng):
-    return _hompose(rng), _translation(rng)
-
-
-def _hompose_pair(rng):
-    return _hompose(rng), _hompose(rng)
-
-
-def _two_poses_point(rng):
-    return _hompose(rng), _hompose(rng), _translation(rng)
-
-
-def _ypr_pair(rng):
-    while True:
-        p1, p2 = _ypr_pose(rng), _ypr_pose(rng)
-        r = (core._rotation_from_angles(p1.yaw, p1.pitch, p1.roll)
-             @ core._rotation_from_angles(p2.yaw, p2.pitch, p2.roll))
-        yaw, pitch, roll = core._angles_from_rotation(r)
-        if abs(pitch) <= 1.2 and abs(yaw) <= 3.05 and abs(roll) <= 3.05:
-            return p1, p2
-
-
-def _se3_edge_setup(rng):
-    p1, p2 = _hompose(rng), _hompose(rng)
-    b = matderiv._inverse_rt(p1.mat) @ p2.mat
-    eps = np.concatenate([0.3 * rng.uniform(-1, 1, size=3), _rotvec(rng, 0.02, 0.3)])
-    return _rigid(b @ _rt(lie._so3_exp(eps[3:]), eps[:3])), p1, p2  # b se3_pseudo_exp(eps)
-
-
-def _se2_edge_setup(rng):
-    p1, p2 = _se2_pose(rng, 1.5), _se2_pose(rng, 1.5)
-    b = matderiv._inverse_rt(p1.mat) @ p2.mat
-    eps = np.array([0.3 * rng.uniform(-1, 1), 0.3 * rng.uniform(-1, 1),
-                    rng.uniform(-0.3, 0.3)])
-    return _rigid(b @ _rt(_rot2(eps[2]), eps[:2])), p1, p2  # b se2_pseudo_exp(eps)
-
-
-def _camera_setup(rng):
-    k, a = _intrinsics(rng), _hompose(rng)
-    g = _front_point(rng)
-    p = a.mat[:3, :3].T @ (g - a.mat[:3, 3])  # pulls A*p back onto g
-    return k, a, p
-
-
-def _inv_camera_setup(rng):
-    k, a = _intrinsics(rng), _hompose(rng)
-    local = _front_point(rng)
-    p = a.mat[:3, :3] @ local + a.mat[:3, 3]  # pulls A^{-1}*p back onto local
-    return k, a, p
-
-
-def _numbers(v):
-    """What a stack map reads of one sampled value: a pose's matrix or
-    parameter vector, the intrinsics (fx, fy, cx, cy), or the array itself."""
-    if isinstance(v, vision.CameraIntrinsics):
-        return v.fx, v.fy, v.cx, v.cy
-    return getattr(v, "mat", getattr(v, "vec", v))
-
 
 # ---------------------------------------------------------------------------
 # finite-difference target maps (raw, smooth, no canonicalization)
@@ -517,163 +377,347 @@ def _project_act_inv(k, m, p):
     return _project(k, _act_inv(m, p))
 
 
+
+
+
+# ---------------------------------------------------------------------------
+# samplers
+#
+# A kind is one argument of a public call, (type, build, calls): each
+# configuration makes the generator calls in order, build turns the (n, ...)
+# stacks of their results into the stack of the argument's numbers (a
+# pose's matrix or parameter vector, the intrinsics (fx, fy, cx, cy), or
+# the array itself), and type is the class of the object the call takes,
+# None for an array.  A sampler makes the calls of its kinds configuration
+# by configuration, so the generator gives what drawing one configuration
+# at a time would, and builds each stack in one pass, with the bits of the
+# scalar formula on each row.
+
+_uniform = functools.partial(operator.methodcaller, "uniform")  # _uniform(lo, hi[, size])
+_NORMAL3 = operator.methodcaller("normal", size=3)
+_UNIFORM3 = _uniform(-2.0, 2.0, 3)
+_ROTVEC = (_NORMAL3, _uniform(0.05, 2.8))
+_DEG85 = np.deg2rad(85.0)
+_YPR = (_UNIFORM3, _uniform(-3.1, 3.1), _uniform(-_DEG85, _DEG85), _uniform(-3.1, 3.1))
+
+
+def _sampler(*kinds):
+    """sample(rng, n): n configurations of one value of each kind, as a
+    (type, stack) pair per kind."""
+    def sample(rng, n):
+        draws = [[call(rng) for _, _, calls in kinds for call in calls] for _ in range(n)]
+        cols = iter([np.array(c) for c in zip(*draws)])
+        return [(cls, build(*itertools.islice(cols, len(calls)))) for cls, build, calls in kinds]
+    return sample
+
+
+def _accepted(sample, ok):
+    """sample, keeping the first n configurations whose stacks pass ok (a
+    mask), in draw order: what drawing until one passes, n times, gives."""
+    def accepted(rng, n):
+        kept, count = [], 0
+        while count < n:
+            block = sample(rng, n)
+            with np.errstate(invalid="ignore"):
+                keep = ok(*[s for _, s in block])
+            kept.append([s[keep] for _, s in block])
+            count += np.count_nonzero(keep)
+        return [(cls, np.concatenate(s)[:n]) for (cls, _), s in zip(block, zip(*kept))]
+    return accepted
+
+
+def _columns(*cols):
+    return np.column_stack(cols)
+
+
+def _rotvecs(d, a):
+    """Rotation vectors: the unit directions of the normal draws d (N, 3)
+    times the angles a (N,)."""
+    return d / _norm(d)[:, None] * a[:, None]
+
+
+def _so3_exps(w):
+    """lie._so3_exp of each row of w (N, 3)."""
+    theta = _norm(w)
+    small = theta < lie._TAYLOR_EPS
+    t2 = theta * theta
+    safe = np.where(small, 1.0, theta)
+    sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / safe)
+    cosc = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
+                    (1.0 - np.cos(theta)) / (safe * safe))
+    k = matderiv._hat3(w)
+    return np.eye(3) + sinc[:, None, None] * k + cosc[:, None, None] * (k @ k)
+
+
+def _rt(r, t):
+    """The homogeneous matrices [r t; 0 1] of blocks r (N, k, k) and
+    vectors t (N, k)."""
+    k = t.shape[1]
+    m = np.zeros((len(t), k + 1, k + 1))
+    m[:, :k, :k], m[:, :k, k] = r, t
+    m[:, k, k] = 1.0
+    return m
+
+
+def _rot2(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+
+
+def _raw_quats(v, s):
+    """Quaternions of norm s (N,) from normal draws v (N, 4), their scalar
+    part moved to at least 0.2."""
+    v[:, 0] = np.abs(v[:, 0]) + 0.2
+    return v * (s / _norm(v))[:, None]
+
+
+def _tame(e):
+    """Whether the (yaw, pitch, roll) rows e stay off the gimbal band and
+    the yaw/roll cuts."""
+    return (np.abs(e[:, 1]) <= 1.2) & (np.abs(e[:, 0]) <= 3.05) & (np.abs(e[:, 2]) <= 3.05)
+
+
+_POINT = (None, _columns, (_UNIFORM3,))
+_FRONT_POINT = (None, _columns, (_uniform(-1.0, 1.0), _uniform(-1.0, 1.0), _uniform(0.5, 3.0)))
+_HOMPOSE = (core.HomPose, lambda d, a, t: _rt(_so3_exps(_rotvecs(d, a)), t),
+            _ROTVEC + (_UNIFORM3,))
+_QUAT_POSE = (core.QuatPose,
+              lambda t, d, a: np.concatenate([t, _so3_exp_quat(_rotvecs(d, a))], axis=1),
+              (_UNIFORM3,) + _ROTVEC)
+_YPR_POSE = (core.EulerPose, _columns, _YPR)
+_INTRINSICS = (vision.CameraIntrinsics, _columns,
+               (_uniform(100.0, 600.0), _uniform(100.0, 600.0), _uniform(200.0, 400.0),
+                _uniform(100.0, 300.0)))
+
+
+def _se2_pose(max_angle):
+    return core.HomPose2, lambda t, a: _rt(_rot2(a), t), (_uniform(-2.0, 2.0, 2),
+                                                          _uniform(-max_angle, max_angle))
+
+
+# The rejection tests see the values the constructors store: the samplers'
+# ranges leave the sign flip, the wraps and the clamp nothing to change.
+_safe_quat_pose = _accepted(_sampler(_QUAT_POSE), lambda v: _tame(_ypr_from_quatvec(v)[:, 3:]))
+_ypr_pair = _accepted(_sampler(_YPR_POSE, _YPR_POSE),
+                      lambda v1, v2: _tame(_ypr(_rot_ypr(v1[:, 3:]) @ _rot_ypr(v2[:, 3:]))))
+_se3_edge_draws = _sampler(_HOMPOSE, _HOMPOSE, (
+    None, lambda u, d, a: np.concatenate([0.3 * u, _rotvecs(d, a)], axis=1),
+    (_uniform(-1.0, 1.0, 3), _NORMAL3, _uniform(0.02, 0.3))))
+_se2_edge_draws = _sampler(_se2_pose(1.5), _se2_pose(1.5), (
+    None, _columns, (_uniform(-1.0, 1.0), _uniform(-1.0, 1.0), _uniform(-0.3, 0.3))))
+_camera_draws = _sampler(_INTRINSICS, _HOMPOSE, _FRONT_POINT)
+
+
+def _se3_edge_setup(rng, n):
+    p1, p2, (_, eps) = _se3_edge_draws(rng, n)
+    b = matderiv._inverse_rt(p1[1]) @ p2[1]
+    return [(core.HomPose, b @ _rt(_so3_exps(eps[:, 3:]), eps[:, :3])), p1, p2]  # b exp(eps)
+
+
+def _se2_edge_setup(rng, n):
+    p1, p2, (_, e) = _se2_edge_draws(rng, n)
+    b = matderiv._inverse_rt(p1[1]) @ p2[1]
+    return [(core.HomPose2, b @ _rt(_rot2(e[:, 2]), 0.3 * e[:, :2])), p1, p2]  # b exp(eps)
+
+
+def _camera_setup(rng, n):
+    k, a, (_, g) = _camera_draws(rng, n)
+    return [k, a, (None, _act_inv(a[1], g))]  # pulls A*p back onto g
+
+
+def _inv_camera_setup(rng, n):
+    k, a, (_, local) = _camera_draws(rng, n)
+    return [k, a, (None, _act(a[1], local))]  # pulls A^{-1}*p back onto local
+
+
+# Per sampled type: its constructors' tests on a stack, returning the stack
+# of the fields they store; and the object of one validated row, built
+# without the checks.
+_TYPES = {
+    core.HomPose: (lambda m: (m, core._rigid_checks(m)), core.HomPose._trusted),
+    core.HomPose2: (lambda m: (m, core._rigid_checks(m)), core.HomPose2._trusted),
+    core.QuatPose: (core._quat_pose_rows, lambda r: core._trusted(
+        core.QuatPose, *r[:3].tolist(), core._trusted(core.Quaternion, *r[3:].tolist()))),
+    core.EulerPose: (core._euler_rows, lambda r: core._trusted(core.EulerPose, *r.tolist())),
+    vision.CameraIntrinsics: (lambda k: (k, vision._intrinsics_checks(k)),
+                              lambda r: core._trusted(vision.CameraIntrinsics, *r.tolist())),
+}
+
+
+def _configurations(unit, seed, n):
+    """The unit's validated stacks, read-only, and the values of the public
+    call for each of its n configurations (one empty one if it draws
+    nothing)."""
+    sample = _CHECKS[unit][1]
+    rng = np.random.default_rng([seed, crc32(unit.encode("ascii"))])
+    stacks, values = [], []
+    for cls, stack in sample(rng, n) if sample else ():
+        if cls is not None:
+            tests, wrap = _TYPES[cls]
+            stack, checks = tests(stack)
+            fault = core._first_failure(checks)
+            if fault:
+                raise GeometryError("%s: sample %d: %s" % (unit, *fault))
+        stack.setflags(write=False)
+        stacks.append(stack)
+        values.append([wrap(r) for r in stack] if cls else list(stack))
+    return stacks, list(zip(*values)) or [()]
+
+
 # ---------------------------------------------------------------------------
 # the catalog
 
 _CHECKS = {}
 
 
+def _register_unit(names, sample, analytic, numeric):
+    """A unit: one public function at n configurations, with a check of
+    each of its Jacobians under test.
+
+    names are the checks' names, the first also naming the unit and its
+    generator; sample(rng, n) draws the configurations (see
+    :func:`_sampler`; None: nothing, the unit runs once); analytic(*values)
+    gives the Jacobians under test, one per name, from one call; and
+    numeric(*stacks) the (N, m, k) numeric ones, one per name.
+    """
+    _CHECKS[names[0]] = (tuple(names), sample, analytic, numeric)
+
+
 def _register(name, sample, analytic, numeric):
-    """sample(rng) draws a value or a tuple of values (None: nothing);
-    analytic(*values) is the Jacobian under test; numeric(*stacks) gives
-    the (N, m, k) numeric ones, stacks[j] holding _numbers of value j."""
-    _CHECKS[name] = (sample, analytic, numeric)
+    """A unit of one check: analytic and numeric give its Jacobian alone."""
+    _register_unit([name], sample, lambda *s: [analytic(*s)], lambda *s: [numeric(*s)])
 
 
 def _register_pair(name, sample, fn, f, suffixes):
-    """Checks of fn(x, y) -> (value, J wrt x, J wrt y); f is its stack map."""
-    for i, suffix in enumerate(suffixes):
-        _register("%s.%s" % (name, suffix), sample, lambda *s, i=i: fn(*s)[i + 1],
-                  lambda *s, i=i: _fd(f, s, i))
+    """The unit of fn(x, y) -> (value, J wrt x, J wrt y); f is its stack map."""
+    _register_unit([name + "." + s for s in suffixes], sample, lambda *s: fn(*s)[1:],
+                   lambda *s: [_fd(f, s, 0), _fd(f, s, 1)])
 
 
-def _register_edge_checks(kind, setup, error):
-    """The Jacobians of an edge error w.r.t. right increments of P1 and of
-    P2, the measurement and the other pose held."""
-    for k in (1, 2):
-        _register("manifold.edge_error_%s.j%d" % (kind, k), setup,
-                  lambda d, p1, p2, k=k: getattr(error(d, p1, p2), "jac%d" % k),
-                  lambda d, p1, p2, k=k: _manifold_fd(
-                      _edge_value, (matderiv._inverse_rt(d), p1, p2), k, "right"))
+def _register_edge(kind, setup, error):
+    """The unit of an edge error: its Jacobians w.r.t. right increments of
+    P1 and of P2, the measurement and the other pose held."""
+    _register_unit(["manifold.edge_error_%s.j%d" % (kind, k) for k in (1, 2)], setup,
+                   lambda *s: operator.attrgetter("jac1", "jac2")(error(*s)),
+                   lambda d, p1, p2: [_manifold_fd(_edge_value, (matderiv._inverse_rt(d), p1, p2),
+                                                   k, "right") for k in (1, 2)])
 
 
-def _register_camera_checks(fn, setup, f):
-    """Checks of fn(k, a, p) -> (pixel, J wrt a left increment of a, J wrt p)."""
+def _register_camera(fn, setup, f):
+    """The unit of fn(k, a, p) -> (pixel, J wrt a left increment of a, J wrt p)."""
     name = "vision." + fn.__name__
-    _register(name + ".eps", setup, lambda *s: fn(*s)[1],
-              lambda *s: _manifold_fd(f, s, 1))
-    _register(name + ".point", setup, lambda *s: fn(*s)[2], lambda *s: _fd(f, s, 2))
+    _register_unit([name + ".eps", name + ".point"], setup, lambda *s: fn(*s)[1:],
+                   lambda *s: [_manifold_fd(f, s, 1), _fd(f, s, 2)])
 
 
-_register("core.quat_normalize", _raw_quat,
-          lambda v: core.quat_normalize(core.Quaternion(*v))[1], lambda v: _fd(_unit, (v,)))
-_register("core.jacobian_ypr_to_quat", _ypr_pose, core.jacobian_ypr_to_quat,
+_register("core.quat_normalize", _sampler((None, _raw_quats, (
+    operator.methodcaller("normal", size=4), _uniform(0.5, 2.0)))),
+    lambda v: core.quat_normalize(core.Quaternion(*v))[1], lambda v: _fd(_unit, (v,)))
+_register("core.jacobian_ypr_to_quat", _sampler(_YPR_POSE), core.jacobian_ypr_to_quat,
           lambda p: _fd(_quatvec_from_ypr, (p,)))
 _register("core.jacobian_quat_to_ypr", _safe_quat_pose, core.jacobian_quat_to_ypr,
           lambda p: _fd(_ypr_from_quatvec, (p,)))
-_register("core.jacobian_ypr_wrt_matrix", lambda rng: core.ypr_to_matrix(_ypr_pose(rng)),
-          core.jacobian_ypr_wrt_matrix, lambda m: _fd(_ypr_from_vec12, (_vec12(m),)))
-_register("core.jacobian_matrix_wrt_ypr", _ypr_pose, core.jacobian_matrix_wrt_ypr,
+_register("core.jacobian_ypr_wrt_matrix", _sampler(
+    (core.HomPose, lambda t, *a: _rt(_rot_ypr(np.column_stack(a)), t), _YPR)),
+    core.jacobian_ypr_wrt_matrix, lambda m: _fd(_ypr_from_vec12, (_vec12(m),)))
+_register("core.jacobian_matrix_wrt_ypr", _sampler(_YPR_POSE), core.jacobian_matrix_wrt_ypr,
           lambda p: _fd(_vec12_from_ypr, (p,)))
-_register("core.jacobian_matrix_wrt_quat", _quat_pose, core.jacobian_matrix_wrt_quat,
+_register("core.jacobian_matrix_wrt_quat", _sampler(_QUAT_POSE), core.jacobian_matrix_wrt_quat,
           lambda p: _fd(_vec12_from_quatvec, (p,)))
 
-_register_pair("geometry.compose_point_quat", _quat_point, geometry.compose_point_quat,
-               _rotate_vec, ("pose", "point"))
-_register_pair("geometry.compose_point_ypr", _ypr_point, geometry.compose_point_ypr, _ypr_act,
-               ("pose", "point"))
-_register_pair("geometry.compose_pose_quat", lambda rng: (_quat_pose(rng), _quat_pose(rng)),
+_register_pair("geometry.compose_point_quat", _sampler(_QUAT_POSE, _POINT),
+               geometry.compose_point_quat, _rotate_vec, ("pose", "point"))
+_register_pair("geometry.compose_point_ypr", _sampler(_YPR_POSE, _POINT),
+               geometry.compose_point_ypr, _ypr_act, ("pose", "point"))
+_register_pair("geometry.compose_pose_quat", _sampler(_QUAT_POSE, _QUAT_POSE),
                geometry.compose_pose_quat, _quat_compose_vec, ("j1", "j2"))
 _register_pair("geometry.compose_pose_ypr", _ypr_pair, geometry.compose_pose_ypr,
                _ypr_compose_vec, ("j1", "j2"))
-
 # inv_compose_point_quat takes (point, pose) and gives J wrt the pose first
-_register("geometry.inv_compose_point_quat.pose", _quat_point,
-          lambda p, a: geometry.inv_compose_point_quat(a, p)[1],
-          lambda p, a: _fd(_inv_rotate_vec, (p, a)))
-_register("geometry.inv_compose_point_quat.point", _quat_point,
-          lambda p, a: geometry.inv_compose_point_quat(a, p)[2],
-          lambda p, a: _fd(_inv_rotate_vec, (p, a), 1))
-_register("geometry.inverse_pose_quat", _quat_pose, lambda p: geometry.inverse_pose_quat(p)[1],
-          lambda p: _fd(_inverse_quatvec, (p,)))
+_register_pair("geometry.inv_compose_point_quat", _sampler(_QUAT_POSE, _POINT),
+               lambda p, a: geometry.inv_compose_point_quat(a, p), _inv_rotate_vec,
+               ("pose", "point"))
+_register("geometry.inverse_pose_quat", _sampler(_QUAT_POSE),
+          lambda p: geometry.inverse_pose_quat(p)[1], lambda p: _fd(_inverse_quatvec, (p,)))
 
-_register("matderiv.d_compose_wrt_A", _hompose_pair,
+_register("matderiv.d_compose_wrt_A", _sampler(_HOMPOSE, _HOMPOSE),
           lambda a, b: matderiv.d_compose_wrt_A(b.mat),
           lambda a, b: _fd(lambda v, b: _vec12(_pose(v) @ b), (_vec12(a), b)))
-_register("matderiv.d_compose_wrt_B", _hompose_pair,
+_register("matderiv.d_compose_wrt_B", _sampler(_HOMPOSE, _HOMPOSE),
           lambda a, b: matderiv.d_compose_wrt_B(a.mat),
           lambda a, b: _fd(lambda a, v: _vec12(a @ _pose(v)), (a, _vec12(b)), 1))
-_register("matderiv.d_apply_wrt_point", _hompose_point,
+_register("matderiv.d_apply_wrt_point", _sampler(_HOMPOSE, _POINT),
           lambda a, p: matderiv.d_apply_wrt_point(a.mat), lambda a, p: _fd(_act, (a, p), 1))
-_register("matderiv.d_apply_wrt_pose", _hompose_point,
+_register("matderiv.d_apply_wrt_pose", _sampler(_HOMPOSE, _POINT),
           lambda a, p: matderiv.d_apply_wrt_pose(p),
           lambda a, p: _fd(lambda v, p: _act(_pose(v), p), (_vec12(a), p)))
-_register("matderiv.d_inverse_wrt_pose", _hompose,
+_register("matderiv.d_inverse_wrt_pose", _sampler(_HOMPOSE),
           lambda a: matderiv.d_inverse_wrt_pose(a.mat),
           lambda a: _fd(lambda v: _vec12(matderiv._inverse_rt(_pose(v))), (_vec12(a),)))
-_register("matderiv.d_invapply_wrt_point", _hompose_point,
+_register("matderiv.d_invapply_wrt_point", _sampler(_HOMPOSE, _POINT),
           lambda a, p: matderiv.d_invapply_wrt_point(a.mat),
           lambda a, p: _fd(_act, (matderiv._inverse_rt(a), p), 1))
-_register("matderiv.d_invapply_wrt_pose", _hompose_point,
+_register("matderiv.d_invapply_wrt_pose", _sampler(_HOMPOSE, _POINT),
           lambda a, p: matderiv.d_invapply_wrt_pose(a.mat, p),
           lambda a, p: _fd(lambda v, p: _act(matderiv._inverse_rt(_pose(v)), p), (_vec12(a), p)))
 
 _register("manifold.dexp_so3_at_zero", None, manifold_jac.dexp_so3_at_zero,
           lambda: _fd(lambda w: _vec(lie._pseudo_exp(
               np.concatenate([np.zeros_like(w), w], axis=1))[:, :3, :3]), (np.zeros((1, 3)),)))
-_register("manifold.dexp_so3_quat", _rotvec, manifold_jac.dexp_so3_quat,
-          lambda w: _fd(_so3_exp_quat, (w,)))
+_register("manifold.dexp_so3_quat", _sampler((None, _rotvecs, _ROTVEC)),
+          manifold_jac.dexp_so3_quat, lambda w: _fd(_so3_exp_quat, (w,)))
 # no stack form of se3_exp: the library map, one perturbed input at a time
 _register("manifold.dexp_se3_at_zero", None, manifold_jac.dexp_se3_at_zero,
           lambda: _fd(_rows(lambda v: lie.se3_exp(v).vec12), (np.zeros((1, 6)),)))
-_register("manifold.dlog_so3", lambda rng: lie._so3_exp(_rotvec(rng, 0.05, np.pi - 0.15)),
-          manifold_jac.dlog_so3,
-          lambda r: _fd(lambda v: lie._log_quat(core._quat_from_rotation(_unvec(v, 3))), (_vec(r),)))
-_register("manifold.dpseudolog_se3", _hompose, manifold_jac.dpseudolog_se3,
+_register("manifold.dlog_so3", _sampler(
+    (None, lambda d, a: _so3_exps(_rotvecs(d, a)), (_NORMAL3, _uniform(0.05, np.pi - 0.15)))),
+    manifold_jac.dlog_so3,
+    lambda r: _fd(lambda v: lie._log_quat(core._quat_from_rotation(_unvec(v, 3))), (_vec(r),)))
+_register("manifold.dpseudolog_se3", _sampler(_HOMPOSE), manifold_jac.dpseudolog_se3,
           lambda t: _fd(lambda v: lie._pseudo_log(_unvec(v, 3)), (_vec12(t),)))
-_register("manifold.jacob_expeD_de", _hompose, manifold_jac.jacob_expeD_de,
+_register("manifold.jacob_expeD_de", _sampler(_HOMPOSE), manifold_jac.jacob_expeD_de,
           lambda d: _manifold_fd(_vec12, (d,), 0))
-_register("manifold.jacob_Dexpe_de", _hompose, manifold_jac.jacob_Dexpe_de,
+_register("manifold.jacob_Dexpe_de", _sampler(_HOMPOSE), manifold_jac.jacob_Dexpe_de,
           lambda d: _manifold_fd(_vec12, (d,), 0, "right"))
-_register("manifold.jacob_expeDp_de", _hompose_point, manifold_jac.jacob_expeDp_de,
+_register("manifold.jacob_expeDp_de", _sampler(_HOMPOSE, _POINT), manifold_jac.jacob_expeDp_de,
           lambda d, p: _manifold_fd(_act, (d, p), 0))
-_register("manifold.jacob_p_ominus_expeD_de", _hompose_point, manifold_jac.jacob_p_ominus_expeD_de,
-          lambda d, p: _manifold_fd(_act_inv, (d, p), 0))
-_register("manifold.jacob_AexpeD_de", _hompose_pair, manifold_jac.jacob_AexpeD_de,
+_register("manifold.jacob_p_ominus_expeD_de", _sampler(_HOMPOSE, _POINT),
+          manifold_jac.jacob_p_ominus_expeD_de, lambda d, p: _manifold_fd(_act_inv, (d, p), 0))
+_register("manifold.jacob_AexpeD_de", _sampler(_HOMPOSE, _HOMPOSE), manifold_jac.jacob_AexpeD_de,
           lambda a, d: _manifold_fd(lambda a, m: _vec12(a @ m), (a, d), 1))
-_register("manifold.jacob_AexpeDp_de", _two_poses_point, manifold_jac.jacob_AexpeDp_de,
+_register("manifold.jacob_AexpeDp_de", _sampler(_HOMPOSE, _HOMPOSE, _POINT),
+          manifold_jac.jacob_AexpeDp_de,
           lambda a, d, p: _manifold_fd(lambda a, m, p: _act(a @ m, p), (a, d, p), 1))
-_register("manifold.jacob_p_ominus_AexpeD_de", _two_poses_point,
+_register("manifold.jacob_p_ominus_AexpeD_de", _sampler(_HOMPOSE, _HOMPOSE, _POINT),
           manifold_jac.jacob_p_ominus_AexpeD_de,
           lambda a, d, p: _manifold_fd(lambda a, m, p: _act_inv(a @ m, p), (a, d, p), 1))
-_register_edge_checks("se3", _se3_edge_setup, manifold_jac.edge_error_se3)
-_register_edge_checks("se2", _se2_edge_setup, manifold_jac.edge_error_se2)
+_register_edge("se3", _se3_edge_setup, manifold_jac.edge_error_se3)
+_register_edge("se2", _se2_edge_setup, manifold_jac.edge_error_se2)
 
-_register("manifold.jacob_Dexpe_de_se2", _se2_pose, manifold_jac.jacob_Dexpe_de_se2,
+_register("manifold.jacob_Dexpe_de_se2", _sampler(_se2_pose(3.0)),
+          manifold_jac.jacob_Dexpe_de_se2,
           lambda d: _manifold_fd(lie._pseudo_log, (d,), 0, "right"))
-_register("manifold.d_compose_se2_wrt_A", lambda rng: (_se2_pose(rng, 1.5), _se2_pose(rng, 1.5)),
+_register("manifold.d_compose_se2_wrt_A", _sampler(_se2_pose(1.5), _se2_pose(1.5)),
           manifold_jac.d_compose_se2_wrt_A,
           lambda a, b: _fd(lambda v, b: lie._pseudo_log(lie._pseudo_exp(v) @ b),
                            (lie._pseudo_log(a), b)))
-_register("manifold.d_compose_se2_wrt_B", lambda rng: (_se2_pose(rng, 1.5), _se2_pose(rng, 1.5)),
+_register("manifold.d_compose_se2_wrt_B", _sampler(_se2_pose(1.5), _se2_pose(1.5)),
           lambda a, b: manifold_jac.d_compose_se2_wrt_B(a),
           lambda a, b: _fd(lambda a, v: lie._pseudo_log(a @ lie._pseudo_exp(v)),
                            (a, lie._pseudo_log(b)), 1))
 
-_register("vision.dproject_dp", lambda rng: (_intrinsics(rng), _front_point(rng)),
-          vision.dproject_dp, lambda k, p: _fd(_project, (k, p), 1))
-_register_camera_checks(vision.project_pose_point, _camera_setup, _project_act)
-_register_camera_checks(vision.project_inv_pose_point, _inv_camera_setup, _project_act_inv)
+_register("vision.dproject_dp", _sampler(_INTRINSICS, _FRONT_POINT), vision.dproject_dp,
+          lambda k, p: _fd(_project, (k, p), 1))
+_register_camera(vision.project_pose_point, _camera_setup, _project_act)
+_register_camera(vision.project_inv_pose_point, _inv_camera_setup, _project_act_inv)
 
 
-def _check_op(name, seed, n, tol):
-    """Run the check registered as name on n samples; one JacobianReport.
+def _report(name, a, num, tol):
+    """The JacobianReport of analytic and numeric Jacobians a, num (N, m, k).
 
     The worst entry is the first non-finite difference, else the first
     largest.
     """
-    sample, analytic, numeric = _CHECKS[name]
-    rng = np.random.default_rng([seed, crc32(name.encode("ascii"))])
-    drawn = [sample(rng) for _ in range(n)] if sample else [()]
-    drawn = [s if isinstance(s, tuple) else (s,) for s in drawn]
-    stacks = [np.array([_numbers(v) for v in col]) for col in zip(*drawn)]
-    for v, stack in zip(drawn[0], stacks):
-        if isinstance(v, (core.HomPose, core.HomPose2)):
-            fault = core._first_failure(core._rigid_checks(stack))
-            if fault:
-                raise GeometryError("%s: sample %d: %s" % (name, *fault))
-    a = np.array([analytic(*s) for s in drawn])
-    num = numeric(*stacks)
     with np.errstate(invalid="ignore"):
         diff = np.abs(a - num)
     bad = ~np.isfinite(diff)
@@ -684,21 +728,38 @@ def _check_op(name, seed, n, tol):
                           passed=bool(err <= tol))
 
 
+def _check_unit(unit, seed, n, tol):
+    """The reports of the unit registered as unit, one per check, at n
+    configurations: one call of the public function per configuration."""
+    names, _, analytic, numeric = _CHECKS[unit]
+    stacks, drawn = _configurations(unit, seed, n)
+    jacobians = zip(*[analytic(*s) for s in drawn])
+    return [_report(name, np.array(a), num, tol)
+            for name, a, num in zip(names, jacobians, numeric(*stacks))]
+
+
+def _check_op(name, seed, n, tol):
+    """The report of the check registered as name; its whole unit runs."""
+    unit = next(u for u, (names, *_) in _CHECKS.items() if name in names)
+    return next(r for r in _check_unit(unit, seed, n, tol) if r.op == name)
+
+
 def check_catalog(seed=1, n=100, tol=1e-5):
     """Run every registered check and report the worst deviation of each.
 
-    The checks run one after another in the calling process, which starts
-    no other process.  ``rigidkit jacobian-check`` spreads the same checks
-    over a process pool, one worker per CPU, and prints these reports.
+    The checks run unit by unit, one after another, in the calling
+    process, which starts no other process.  ``rigidkit jacobian-check``
+    spreads the same units over a process pool, one worker per CPU, and
+    prints these reports.
 
     Parameters
     ----------
     seed : int
-        Master seed; each check derives its own generator from it and the
-        CRC-32 of its name, so results do not depend on registration
-        order and are bit-identical across runs.
+        Master seed; each unit derives its own generator from it and the
+        CRC-32 of the name of its first check, so results do not depend on
+        registration order and are bit-identical across runs.
     n : int
-        Samples per check, at least 1.
+        Configurations per unit, at least 1.
     tol : float
         Maximum absolute deviation accepted between analytic and numeric
         entries: finite and >= 0.
@@ -706,7 +767,7 @@ def check_catalog(seed=1, n=100, tol=1e-5):
     Returns
     -------
     list of JacobianReport
-        Sorted by operation name.
+        One per check, sorted by operation name.
 
     Raises
     ------
@@ -717,4 +778,9 @@ def check_catalog(seed=1, n=100, tol=1e-5):
         raise GeometryError("check_catalog: n must be an integer >= 1")
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
         raise GeometryError("check_catalog: tol must be a finite number >= 0")
-    return [_check_op(name, seed, n, tol) for name in sorted(_CHECKS)]
+    return _by_op(_check_unit(unit, seed, n, tol) for unit in _CHECKS)
+
+
+def _by_op(units):
+    """The reports of units (an iterable of report lists), sorted by name."""
+    return sorted(itertools.chain.from_iterable(units), key=operator.attrgetter("op"))

@@ -272,15 +272,37 @@ def test_malformed_argument_raises_geometry_error(fn, name, data):
     assert _finite(out)
 
 
+# matrices of an allowed shape that are not rigid: the logarithms gave
+# zeros or other meaningless numbers for them
+SCALED3, SCALED4 = np.diag([2.0, 2.0, 1.0]), np.diag([2.0, 2.0, 2.0, 1.0])
+BOTTOM_5551 = np.vstack([np.eye(4)[:3], [5.0, 5.0, 5.0, 1.0]])
+ORTHO = "rotation block is not orthonormal"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: lie.se3_pseudo_log(np.eye(3)), "se3_pseudo_log: m must be a finite"),
     (lambda: lie.se2_pseudo_log(np.eye(4)), "se2_pseudo_log: m must be a finite"),
     (lambda: matderiv.inverse_rt(np.eye(5)), "inverse_rt: m must be a finite"),
     (lambda: lie.so3_log(np.full((3, 3), np.nan)), "so3_log: r must be a finite"),
     (lambda: matderiv.d_apply_wrt_pose(np.ones(4)), "d_apply_wrt_pose: p must be a finite"),
+    (lambda: lie.so3_log(2.0 * np.eye(3)), "so3_log: r: " + ORTHO),
+    (lambda: lie.so3_log(np.diag([1.0, 1.0, -1.0])),
+     "so3_log: r: rotation block must have determinant +1"),
+    (lambda: lie.so3_log(np.stack([R, 2.0 * R]).reshape(2, 1, 3, 3)), "so3_log: r[1, 0]: " + ORTHO),
+    (lambda: lie.se3_log(SCALED4), "se3_log: m: " + ORTHO),
+    (lambda: lie.se3_log(BOTTOM_5551), "se3_log: m: bottom row must be (0, 0, 0, 1)"),
+    (lambda: lie.se3_log(SCALED4[:3]), "se3_log: m: " + ORTHO),
+    (lambda: lie.se2_log(SCALED3), "se2_log: m: " + ORTHO),
+    (lambda: lie.se3_pseudo_log(SCALED4), "se3_pseudo_log: m: " + ORTHO),
+    (lambda: lie.se3_pseudo_log(BOTTOM_5551), "se3_pseudo_log: m: bottom row must be (0, 0, 0, 1)"),
+    (lambda: lie.se3_pseudo_log(np.stack([M4, BOTTOM_5551])),
+     "se3_pseudo_log: m[1]: bottom row must be (0, 0, 0, 1)"),
+    (lambda: lie.se2_pseudo_log(SCALED3), "se2_pseudo_log: m: " + ORTHO),
+    (lambda: lie.se2_pseudo_log(np.stack([M3, M3 @ np.diag([1.0, -1.0, 1.0])])),
+     "se2_pseudo_log: m[1]: rotation block must have determinant +1"),
 ])
 def test_former_silent_results_now_raise(call, message):
-    with pytest.raises(GeometryError, match="^" + message):
+    with pytest.raises(GeometryError, match="^" + re.escape(message)):
         call()
 
 

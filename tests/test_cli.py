@@ -381,9 +381,9 @@ def test_jacobian_check_json_stays_strict_on_a_nan(monkeypatch):
     # a NaN Jacobian fails its check, and the report has no NaN token
     from rigidkit import numcheck
     name = "core.jacobian_matrix_wrt_quat"
-    sample, analytic, numeric = numcheck._CHECKS[name]
+    names, sample, analytic, numeric = numcheck._CHECKS[name]
     monkeypatch.setitem(numcheck._CHECKS, name,
-                        (sample, lambda p: analytic(p) * np.nan, numeric))
+                        (names, sample, lambda p: [j * np.nan for j in analytic(p)], numeric))
     monkeypatch.setattr(cli, "_pooled_catalog", lambda seed, n, tol: check_catalog(seed, n, tol))
     res = CliRunner().invoke(main, ["jacobian-check", "--samples", "3", "--json"])
     assert res.exit_code == 3
@@ -474,6 +474,29 @@ def test_version_flag(runner):
     res = _run(runner, ["--version"])
     assert res.exit_code == 0
     assert res.output == f"rigidkit, version {rigidkit.__version__}\n"
+
+
+@pytest.mark.parametrize("args, names", [
+    (["jacobian-check", "--samples", "2.5"], ["--samples", "2.5"]),
+    (["slam", str(CIRCLE), "{tmp}/out.g2o", "--max-iters", "abc"], ["--max-iters", "abc"]),
+    (["slam", "{tmp}/missing.g2o", "{tmp}/out.g2o"], ["missing.g2o"]),
+    (["convert", "--bogus"], ["--bogus"]),
+    (["convert", "--to", "euler"], ["--to", "euler"]),
+])
+def test_command_line_errors_give_one_stderr_line_and_exit_1(args, names, tmp_path):
+    # click's parse errors are malformed input: not its usage text and code 2
+    out = _in_own_interpreter([a.format(tmp=tmp_path) for a in args], stdin="{}")
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert all(name in out.stderr for name in names), out.stderr
+    assert not (tmp_path / "out.g2o").exists()
+
+
+def test_help_is_unchanged(runner):
+    for args in (["--help"], ["slam", "--help"]):
+        res = _run(runner, args)
+        assert res.exit_code == 0
+        assert res.output.startswith("Usage: ") and "Options:" in res.output
 
 
 def test_slam_solves_a_half_turn_edge(runner, tmp_path):
