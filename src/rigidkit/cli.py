@@ -15,7 +15,8 @@ Every number must be finite; JSON's NaN and Infinity are malformed input.
 Exit codes: 1 for malformed input or command line (one ``error: ...``
 line on stderr), 2 for domain errors (gimbal lock, a ``logmap`` rotation
 too close to pi, points behind the camera, unsolvable graphs), 3 for a
-failed jacobian-check run.
+failed jacobian-check run.  A bare ``rigidkit`` prints the help on stdout
+and exits 0, as ``rigidkit --help`` does.
 """
 
 import functools
@@ -48,20 +49,6 @@ from .vision import (CameraIntrinsics, project, project_inv_pose_point,
 
 class _InputError(Exception):
     """Malformed command input (exit code 1)."""
-
-
-def _errors_to_exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _InputError as exc:
-            click.echo("error: %s" % exc, err=True)
-            sys.exit(1)
-        except GeometryError as exc:
-            click.echo("error: %s" % exc, err=True)
-            sys.exit(2)
-    return wrapper
 
 
 def _load_json(infile):
@@ -165,24 +152,18 @@ _CONVERT = {
 }
 
 
-# click >= 8.2 raises it for a bare `rigidkit`, showing the help; older
-# versions show it and exit 0
-_NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
-
-
 class _Main(click.Group):
-    """click's group, but a command-line error (an option value it cannot
-    convert, a missing file, an unknown option) prints one ``error: ...``
-    line on stderr and exits 1, like other malformed input."""
+    """click's group, but every error prints one ``error: ...`` line on
+    stderr and sets the exit code: 1 for malformed input, including a
+    command-line error (an option value it cannot convert, a missing file,
+    an unknown option), and 2 for a domain error."""
 
-    def main(self, *args, standalone_mode=True, **kwargs):
-        if not standalone_mode:
-            return super().main(*args, standalone_mode=False, **kwargs)
+    def main(self, *args, **kwargs):
         try:
             code = super().main(*args, standalone_mode=False, **kwargs)
-        except _NO_ARGS_IS_HELP as exc:  # no command given: click's own help and code
-            exc.show()
-            sys.exit(exc.exit_code)
+        except (_InputError, GeometryError) as exc:
+            click.echo("error: %s" % exc, err=True)
+            sys.exit(1 if isinstance(exc, _InputError) else 2)
         except click.ClickException as exc:
             click.echo("error: %s" % " ".join(exc.format_message().split()), err=True)
             sys.exit(1)
@@ -192,10 +173,13 @@ class _Main(click.Group):
         sys.exit(code if isinstance(code, int) else 0)
 
 
-@click.group(cls=_Main)
+@click.group(cls=_Main, invoke_without_command=True)
 @click.version_option(version=__version__, prog_name="rigidkit")
-def main():
+@click.pass_context
+def main(ctx):
     """Rigid-body pose toolkit: conversions, uncertainty, maps, SLAM."""
+    if ctx.invoked_subcommand is None:  # a bare `rigidkit`: the help, exit 0
+        click.echo(ctx.get_help())
 
 
 @main.command()
@@ -206,7 +190,6 @@ def main():
                    "not allowed together with covariance).")
 @click.option("--in", "infile", type=click.File("r"), default="-",
               help="Input file (default: stdin).")
-@_errors_to_exit_codes
 def convert(target, degrees, infile):
     """Convert a pose (optionally with covariance) between forms."""
     obj = _load_json(infile)
@@ -228,7 +211,6 @@ def convert(target, degrees, infile):
 
 @main.command()
 @click.option("--in", "infile", type=click.File("r"), default="-")
-@_errors_to_exit_codes
 def compose(infile):
     """Compose two poses of the same parameterization: p1 then p2."""
     obj = _load_json(infile)
@@ -251,7 +233,6 @@ def compose(infile):
 
 @main.command()
 @click.option("--in", "infile", type=click.File("r"), default="-")
-@_errors_to_exit_codes
 def invert(infile):
     """Invert a pose, keeping its parameterization."""
     obj = _load_json(infile)
@@ -272,7 +253,6 @@ def invert(infile):
 @click.option("--inverse", is_flag=True,
               help="Map the point into the pose's local frame instead.")
 @click.option("--in", "infile", type=click.File("r"), default="-")
-@_errors_to_exit_codes
 def apply_point(inverse, infile):
     """Transform a point by a pose (or by its inverse)."""
     obj = _load_json(infile)
@@ -300,7 +280,6 @@ def apply_point(inverse, infile):
 
 @main.command()
 @click.option("--in", "infile", type=click.File("r"), default="-")
-@_errors_to_exit_codes
 def propagate(infile):
     """First-order Gaussian propagation through a binary operation.
 
@@ -336,7 +315,6 @@ def propagate(infile):
 @click.option("--pseudo", is_flag=True,
               help="Store the translation part verbatim.")
 @click.option("--in", "infile", type=click.File("r"), default="-")
-@_errors_to_exit_codes
 def expmap(pseudo, infile):
     """Exponential of a tangent vector: 6 numbers for a 3D rigid motion
     (dx, dy, dz, wx, wy, wz), 3 for a planar one (dx, dy, dtheta)."""
@@ -359,7 +337,6 @@ def expmap(pseudo, infile):
 @click.option("--pseudo", is_flag=True,
               help="Read the translation part verbatim.")
 @click.option("--in", "infile", type=click.File("r"), default="-")
-@_errors_to_exit_codes
 def logmap(pseudo, infile):
     """Logarithm of a matrix pose: 'matrix' (4x4) gives a 6-vector,
     'matrix2' (3x3, row-major) a planar 3-vector."""
@@ -386,7 +363,6 @@ def logmap(pseudo, infile):
               help="Treat the pose as world-from-camera (project through "
                    "its inverse).")
 @click.option("--in", "infile", type=click.File("r"), default="-")
-@_errors_to_exit_codes
 def project_cmd(inverse, infile):
     """Pinhole-project a 3D point, optionally through a camera pose."""
     obj = _load_json(infile)
@@ -445,7 +421,6 @@ def _pooled_catalog(seed, n, tol):
 @click.option("--tol", default=1e-5, show_default=True,
               help="Max allowed |analytic - numeric| entry.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON report.")
-@_errors_to_exit_codes
 def jacobian_check(seed, samples, tol, as_json):
     """Verify every analytic Jacobian against finite differences.
 
@@ -479,7 +454,6 @@ def jacobian_check(seed, samples, tol, as_json):
 @click.option("--max-iters", default=50, show_default=True)
 @click.option("--stats", "stats_path", type=click.Path(dir_okay=False),
               default=None, help="Write per-iteration chi2 history as CSV.")
-@_errors_to_exit_codes
 def slam(input_path, output_path, method, max_iters, stats_path):
     """Optimize a g2o pose graph and write the result as g2o.
 

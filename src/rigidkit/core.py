@@ -43,18 +43,6 @@ def _wrap(a):
     return r
 
 
-def _wrap_rows(a):
-    """:func:`_wrap` of each finite entry of the array a.
-
-    An entry in [-pi, pi] is its own remainder, so only the others take a
-    Python call; non-finite entries are left as they are.
-    """
-    out = np.where(a == -math.pi, math.pi, a)
-    far = np.isfinite(a) & (np.abs(a) > math.pi)
-    out[far] = [_wrap(x) for x in a[far].tolist()]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # types
 
@@ -158,21 +146,16 @@ class QuatPose:
         return cls(v[0], v[1], v[2], Quaternion(v[3], v[4], v[5], v[6]))
 
 
-def _trusted(cls, *values):
-    """An instance of the dataclass cls holding values, one per field in
-    order, without the constructor's checks.
+def _trusted(cls, m):
+    """A pose holding m without the constructor's checks.
 
-    Only for values the constructor would store unchanged: a read-only
-    float matrix that is rigid by construction or has passed
-    :func:`_rigid_checks`, or Python floats from a stack that has passed
-    the stack form of the constructor's tests (:func:`_quat_pose_rows`,
-    :func:`_euler_rows`, ``vision._intrinsics_checks``).  The batched
-    readers, the solver's unpacking and the Jacobian catalog use it so
-    that they validate a whole stack at once.
+    Only for a read-only float matrix that is rigid by construction or has
+    passed :func:`_rigid_checks`; the batched readers, the solver's
+    unpacking and the Jacobian catalog use it so that they validate a
+    whole stack at once.
     """
     p = object.__new__(cls)
-    for name, v in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(p, name, v)
+    object.__setattr__(p, "mat", m)
     return p
 
 
@@ -295,40 +278,6 @@ def _rigid_checks(m, name=None):
         (np.abs(det - 1.0) < 1e-9 if k == 3 else det > 0.0,
          name + ": rotation block must have determinant +1"),
     ]
-
-
-def _quat_pose_rows(v):
-    """QuatPose's tests and stored fields on a stack v (N, 7) of
-    (x, y, z, qr, qx, qy, qz).
-
-    Returns v with each quaternion's sign made canonical, as Quaternion
-    stores it, and a list of (pass mask, message) in the order the
-    constructors apply them, for :func:`_first_failure`; same tolerance.
-    """
-    finite = np.isfinite(v)
-    v = np.where(v[:, 3:4] < 0.0, v * [1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0], v)
-    with np.errstate(invalid="ignore", over="ignore"):
-        unit = np.abs(np.linalg.norm(v[:, 3:], axis=1) - 1.0) <= 1e-6
-    return v, [(finite[:, 3:].all(axis=1), _QUATERNION_FIELDS + " must be a finite 4-vector"),
-               (finite[:, :3].all(axis=1), "QuatPose: x, y, z must be a finite 3-vector"),
-               (unit, "QuatPose: quaternion is not unit length")]
-
-
-def _euler_rows(v):
-    """EulerPose's tests and stored fields on a stack v (N, 6) of
-    (x, y, z, yaw, pitch, roll).
-
-    Returns v with yaw and roll wrapped and pitch clamped, as the
-    constructor stores them, and a list of (pass mask, message) for
-    :func:`_first_failure`; same tolerance.
-    """
-    out = v.copy()
-    out[:, 3], out[:, 5] = _wrap_rows(v[:, 3]), _wrap_rows(v[:, 5])
-    out[:, 4] = np.clip(v[:, 4], -0.5 * math.pi, 0.5 * math.pi)
-    return out, [(np.isfinite(v).all(axis=1),
-                  "EulerPose: x, y, z, yaw, pitch, roll must be a finite 6-vector"),
-                 (np.abs(v[:, 4]) <= 0.5 * math.pi + 1e-9,
-                  "EulerPose: pitch outside [-pi/2, pi/2]")]
 
 
 def _first_failure(checks):

@@ -158,13 +158,13 @@ def jacob_expeDp_de(d, p):
 def jacob_p_ominus_expeD_de(d, p):
     """3x6 derivative of (exp(eps) @ D)^{-1} * p at eps = 0.
 
-    [-R_D^T | M] with row i of M the cross product (column i of R_D) x p.
+    [-R_D^T | M] with row i of M the cross product (column i of R_D) x p,
+    which is row i of R_D^T hat(p).
     """
     m = _checked(d, "jacob_p_ominus_expeD_de: d", *_POSE)
     p = _checked(p, "jacob_p_ominus_expeD_de: p", (3,))
     r = m[:3, :3]
-    rows = np.vstack([np.cross(r[:, j], p) for j in range(3)])
-    return np.hstack([-r.T, rows])
+    return np.hstack([-r.T, r.T @ _hat3(p)])
 
 
 def jacob_AexpeD_de(a, d):

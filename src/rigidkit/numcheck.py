@@ -38,12 +38,12 @@ first check).
 The samplers make each configuration's generator calls in the order of a
 one-draw-at-a-time sampler, then build every stack in one pass: the norms,
 rotations, quaternions and homogeneous matrices are computed on the
-(n, ...) arrays with the bits of the scalar formula on each row.  Each
-stack is validated once with the constructors' tests and gets the fields
-they store (``core._rigid_checks``, ``core._quat_pose_rows``,
-``core._euler_rows``, ``vision._intrinsics_checks``); the public call
-gets objects wrapped from validated rows, without the constructors'
-checks.  Domain-restricted samplers keep each draw far from singular
+(n, ...) arrays with the bits of the scalar formula on each row.  A stack
+of HomPose or HomPose2 matrices is validated once with the constructor's
+tests (``core._rigid_checks``) and the public call gets poses wrapped from
+its validated rows; a sampled QuatPose, EulerPose or CameraIntrinsics is
+built row by row by its public constructors, and its stack holds what the
+objects store.  Domain-restricted samplers keep each draw far from singular
 configurations, where a finite difference would measure the singularity
 instead of the formula; the two rejection samplers test every draw and
 keep the first n that pass.
@@ -383,15 +383,16 @@ def _project_act_inv(k, m, p):
 # ---------------------------------------------------------------------------
 # samplers
 #
-# A kind is one argument of a public call, (type, build, calls): each
+# A kind is one argument of a public call, (make, build, calls): each
 # configuration makes the generator calls in order, build turns the (n, ...)
 # stacks of their results into the stack of the argument's numbers (a
 # pose's matrix or parameter vector, the intrinsics (fx, fy, cx, cy), or
-# the array itself), and type is the class of the object the call takes,
-# None for an array.  A sampler makes the calls of its kinds configuration
-# by configuration, so the generator gives what drawing one configuration
-# at a time would, and builds each stack in one pass, with the bits of the
-# scalar formula on each row.
+# the array itself), and make says what the call takes: None for an array,
+# HomPose or HomPose2 for a matrix, else the public constructor of the
+# object, called with one row of numbers.  A sampler makes the calls of its
+# kinds configuration by configuration, so the generator gives what drawing
+# one configuration at a time would, and builds each stack in one pass,
+# with the bits of the scalar formula on each row.
 
 _uniform = functools.partial(operator.methodcaller, "uniform")  # _uniform(lo, hi[, size])
 _NORMAL3 = operator.methodcaller("normal", size=3)
@@ -403,11 +404,11 @@ _YPR = (_UNIFORM3, _uniform(-3.1, 3.1), _uniform(-_DEG85, _DEG85), _uniform(-3.1
 
 def _sampler(*kinds):
     """sample(rng, n): n configurations of one value of each kind, as a
-    (type, stack) pair per kind."""
+    (make, stack) pair per kind."""
     def sample(rng, n):
         draws = [[call(rng) for _, _, calls in kinds for call in calls] for _ in range(n)]
         cols = iter([np.array(c) for c in zip(*draws)])
-        return [(cls, build(*itertools.islice(cols, len(calls)))) for cls, build, calls in kinds]
+        return [(make, build(*itertools.islice(cols, len(calls)))) for make, build, calls in kinds]
     return sample
 
 
@@ -422,7 +423,7 @@ def _accepted(sample, ok):
                 keep = ok(*[s for _, s in block])
             kept.append([s[keep] for _, s in block])
             count += np.count_nonzero(keep)
-        return [(cls, np.concatenate(s)[:n]) for (cls, _), s in zip(block, zip(*kept))]
+        return [(make, np.concatenate(s)[:n]) for (make, _), s in zip(block, zip(*kept))]
     return accepted
 
 
@@ -481,7 +482,7 @@ _POINT = (None, _columns, (_UNIFORM3,))
 _FRONT_POINT = (None, _columns, (_uniform(-1.0, 1.0), _uniform(-1.0, 1.0), _uniform(0.5, 3.0)))
 _HOMPOSE = (core.HomPose, lambda d, a, t: _rt(_so3_exps(_rotvecs(d, a)), t),
             _ROTVEC + (_UNIFORM3,))
-_QUAT_POSE = (core.QuatPose,
+_QUAT_POSE = (lambda x, y, z, *q: core.QuatPose(x, y, z, core.Quaternion(*q)),
               lambda t, d, a: np.concatenate([t, _so3_exp_quat(_rotvecs(d, a))], axis=1),
               (_UNIFORM3,) + _ROTVEC)
 _YPR_POSE = (core.EulerPose, _columns, _YPR)
@@ -530,18 +531,30 @@ def _inv_camera_setup(rng, n):
     return [k, a, (None, _act(a[1], local))]  # pulls A^{-1}*p back onto local
 
 
-# Per sampled type: its constructors' tests on a stack, returning the stack
-# of the fields they store; and the object of one validated row, built
-# without the checks.
-_TYPES = {
-    core.HomPose: (lambda m: (m, core._rigid_checks(m)), core.HomPose._trusted),
-    core.HomPose2: (lambda m: (m, core._rigid_checks(m)), core.HomPose2._trusted),
-    core.QuatPose: (core._quat_pose_rows, lambda r: core._trusted(
-        core.QuatPose, *r[:3].tolist(), core._trusted(core.Quaternion, *r[3:].tolist()))),
-    core.EulerPose: (core._euler_rows, lambda r: core._trusted(core.EulerPose, *r.tolist())),
-    vision.CameraIntrinsics: (lambda k: (k, vision._intrinsics_checks(k)),
-                              lambda r: core._trusted(vision.CameraIntrinsics, *r.tolist())),
-}
+def _argument(unit, make, stack):
+    """The validated stack of one argument of the unit's public call,
+    read-only, and the call's value of it in each configuration.
+
+    A stack of matrices is validated at once and wrapped row by row.  Any
+    other object is built from its row by make, its public constructor,
+    and the stack then holds what the objects store: the canonical sign of
+    a quaternion, the wrapped angles of an EulerPose.
+    """
+    if make in (None, core.HomPose, core.HomPose2):
+        fault = make and core._first_failure(core._rigid_checks(stack))
+        if fault:
+            raise GeometryError("%s: sample %d: %s" % (unit, *fault))
+        stack.setflags(write=False)
+        return stack, [make._trusted(m) for m in stack] if make else list(stack)
+    values = []
+    for i, row in enumerate(stack.tolist()):
+        try:
+            values.append(make(*row))
+        except GeometryError as exc:
+            raise GeometryError("%s: sample %d: %s" % (unit, i, exc)) from exc
+    stack = np.array([v.vec if hasattr(v, "vec") else (v.fx, v.fy, v.cx, v.cy) for v in values])
+    stack.setflags(write=False)
+    return stack, values
 
 
 def _configurations(unit, seed, n):
@@ -550,18 +563,8 @@ def _configurations(unit, seed, n):
     nothing)."""
     sample = _CHECKS[unit][1]
     rng = np.random.default_rng([seed, crc32(unit.encode("ascii"))])
-    stacks, values = [], []
-    for cls, stack in sample(rng, n) if sample else ():
-        if cls is not None:
-            tests, wrap = _TYPES[cls]
-            stack, checks = tests(stack)
-            fault = core._first_failure(checks)
-            if fault:
-                raise GeometryError("%s: sample %d: %s" % (unit, *fault))
-        stack.setflags(write=False)
-        stacks.append(stack)
-        values.append([wrap(r) for r in stack] if cls else list(stack))
-    return stacks, list(zip(*values)) or [()]
+    args = [_argument(unit, make, stack) for make, stack in sample(rng, n)] if sample else []
+    return [s for s, _ in args], list(zip(*[v for _, v in args])) or [()]
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,6 @@ class CameraIntrinsics:
             raise GeometryError("focal lengths must be positive")
 
 
-def _intrinsics_checks(k):
-    """CameraIntrinsics' tests on a stack k (N, 4) of (fx, fy, cx, cy), as a
-    list of (pass mask, message) for ``core._first_failure``."""
-    return [(np.isfinite(k).all(axis=1),
-             "CameraIntrinsics: fx, fy, cx, cy must be a finite 4-vector"),
-            ((k[:, 0] > 0) & (k[:, 1] > 0), "focal lengths must be positive")]
-
-
 def _check_depth(z, where):
     if z <= _MIN_DEPTH:
         raise BehindCameraError(

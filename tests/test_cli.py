@@ -499,6 +499,14 @@ def test_help_is_unchanged(runner):
         assert res.output.startswith("Usage: ") and "Options:" in res.output
 
 
+def test_bare_command_prints_the_help_and_exits_0():
+    # the same on every click version: not click 8.2's usage error on stderr
+    out = _in_own_interpreter([])
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.startswith("Usage:") and "Commands:" in out.stdout
+    assert out.stdout == _in_own_interpreter(["--help"]).stdout
+
+
 def test_slam_solves_a_half_turn_edge(runner, tmp_path):
     from rigidkit import HomPose, PoseGraph, read_g2o, so3_exp, write_g2o
 

@@ -182,6 +182,16 @@ def test_point_increment_chains():
                       - d_invapply_wrt_pose(ad, p) @ jacob_AexpeD_de(a, d)).max() < 1e-12
 
 
+def test_p_ominus_rotation_rows_are_cross_products():
+    # row j of the rotation block is (column j of R_D) x p
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        d, p = rand_hompose(rng), rng.uniform(-3, 3, 3)
+        r = d.mat[:3, :3]
+        want = np.hstack([-r.T, np.vstack([np.cross(r[:, j], p) for j in range(3)])])
+        assert np.abs(jacob_p_ominus_expeD_de(d, p) - want).max() < 1e-14
+
+
 def test_left_increment_fd_on_manifold():
     rng = np.random.default_rng(7)
     d = rand_hompose(rng)

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import rand_hompose
-from rigidkit import (CameraIntrinsics, EulerPose, HomPose, HomPose2, QuatPose, Quaternion,
-                      apply_vec12, check_catalog, compose_point_quat, compose_point_ypr,
-                      compose_pose_quat, compose_pose_ypr, edge_error_se2, edge_error_se3,
-                      inv_compose_point_quat, inverse_rt, jacob_Dexpe_de, jacob_expeD_de,
-                      manifold_numeric_jacobian, numeric_jacobian, pose_to_vec12, project,
-                      project_inv_pose_point, project_pose_point, quat_to_ypr, se2_pseudo_exp,
-                      se3_pseudo_exp, so3_exp, so3_exp_quat, vec12_to_pose, ypr_to_matrix)
-from rigidkit import core, numcheck, vision
+from rigidkit import (CameraIntrinsics, EulerPose, HomPose, HomPose2, QuatPose, apply_vec12,
+                      check_catalog, compose_point_quat, compose_point_ypr, compose_pose_quat,
+                      compose_pose_ypr, edge_error_se2, edge_error_se3, inv_compose_point_quat,
+                      inverse_rt, jacob_Dexpe_de, jacob_expeD_de, manifold_numeric_jacobian,
+                      numeric_jacobian, pose_to_vec12, project, project_inv_pose_point,
+                      project_pose_point, quat_to_ypr, se2_pseudo_exp, se3_pseudo_exp, so3_exp,
+                      so3_exp_quat, vec12_to_pose, ypr_to_matrix)
+from rigidkit import numcheck
 from rigidkit.core import _angles_from_rotation, _rotation_from_angles
 from rigidkit.errors import GeometryError
 
@@ -337,38 +337,18 @@ def test_every_sampled_type_is_validated_once_per_unit(unit, arg, corrupt, messa
         numcheck._check_op(unit, 1, 10, 1e-5)
 
 
-def test_stack_tests_store_what_the_constructors_store():
-    # the stack forms of the constructors' field normalizations and tests,
-    # on rows each constructor accepts, rejects, or changes
-    half = 0.5 * np.pi
-    ypr = np.array([[0.1, 0.2, 0.3, a, p, b] for a, p, b in [
-        (0.4, 0.5, -0.6), (-np.pi, half + 5e-10, np.pi), (3.5, -half - 5e-10, -7.0),
-        (1e3, 0.0, -1e17), (0.0, half + 2e-9, 0.0), (np.inf, 0.0, 0.0)]])
-    out, checks = core._euler_rows(ypr)
-    ok = np.logical_and.reduce([passed for passed, _ in checks])
-    for row, fields, passed in zip(ypr, out, ok):
-        try:
-            want = EulerPose(*row).vec
-        except GeometryError:
-            assert not passed
-            continue
-        assert passed and fields.tobytes() == want.tobytes()
-
-    quat = np.array([[1.0, 2.0, 3.0, -0.5, 0.5, -0.5, 0.5], [0.0, 0.0, 0.0, 0.6, 0.0, 0.0, 0.8],
-                     [0.0, 0.0, 0.0, 1.0, 1e-5, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
-    out, checks = core._quat_pose_rows(quat)
-    ok = np.logical_and.reduce([passed for passed, _ in checks])
-    for row, fields, passed in zip(quat, out, ok):
-        try:
-            want = QuatPose(*row[:3], Quaternion(*row[3:])).vec
-        except GeometryError:
-            assert not passed
-            continue
-        assert passed and fields.tobytes() == want.tobytes()
-
-    k = np.array([[500.0, 400.0, 320.0, 240.0], [0.0, 1.0, 0.0, 0.0], [1.0, np.inf, 0.0, 0.0]])
-    ok = np.logical_and.reduce([passed for passed, _ in vision._intrinsics_checks(k)])
-    assert ok.tolist() == [True, False, False]
+@pytest.mark.parametrize("unit, corrupt", [
+    ("core.jacobian_ypr_to_quat", lambda v: v + [0, 0, 0, 2 * np.pi, 0, -2 * np.pi]),
+    ("core.jacobian_matrix_wrt_quat", lambda v: v * [1, 1, 1, -1, -1, -1, -1]),
+])
+def test_stacks_hold_what_the_constructors_store(unit, corrupt, monkeypatch):
+    # a row the constructor changes (wrapped angles, the quaternion's sign)
+    # enters the stack as the object stores it
+    row = corrupt(numcheck._configurations(unit, 1, 10)[0][0][4])
+    _corrupt_sample_4(monkeypatch, unit, 0, corrupt)
+    (stack,), values = numcheck._configurations(unit, 1, 10)
+    assert stack.tobytes() == np.array([v.vec for v, in values]).tobytes()
+    assert not np.array_equal(stack[4], row)
 
 
 # ---------------------------------------------------------------------------
