@@ -156,20 +156,28 @@ class _Main(click.Group):
     """click's group, but every error prints one ``error: ...`` line on
     stderr and sets the exit code: 1 for malformed input, including a
     command-line error (an option value it cannot convert, a missing file,
-    an unknown option), and 2 for a domain error."""
+    an unknown option), and 2 for a domain error.  With
+    ``standalone_mode=False`` click's own errors reach the caller and the
+    command's result is returned, as in click."""
 
-    def main(self, *args, **kwargs):
+    def main(self, *args, standalone_mode=True, **kwargs):
         try:
             code = super().main(*args, standalone_mode=False, **kwargs)
         except (_InputError, GeometryError) as exc:
             click.echo("error: %s" % exc, err=True)
             sys.exit(1 if isinstance(exc, _InputError) else 2)
         except click.ClickException as exc:
+            if not standalone_mode:
+                raise
             click.echo("error: %s" % " ".join(exc.format_message().split()), err=True)
             sys.exit(1)
         except click.Abort:
+            if not standalone_mode:
+                raise
             click.echo("Aborted!", err=True)
             sys.exit(1)
+        if not standalone_mode:
+            return code
         sys.exit(code if isinstance(code, int) else 0)
 
 

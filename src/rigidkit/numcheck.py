@@ -537,8 +537,8 @@ def _argument(unit, make, stack):
 
     A stack of matrices is validated at once and wrapped row by row.  Any
     other object is built from its row by make, its public constructor,
-    and the stack then holds what the objects store: the canonical sign of
-    a quaternion, the wrapped angles of an EulerPose.
+    and a stack of poses then holds what the objects store: the canonical
+    sign of a quaternion, the wrapped angles of an EulerPose.
     """
     if make in (None, core.HomPose, core.HomPose2):
         fault = make and core._first_failure(core._rigid_checks(stack))
@@ -552,7 +552,8 @@ def _argument(unit, make, stack):
             values.append(make(*row))
         except GeometryError as exc:
             raise GeometryError("%s: sample %d: %s" % (unit, i, exc)) from exc
-    stack = np.array([v.vec if hasattr(v, "vec") else (v.fx, v.fy, v.cx, v.cy) for v in values])
+    if hasattr(values[0], "vec"):
+        stack = np.array([v.vec for v in values])
     stack.setflags(write=False)
     return stack, values
 

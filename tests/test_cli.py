@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -497,6 +498,18 @@ def test_help_is_unchanged(runner):
         res = _run(runner, args)
         assert res.exit_code == 0
         assert res.output.startswith("Usage: ") and "Options:" in res.output
+
+
+def test_standalone_mode_false_returns_and_raises_as_in_click(runner):
+    res = runner.invoke(main, ["convert", "--to", "quat"], input=json.dumps(YPR),
+                        standalone_mode=False)
+    assert (res.exit_code, res.exception) == (0, None)
+    assert json.loads(res.output)["type"] == "quat"
+    res = runner.invoke(main, ["convert", "--bogus"], standalone_mode=False)
+    assert isinstance(res.exception, click.NoSuchOption)
+    res = runner.invoke(main, ["convert", "--to", "quat"], input="[",
+                        standalone_mode=False)
+    assert res.exit_code == 1 and res.output.startswith("error: invalid JSON")
 
 
 def test_bare_command_prints_the_help_and_exits_0():
