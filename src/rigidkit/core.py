@@ -806,7 +806,7 @@ def convert_gaussian(src, target):
     target : str
         'ypr', 'quat' or 'matrix'.
     """
-    if target not in _KIND_DIM:
+    if not isinstance(target, str) or target not in _KIND_DIM:
         raise GeometryError("convert_gaussian: unknown target %r" % (target,))
     kind = _typed(src, "convert_gaussian: src", GaussianPose).kind
     if kind == target:

@@ -52,6 +52,7 @@ reading g2o files and the pose commands never load it.
 import dataclasses
 import functools
 import heapq
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,20 +114,20 @@ class Edge:
 
 
 def _check_lm(name, value, floor):
-    """value as a float, or GeometryError unless it is finite and > floor."""
-    value = float(value)
-    if not (np.isfinite(value) and value > floor):
+    """value as a float, or GeometryError unless it is a finite number > floor."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not floor < value < np.inf:
         raise GeometryError("%s must be finite and > %g, got %r" % (name, floor, value))
-    return value
+    return float(value)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings for :func:`step` and :func:`optimize`.
 
-    lm_initial_lambda must be finite and > 0, and lm_factor finite and
-    > 1, whatever the method: otherwise lambda would never pass the
-    1e12 that ends a run of rejected trials.
+    max_iterations must be an integer >= 0 and the two epsilons finite
+    numbers >= 0.  lm_initial_lambda must be finite and > 0, and lm_factor
+    finite and > 1, whatever the method: otherwise lambda would never pass
+    the 1e12 that ends a run of rejected trials.
     """
 
     method: str = "levenberg-marquardt"
@@ -140,6 +141,13 @@ class SolverConfig:
         if self.method not in ("gauss-newton", "levenberg-marquardt"):
             raise GeometryError(
                 "SolverConfig: method must be 'gauss-newton' or 'levenberg-marquardt'")
+        count = self.max_iterations
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise GeometryError("SolverConfig: max_iterations must be an integer >= 0")
+        for name in ("epsilon_gradient", "epsilon_update"):
+            eps = getattr(self, name)
+            if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 <= eps < np.inf:
+                raise GeometryError("SolverConfig: %s must be a finite number >= 0" % name)
         _check_lm("SolverConfig: lm_initial_lambda", self.lm_initial_lambda, 0.0)
         _check_lm("SolverConfig: lm_factor", self.lm_factor, 1.0)
 

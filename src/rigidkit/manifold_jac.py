@@ -170,10 +170,12 @@ def jacob_p_ominus_expeD_de(d, p):
 def jacob_AexpeD_de(a, d):
     """12x6 derivative of vec12(A @ exp(eps) @ D) at eps = 0.
 
-    Equals kron(I4, R_A) @ jacob_expeD_de(D).
+    Equals kron(I4, R_A) @ jacob_expeD_de(D), computed as R_A times each
+    of its four 3x6 row blocks.
     """
     ra = _checked(a, "jacob_AexpeD_de: a", *_POSE)[:3, :3]
-    return np.kron(np.eye(4), ra) @ jacob_expeD_de(_checked(d, "jacob_AexpeD_de: d", *_POSE))
+    j = jacob_expeD_de(_checked(d, "jacob_AexpeD_de: d", *_POSE))
+    return (ra @ j.reshape(4, 3, 6)).reshape(12, 6)
 
 
 def jacob_AexpeDp_de(a, d, p, approx=False):

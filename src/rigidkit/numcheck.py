@@ -35,18 +35,18 @@ units were registered and of the process that runs each, because every
 unit gets its own generator seeded from (seed, crc32 of the name of its
 first check).
 
-The samplers make each configuration's generator calls in the order of a
-one-draw-at-a-time sampler, then build every stack in one pass: the norms,
-rotations, quaternions and homogeneous matrices are computed on the
-(n, ...) arrays with the bits of the scalar formula on each row.  A stack
-of HomPose or HomPose2 matrices is validated once with the constructor's
-tests (``core._rigid_checks``) and the public call gets poses wrapped from
-its validated rows; a sampled QuatPose, EulerPose or CameraIntrinsics is
-built row by row by its public constructors, and its stack holds what the
-objects store.  Domain-restricted samplers keep each draw far from singular
-configurations, where a finite difference would measure the singularity
-instead of the formula; the two rejection samplers test every draw and
-keep the first n that pass.
+A sampler draws each quantity of its n configurations with one generator
+call and builds each stack from those arrays; a sampled HomPose or
+HomPose2 is the pseudo-exponential of its (translation, rotation vector
+or angle) row, the solver's retraction.  A stack of HomPose or HomPose2
+matrices is validated once with the constructor's tests
+(``core._rigid_checks``) and the public call gets poses wrapped from its
+validated rows; a sampled QuatPose, EulerPose or CameraIntrinsics is built
+row by row by its public constructors, and its stack holds what the
+objects store.  Domain-restricted samplers keep each draw far from
+singular configurations, where a finite difference would measure the
+singularity instead of the formula; the two rejection samplers test every
+draw and keep the first n that pass.
 """
 
 import functools
@@ -377,44 +377,27 @@ def _project_act_inv(k, m, p):
     return _project(k, _act_inv(m, p))
 
 
-
-
-
 # ---------------------------------------------------------------------------
 # samplers
 #
-# A kind is one argument of a public call, (make, build, calls): each
-# configuration makes the generator calls in order, build turns the (n, ...)
-# stacks of their results into the stack of the argument's numbers (a
-# pose's matrix or parameter vector, the intrinsics (fx, fy, cx, cy), or
-# the array itself), and make says what the call takes: None for an array,
-# HomPose or HomPose2 for a matrix, else the public constructor of the
-# object, called with one row of numbers.  A sampler makes the calls of its
-# kinds configuration by configuration, so the generator gives what drawing
-# one configuration at a time would, and builds each stack in one pass,
-# with the bits of the scalar formula on each row.
-
-_uniform = functools.partial(operator.methodcaller, "uniform")  # _uniform(lo, hi[, size])
-_NORMAL3 = operator.methodcaller("normal", size=3)
-_UNIFORM3 = _uniform(-2.0, 2.0, 3)
-_ROTVEC = (_NORMAL3, _uniform(0.05, 2.8))
-_DEG85 = np.deg2rad(85.0)
-_YPR = (_UNIFORM3, _uniform(-3.1, 3.1), _uniform(-_DEG85, _DEG85), _uniform(-3.1, 3.1))
-
+# A kind is one argument of a public call, (make, draw): draw(rng, n) gives
+# the (n, ...) stack of the argument's numbers (a pose's matrix or
+# parameter vector, the intrinsics (fx, fy, cx, cy), or the array itself)
+# with one generator call per drawn quantity, and make says what the call
+# takes: None for an array, HomPose or HomPose2 for a matrix, else the
+# public constructor of the object, called with one row of numbers.  A
+# sampled HomPose or HomPose2 is lie._pseudo_exp of its (translation,
+# rotation vector or angle) row, the solver's retraction.
 
 def _sampler(*kinds):
     """sample(rng, n): n configurations of one value of each kind, as a
     (make, stack) pair per kind."""
-    def sample(rng, n):
-        draws = [[call(rng) for _, _, calls in kinds for call in calls] for _ in range(n)]
-        cols = iter([np.array(c) for c in zip(*draws)])
-        return [(make, build(*itertools.islice(cols, len(calls)))) for make, build, calls in kinds]
-    return sample
+    return lambda rng, n: [(make, draw(rng, n)) for make, draw in kinds]
 
 
 def _accepted(sample, ok):
     """sample, keeping the first n configurations whose stacks pass ok (a
-    mask), in draw order: what drawing until one passes, n times, gives."""
+    mask), in draw order."""
     def accepted(rng, n):
         kept, count = [], 0
         while count < n:
@@ -427,49 +410,23 @@ def _accepted(sample, ok):
     return accepted
 
 
-def _columns(*cols):
-    return np.column_stack(cols)
+def _uniform(lo, hi):
+    """draw(rng, n): n rows uniform in the box of the per-column bounds lo, hi."""
+    return lambda rng, n: rng.uniform(lo, hi, (n, len(lo)))
 
 
-def _rotvecs(d, a):
-    """Rotation vectors: the unit directions of the normal draws d (N, 3)
-    times the angles a (N,)."""
-    return d / _norm(d)[:, None] * a[:, None]
+def _rotvecs(rng, n, lo=0.05, hi=2.8):
+    """n rotation vectors: normal directions times angles uniform in [lo, hi]."""
+    d = rng.normal(size=(n, 3))
+    return d / _norm(d)[:, None] * rng.uniform(lo, hi, (n, 1))
 
 
-def _so3_exps(w):
-    """lie._so3_exp of each row of w (N, 3)."""
-    theta = _norm(w)
-    small = theta < lie._TAYLOR_EPS
-    t2 = theta * theta
-    safe = np.where(small, 1.0, theta)
-    sinc = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / safe)
-    cosc = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
-                    (1.0 - np.cos(theta)) / (safe * safe))
-    k = matderiv._hat3(w)
-    return np.eye(3) + sinc[:, None, None] * k + cosc[:, None, None] * (k @ k)
-
-
-def _rt(r, t):
-    """The homogeneous matrices [r t; 0 1] of blocks r (N, k, k) and
-    vectors t (N, k)."""
-    k = t.shape[1]
-    m = np.zeros((len(t), k + 1, k + 1))
-    m[:, :k, :k], m[:, :k, k] = r, t
-    m[:, k, k] = 1.0
-    return m
-
-
-def _rot2(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
-
-
-def _raw_quats(v, s):
-    """Quaternions of norm s (N,) from normal draws v (N, 4), their scalar
-    part moved to at least 0.2."""
+def _raw_quats(rng, n):
+    """n quaternions of norm uniform in [0.5, 2] from normal draws, their
+    scalar part first moved to at least 0.2."""
+    v = rng.normal(size=(n, 4))
     v[:, 0] = np.abs(v[:, 0]) + 0.2
-    return v * (s / _norm(v))[:, None]
+    return v * (rng.uniform(0.5, 2.0, n) / _norm(v))[:, None]
 
 
 def _tame(e):
@@ -478,22 +435,51 @@ def _tame(e):
     return (np.abs(e[:, 1]) <= 1.2) & (np.abs(e[:, 0]) <= 3.05) & (np.abs(e[:, 2]) <= 3.05)
 
 
-_POINT = (None, _columns, (_UNIFORM3,))
-_FRONT_POINT = (None, _columns, (_uniform(-1.0, 1.0), _uniform(-1.0, 1.0), _uniform(0.5, 3.0)))
-_HOMPOSE = (core.HomPose, lambda d, a, t: _rt(_so3_exps(_rotvecs(d, a)), t),
-            _ROTVEC + (_UNIFORM3,))
-_QUAT_POSE = (lambda x, y, z, *q: core.QuatPose(x, y, z, core.Quaternion(*q)),
-              lambda t, d, a: np.concatenate([t, _so3_exp_quat(_rotvecs(d, a))], axis=1),
-              (_UNIFORM3,) + _ROTVEC)
-_YPR_POSE = (core.EulerPose, _columns, _YPR)
-_INTRINSICS = (vision.CameraIntrinsics, _columns,
-               (_uniform(100.0, 600.0), _uniform(100.0, 600.0), _uniform(200.0, 400.0),
-                _uniform(100.0, 300.0)))
+_DEG85 = np.deg2rad(85.0)
+_TRANSLATION = _uniform([-2.0] * 3, [2.0] * 3)
+_POINT = (None, _TRANSLATION)
+_FRONT_POINT = (None, _uniform([-1.0, -1.0, 0.5], [1.0, 1.0, 3.0]))
+_HOMPOSE = (core.HomPose, lambda rng, n: lie._pseudo_exp(
+    np.concatenate([_TRANSLATION(rng, n), _rotvecs(rng, n)], axis=1)))
+_QUAT_POSE = (lambda x, y, z, *q: core.QuatPose(x, y, z, core.Quaternion(*q)), lambda rng, n:
+              np.concatenate([_TRANSLATION(rng, n), _so3_exp_quat(_rotvecs(rng, n))], axis=1))
+_YPR_POSE = (core.EulerPose,
+             _uniform([-2.0] * 3 + [-3.1, -_DEG85, -3.1], [2.0] * 3 + [3.1, _DEG85, 3.1]))
+_INTRINSICS = (vision.CameraIntrinsics,
+               _uniform([100.0, 100.0, 200.0, 100.0], [600.0, 600.0, 400.0, 300.0]))
 
 
 def _se2_pose(max_angle):
-    return core.HomPose2, lambda t, a: _rt(_rot2(a), t), (_uniform(-2.0, 2.0, 2),
-                                                          _uniform(-max_angle, max_angle))
+    return core.HomPose2, lambda rng, n: lie._pseudo_exp(
+        rng.uniform([-2.0, -2.0, -max_angle], [2.0, 2.0, max_angle], (n, 3)))
+
+
+def _ypr_hompose(rng, n):
+    """HomPose matrices of EulerPose draws, by the rotation vectors of their
+    quaternions."""
+    v = _quatvec_from_ypr(_YPR_POSE[1](rng, n))
+    return lie._pseudo_exp(np.concatenate([v[:, :3], lie._log_quat(v[:, 3:])], axis=1))
+
+
+def _edge_setup(pose, eps):
+    """sample(rng, n): two poses of the kind pose and the measurements
+    b exp(eps) of their relative poses b, with eps(rng, n) the tangent rows."""
+    make, draw = pose
+
+    def sample(rng, n):
+        m1, m2 = draw(rng, n), draw(rng, n)
+        d = matderiv._inverse_rt(m1) @ m2 @ lie._pseudo_exp(eps(rng, n))
+        return [(make, d), (make, m1), (make, m2)]
+    return sample
+
+
+def _camera_setup(pull):
+    """sample(rng, n): intrinsics, a pose a and the point pull(a, g) that the
+    unit's projection maps back onto a front point g."""
+    def sample(rng, n):
+        k, a, (_, g) = _sampler(_INTRINSICS, _HOMPOSE, _FRONT_POINT)(rng, n)
+        return [k, a, (None, pull(a[1], g))]
+    return sample
 
 
 # The rejection tests see the values the constructors store: the samplers'
@@ -501,34 +487,6 @@ def _se2_pose(max_angle):
 _safe_quat_pose = _accepted(_sampler(_QUAT_POSE), lambda v: _tame(_ypr_from_quatvec(v)[:, 3:]))
 _ypr_pair = _accepted(_sampler(_YPR_POSE, _YPR_POSE),
                       lambda v1, v2: _tame(_ypr(_rot_ypr(v1[:, 3:]) @ _rot_ypr(v2[:, 3:]))))
-_se3_edge_draws = _sampler(_HOMPOSE, _HOMPOSE, (
-    None, lambda u, d, a: np.concatenate([0.3 * u, _rotvecs(d, a)], axis=1),
-    (_uniform(-1.0, 1.0, 3), _NORMAL3, _uniform(0.02, 0.3))))
-_se2_edge_draws = _sampler(_se2_pose(1.5), _se2_pose(1.5), (
-    None, _columns, (_uniform(-1.0, 1.0), _uniform(-1.0, 1.0), _uniform(-0.3, 0.3))))
-_camera_draws = _sampler(_INTRINSICS, _HOMPOSE, _FRONT_POINT)
-
-
-def _se3_edge_setup(rng, n):
-    p1, p2, (_, eps) = _se3_edge_draws(rng, n)
-    b = matderiv._inverse_rt(p1[1]) @ p2[1]
-    return [(core.HomPose, b @ _rt(_so3_exps(eps[:, 3:]), eps[:, :3])), p1, p2]  # b exp(eps)
-
-
-def _se2_edge_setup(rng, n):
-    p1, p2, (_, e) = _se2_edge_draws(rng, n)
-    b = matderiv._inverse_rt(p1[1]) @ p2[1]
-    return [(core.HomPose2, b @ _rt(_rot2(e[:, 2]), 0.3 * e[:, :2])), p1, p2]  # b exp(eps)
-
-
-def _camera_setup(rng, n):
-    k, a, (_, g) = _camera_draws(rng, n)
-    return [k, a, (None, _act_inv(a[1], g))]  # pulls A*p back onto g
-
-
-def _inv_camera_setup(rng, n):
-    k, a, (_, local) = _camera_draws(rng, n)
-    return [k, a, (None, _act(a[1], local))]  # pulls A^{-1}*p back onto local
 
 
 def _argument(unit, make, stack):
@@ -607,23 +565,22 @@ def _register_edge(kind, setup, error):
                                                    k, "right") for k in (1, 2)])
 
 
-def _register_camera(fn, setup, f):
-    """The unit of fn(k, a, p) -> (pixel, J wrt a left increment of a, J wrt p)."""
+def _register_camera(fn, f, pull):
+    """The unit of fn(k, a, p) -> (pixel, J wrt a left increment of a, J wrt p);
+    f is its stack map, and pull(a, g) the point that a maps onto g."""
     name = "vision." + fn.__name__
-    _register_unit([name + ".eps", name + ".point"], setup, lambda *s: fn(*s)[1:],
+    _register_unit([name + ".eps", name + ".point"], _camera_setup(pull), lambda *s: fn(*s)[1:],
                    lambda *s: [_manifold_fd(f, s, 1), _fd(f, s, 2)])
 
 
-_register("core.quat_normalize", _sampler((None, _raw_quats, (
-    operator.methodcaller("normal", size=4), _uniform(0.5, 2.0)))),
-    lambda v: core.quat_normalize(core.Quaternion(*v))[1], lambda v: _fd(_unit, (v,)))
+_register("core.quat_normalize", _sampler((None, _raw_quats)),
+          lambda v: core.quat_normalize(core.Quaternion(*v))[1], lambda v: _fd(_unit, (v,)))
 _register("core.jacobian_ypr_to_quat", _sampler(_YPR_POSE), core.jacobian_ypr_to_quat,
           lambda p: _fd(_quatvec_from_ypr, (p,)))
 _register("core.jacobian_quat_to_ypr", _safe_quat_pose, core.jacobian_quat_to_ypr,
           lambda p: _fd(_ypr_from_quatvec, (p,)))
-_register("core.jacobian_ypr_wrt_matrix", _sampler(
-    (core.HomPose, lambda t, *a: _rt(_rot_ypr(np.column_stack(a)), t), _YPR)),
-    core.jacobian_ypr_wrt_matrix, lambda m: _fd(_ypr_from_vec12, (_vec12(m),)))
+_register("core.jacobian_ypr_wrt_matrix", _sampler((core.HomPose, _ypr_hompose)),
+          core.jacobian_ypr_wrt_matrix, lambda m: _fd(_ypr_from_vec12, (_vec12(m),)))
 _register("core.jacobian_matrix_wrt_ypr", _sampler(_YPR_POSE), core.jacobian_matrix_wrt_ypr,
           lambda p: _fd(_vec12_from_ypr, (p,)))
 _register("core.jacobian_matrix_wrt_quat", _sampler(_QUAT_POSE), core.jacobian_matrix_wrt_quat,
@@ -668,13 +625,13 @@ _register("matderiv.d_invapply_wrt_pose", _sampler(_HOMPOSE, _POINT),
 _register("manifold.dexp_so3_at_zero", None, manifold_jac.dexp_so3_at_zero,
           lambda: _fd(lambda w: _vec(lie._pseudo_exp(
               np.concatenate([np.zeros_like(w), w], axis=1))[:, :3, :3]), (np.zeros((1, 3)),)))
-_register("manifold.dexp_so3_quat", _sampler((None, _rotvecs, _ROTVEC)),
+_register("manifold.dexp_so3_quat", _sampler((None, _rotvecs)),
           manifold_jac.dexp_so3_quat, lambda w: _fd(_so3_exp_quat, (w,)))
 # no stack form of se3_exp: the library map, one perturbed input at a time
 _register("manifold.dexp_se3_at_zero", None, manifold_jac.dexp_se3_at_zero,
           lambda: _fd(_rows(lambda v: lie.se3_exp(v).vec12), (np.zeros((1, 6)),)))
-_register("manifold.dlog_so3", _sampler(
-    (None, lambda d, a: _so3_exps(_rotvecs(d, a)), (_NORMAL3, _uniform(0.05, np.pi - 0.15)))),
+_register("manifold.dlog_so3", _sampler((None, lambda rng, n: lie._pseudo_exp(np.concatenate(
+    [np.zeros((n, 3)), _rotvecs(rng, n, 0.05, np.pi - 0.15)], axis=1))[:, :3, :3])),
     manifold_jac.dlog_so3,
     lambda r: _fd(lambda v: lie._log_quat(core._quat_from_rotation(_unvec(v, 3))), (_vec(r),)))
 _register("manifold.dpseudolog_se3", _sampler(_HOMPOSE), manifold_jac.dpseudolog_se3,
@@ -695,8 +652,11 @@ _register("manifold.jacob_AexpeDp_de", _sampler(_HOMPOSE, _HOMPOSE, _POINT),
 _register("manifold.jacob_p_ominus_AexpeD_de", _sampler(_HOMPOSE, _HOMPOSE, _POINT),
           manifold_jac.jacob_p_ominus_AexpeD_de,
           lambda a, d, p: _manifold_fd(lambda a, m, p: _act_inv(a @ m, p), (a, d, p), 1))
-_register_edge("se3", _se3_edge_setup, manifold_jac.edge_error_se3)
-_register_edge("se2", _se2_edge_setup, manifold_jac.edge_error_se2)
+_register_edge("se3", _edge_setup(_HOMPOSE, lambda rng, n: np.concatenate(
+    [rng.uniform(-0.3, 0.3, (n, 3)), _rotvecs(rng, n, 0.02, 0.3)], axis=1)),
+    manifold_jac.edge_error_se3)
+_register_edge("se2", _edge_setup(_se2_pose(1.5), _uniform([-0.3] * 3, [0.3] * 3)),
+               manifold_jac.edge_error_se2)
 
 _register("manifold.jacob_Dexpe_de_se2", _sampler(_se2_pose(3.0)),
           manifold_jac.jacob_Dexpe_de_se2,
@@ -712,8 +672,8 @@ _register("manifold.d_compose_se2_wrt_B", _sampler(_se2_pose(1.5), _se2_pose(1.5
 
 _register("vision.dproject_dp", _sampler(_INTRINSICS, _FRONT_POINT), vision.dproject_dp,
           lambda k, p: _fd(_project, (k, p), 1))
-_register_camera(vision.project_pose_point, _camera_setup, _project_act)
-_register_camera(vision.project_inv_pose_point, _inv_camera_setup, _project_act_inv)
+_register_camera(vision.project_pose_point, _project_act, _act_inv)
+_register_camera(vision.project_inv_pose_point, _project_act_inv, _act)
 
 
 def _report(name, a, num, tol):

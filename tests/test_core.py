@@ -428,6 +428,13 @@ def test_convert_gaussian_identity_target():
     assert np.array_equal(same.cov, g.cov)
 
 
+@pytest.mark.parametrize("target", ["euler", np.array(["quat"]), None])
+def test_convert_gaussian_rejects_unknown_targets(target):
+    g = GaussianPose(EulerPose(0, 0, 0, 0.1, 0.2, 0.3), 1e-6 * np.eye(6))
+    with pytest.raises(GeometryError, match="^convert_gaussian: unknown target "):
+        convert_gaussian(g, target)
+
+
 def test_convert_gaussian_symmetric_output():
     rng = np.random.default_rng(33)
     a = rng.normal(size=(6, 6)) * 1e-3

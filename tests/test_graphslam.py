@@ -141,6 +141,22 @@ def _one_exact_edge():
     return g
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("max_iterations", True), ("max_iterations", "a"), ("max_iterations", 2.5),
+    ("max_iterations", -1), ("epsilon_gradient", np.nan), ("epsilon_gradient", -1e-8),
+    ("epsilon_gradient", np.inf), ("epsilon_update", "x"), ("epsilon_update", np.nan),
+    ("epsilon_update", -1.0), ("lm_initial_lambda", True), ("lm_initial_lambda", None),
+    ("lm_factor", "20")])
+def test_solver_config_rejects_bad_numbers(field, bad):
+    with pytest.raises(GeometryError, match="^SolverConfig: %s must be " % field):
+        SolverConfig(**{field: bad})
+
+
+def test_solver_config_takes_integral_counts_and_zero_epsilons():
+    cfg = SolverConfig(max_iterations=np.int64(0), epsilon_gradient=0, epsilon_update=np.float64(0))
+    assert [s.iteration for s in optimize(_one_exact_edge(), cfg)[1]] == [0]
+
+
 # a lambda that is not > 0, or a factor that is not > 1, never passes the
 # 1e12 that ends a run of rejected trials
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])

@@ -164,6 +164,8 @@ def test_sandwich_increment_two_route_equality():
         j = jacob_AexpeD_de(a, d)
         assert np.abs(j - route1).max() < 1e-12
         assert np.abs(j - route2).max() < 1e-12
+        # the documented definition, which the block product computes
+        assert np.abs(j - np.kron(np.eye(4), a.mat[:3, :3]) @ jacob_expeD_de(d)).max() <= 1e-14
 
 
 def test_point_increment_chains():

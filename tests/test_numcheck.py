@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import rand_hompose
-from rigidkit import (CameraIntrinsics, EulerPose, HomPose, HomPose2, QuatPose, apply_vec12,
-                      check_catalog, compose_point_quat, compose_point_ypr, compose_pose_quat,
-                      compose_pose_ypr, edge_error_se2, edge_error_se3, inv_compose_point_quat,
-                      inverse_rt, jacob_Dexpe_de, jacob_expeD_de, manifold_numeric_jacobian,
-                      numeric_jacobian, pose_to_vec12, project, project_inv_pose_point,
-                      project_pose_point, quat_to_ypr, se2_pseudo_exp, se3_pseudo_exp, so3_exp,
-                      so3_exp_quat, vec12_to_pose, ypr_to_matrix)
+from rigidkit import (CameraIntrinsics, EulerPose, HomPose, apply_vec12, check_catalog,
+                      compose_point_quat, compose_point_ypr, compose_pose_quat, compose_pose_ypr,
+                      edge_error_se2, edge_error_se3, inv_compose_point_quat, inverse_rt,
+                      jacob_Dexpe_de, jacob_expeD_de, manifold_numeric_jacobian, numeric_jacobian,
+                      pose_to_vec12, project, project_inv_pose_point, project_pose_point,
+                      quat_to_ypr, se2_pseudo_exp, se2_pseudo_log, se3_pseudo_exp,
+                      se3_pseudo_log, so3_exp, so3_exp_quat, so3_log, vec12_to_pose,
+                      ypr_to_matrix)
 from rigidkit import numcheck
-from rigidkit.core import _angles_from_rotation, _rotation_from_angles
+from rigidkit.core import _angles_from_rotation
 from rigidkit.errors import GeometryError
 
 
@@ -276,7 +277,7 @@ def _stand_ins(rng):
     """name: (stack map, the library function it stands for, its inputs), for
     the formulas the catalog writes out in place of a library call."""
     k, a, p = _intrinsics(rng), _hompose(rng), _translation(rng)
-    kv = np.array(_numbers(k))
+    kv = np.array([k.fx, k.fy, k.cx, k.cy])
     r, t = a.mat[:3, :3], a.mat[:3, 3]
     n = 200
     front = [_front_point(rng) for _ in range(n)]
@@ -352,9 +353,7 @@ def test_stacks_hold_what_the_constructors_store(unit, corrupt, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the one-draw-at-a-time samplers that the stack samplers replaced, kept as
-# their reference: one configuration per call, through the public
-# constructors and functions
+# single-value samplers for the stand-in tests
 
 def _direction(rng):
     v = rng.normal(size=3)
@@ -369,32 +368,10 @@ def _translation(rng):
     return rng.uniform(-2.0, 2.0, size=3)
 
 
-def _rt(r, t):
-    m = np.eye(len(t) + 1)
-    m[:-1, :-1], m[:-1, -1] = r, t
-    return m
-
-
-def _rot2(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return [[c, -s], [s, c]]
-
-
 def _hompose(rng):
-    return HomPose(_rt(so3_exp(_rotvec(rng)), _translation(rng)))
-
-
-def _quat_pose(rng):
-    t = _translation(rng)
-    return QuatPose(t[0], t[1], t[2], so3_exp_quat(_rotvec(rng)))
-
-
-def _safe_quat_pose(rng):
-    while True:
-        p = _quat_pose(rng)
-        e = quat_to_ypr(p)
-        if abs(e.pitch) <= 1.2 and abs(e.yaw) <= 3.05 and abs(e.roll) <= 3.05:
-            return p
+    m = np.eye(4)
+    m[:3, :3], m[:3, 3] = so3_exp(_rotvec(rng)), _translation(rng)
+    return HomPose(m)
 
 
 def _ypr_pose(rng):
@@ -402,11 +379,6 @@ def _ypr_pose(rng):
     deg85 = np.deg2rad(85.0)
     return EulerPose(t[0], t[1], t[2], rng.uniform(-3.1, 3.1), rng.uniform(-deg85, deg85),
                      rng.uniform(-3.1, 3.1))
-
-
-def _se2_pose(rng, max_angle=3.0):
-    t = rng.uniform(-2.0, 2.0, size=2)
-    return HomPose2(_rt(_rot2(rng.uniform(-max_angle, max_angle)), t))
 
 
 def _intrinsics(rng):
@@ -418,143 +390,145 @@ def _front_point(rng):
     return np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0)])
 
 
-def _raw_quat(rng):
-    v = rng.normal(size=4)
-    v[0] = abs(v[0]) + 0.2
-    v *= rng.uniform(0.5, 2.0) / np.linalg.norm(v)
-    return v
+# ---------------------------------------------------------------------------
+# the samplers' domains: each function maps a unit's stacks to the masks of
+# the conditions every configuration must meet
+
+DEG85 = np.deg2rad(85.0)
 
 
-def _ypr_pair(rng):
-    while True:
-        p1, p2 = _ypr_pose(rng), _ypr_pose(rng)
-        r = (_rotation_from_angles(p1.yaw, p1.pitch, p1.roll)
-             @ _rotation_from_angles(p2.yaw, p2.pitch, p2.roll))
-        yaw, pitch, roll = _angles_from_rotation(r)
-        if abs(pitch) <= 1.2 and abs(yaw) <= 3.05 and abs(roll) <= 3.05:
-            return p1, p2
+def _in(x, lo, hi):
+    return (np.asarray(lo) - 1e-12 <= x) & (x <= np.asarray(hi) + 1e-12)
 
 
-def _se3_edge_setup(rng):
-    p1, p2 = _hompose(rng), _hompose(rng)
-    b = inverse_rt(p1.mat) @ p2.mat
-    eps = np.concatenate([0.3 * rng.uniform(-1, 1, size=3), _rotvec(rng, 0.02, 0.3)])
-    return HomPose(b @ _rt(so3_exp(eps[3:]), eps[:3])), p1, p2
+def _hom(m):
+    """Rotation angles in [0.05, 2.8], translations in [-2, 2]."""
+    v = se3_pseudo_log(m)
+    return [_in(np.linalg.norm(v[:, 3:], axis=1), 0.05, 2.8), _in(v[:, :3], -2.0, 2.0)]
 
 
-def _se2_edge_setup(rng):
-    p1, p2 = _se2_pose(rng, 1.5), _se2_pose(rng, 1.5)
-    b = inverse_rt(p1.mat) @ p2.mat
-    eps = np.array([0.3 * rng.uniform(-1, 1), 0.3 * rng.uniform(-1, 1), rng.uniform(-0.3, 0.3)])
-    return HomPose2(b @ _rt(_rot2(eps[2]), eps[:2])), p1, p2
+def _se2(max_angle):
+    """Angles within max_angle, translations in [-2, 2]."""
+    return lambda m: [_in(se2_pseudo_log(m), [-2.0, -2.0, -max_angle], [2.0, 2.0, max_angle])]
 
 
-def _camera_setup(rng):
-    k, a = _intrinsics(rng), _hompose(rng)
-    g = _front_point(rng)
-    return k, a, a.mat[:3, :3].T @ (g - a.mat[:3, 3])
+def _quat(v):
+    angle = 2.0 * np.arctan2(np.linalg.norm(v[:, 4:], axis=1), v[:, 3])
+    return [_in(angle, 0.05, 2.8), _in(v[:, :3], -2.0, 2.0)]
 
 
-def _inv_camera_setup(rng):
-    k, a = _intrinsics(rng), _hompose(rng)
-    local = _front_point(rng)
-    return k, a, a.mat[:3, :3] @ local + a.mat[:3, 3]
+def _ypr(v):
+    """Translations in [-2, 2], |yaw|, |roll| <= 3.1 and |pitch| <= 85 degrees."""
+    return [_in(v, [-2.0] * 3 + [-3.1, -DEG85, -3.1], [2.0] * 3 + [3.1, DEG85, 3.1])]
 
 
-def _numbers(v):
-    """What a stack holds of one sampled value."""
-    if isinstance(v, CameraIntrinsics):
-        return v.fx, v.fy, v.cx, v.cy
-    return getattr(v, "mat", getattr(v, "vec", v))
+def _point(p):
+    return [_in(p, -2.0, 2.0)]
 
 
-def _pair(first, second):
-    return lambda rng: (first(rng), second(rng))
+def _front(p):
+    """In front of the camera: depth in [0.5, 3]."""
+    return [_in(p, [-1.0, -1.0, 0.5], [1.0, 1.0, 3.0])]
 
 
-def _se2_pair(rng):
-    return _se2_pose(rng, 1.5), _se2_pose(rng, 1.5)
+def _intrinsics_box(k):
+    return [_in(k, [100.0, 100.0, 200.0, 100.0], [600.0, 600.0, 400.0, 300.0])]
 
 
-def _two_poses_point(rng):
-    return _hompose(rng), _hompose(rng), _translation(rng)
+def _args(*domains):
+    """The domain of a unit whose arguments have the given domains."""
+    return lambda *stacks: [c for d, s in zip(domains, stacks) for c in d(s)]
 
 
-# unit: the sampler it had when each check drew its own configurations
-DRAW_AT_A_TIME = {
-    "core.quat_normalize": _raw_quat,
-    "core.jacobian_ypr_to_quat": _ypr_pose,
-    "core.jacobian_quat_to_ypr": _safe_quat_pose,
-    "core.jacobian_ypr_wrt_matrix": lambda rng: ypr_to_matrix(_ypr_pose(rng)),
-    "core.jacobian_matrix_wrt_ypr": _ypr_pose,
-    "core.jacobian_matrix_wrt_quat": _quat_pose,
-    "geometry.compose_point_quat.pose": _pair(_quat_pose, _translation),
-    "geometry.compose_point_ypr.pose": _pair(_ypr_pose, _translation),
-    "geometry.compose_pose_quat.j1": _pair(_quat_pose, _quat_pose),
-    "geometry.compose_pose_ypr.j1": _ypr_pair,
-    "geometry.inv_compose_point_quat.pose": _pair(_quat_pose, _translation),
-    "geometry.inverse_pose_quat": _quat_pose,
-    "matderiv.d_compose_wrt_A": _pair(_hompose, _hompose),
-    "matderiv.d_compose_wrt_B": _pair(_hompose, _hompose),
-    "matderiv.d_apply_wrt_point": _pair(_hompose, _translation),
-    "matderiv.d_apply_wrt_pose": _pair(_hompose, _translation),
-    "matderiv.d_inverse_wrt_pose": _hompose,
-    "matderiv.d_invapply_wrt_point": _pair(_hompose, _translation),
-    "matderiv.d_invapply_wrt_pose": _pair(_hompose, _translation),
-    "manifold.dexp_so3_quat": _rotvec,
-    "manifold.dlog_so3": lambda rng: so3_exp(_rotvec(rng, 0.05, np.pi - 0.15)),
-    "manifold.dpseudolog_se3": _hompose,
-    "manifold.jacob_expeD_de": _hompose,
-    "manifold.jacob_Dexpe_de": _hompose,
-    "manifold.jacob_expeDp_de": _pair(_hompose, _translation),
-    "manifold.jacob_p_ominus_expeD_de": _pair(_hompose, _translation),
-    "manifold.jacob_AexpeD_de": _pair(_hompose, _hompose),
-    "manifold.jacob_AexpeDp_de": _two_poses_point,
-    "manifold.jacob_p_ominus_AexpeD_de": _two_poses_point,
-    "manifold.edge_error_se3.j1": _se3_edge_setup,
-    "manifold.edge_error_se2.j1": _se2_edge_setup,
-    "manifold.jacob_Dexpe_de_se2": _se2_pose,
-    "manifold.d_compose_se2_wrt_A": _se2_pair,
-    "manifold.d_compose_se2_wrt_B": _se2_pair,
-    "vision.dproject_dp": _pair(_intrinsics, _front_point),
-    "vision.project_pose_point.eps": _camera_setup,
-    "vision.project_inv_pose_point.eps": _inv_camera_setup,
+def _edge(d, p1, p2):
+    """The poses' domains, and measurements b exp(eps) with each entry of
+    eps (and its rotation angle) within 0.3."""
+    exp_eps = inverse_rt(inverse_rt(p1) @ p2) @ d
+    if d.shape[-1] == 3:
+        return _se2(1.5)(p1) + _se2(1.5)(p2) + [_in(se2_pseudo_log(exp_eps), -0.3, 0.3)]
+    eps = se3_pseudo_log(exp_eps)
+    return _hom(p1) + _hom(p2) + [_in(eps[:, :3], -0.3, 0.3),
+                                  _in(np.linalg.norm(eps[:, 3:], axis=1), 0.02, 0.3)]
+
+
+def _camera(see):
+    """Intrinsics, a pose a, and a point p that see(a, p) puts in front."""
+    def domain(k, a, p):
+        return _args(_intrinsics_box, _hom)(k, a) + _front(see(a, p))
+    return domain
+
+
+# unit: the domain of its stacks
+DOMAINS = {
+    "core.quat_normalize": lambda q: [_in(np.linalg.norm(q, axis=1), 0.5, 2.0), q[:, 0] > 0.0],
+    "core.jacobian_ypr_to_quat": _ypr,
+    "core.jacobian_quat_to_ypr": _quat,
+    "core.jacobian_ypr_wrt_matrix": lambda m: _ypr(
+        np.concatenate([m[:, :3, 3], numcheck._ypr(m[:, :3, :3])], axis=1)),
+    "core.jacobian_matrix_wrt_ypr": _ypr,
+    "core.jacobian_matrix_wrt_quat": _quat,
+    "geometry.compose_point_quat.pose": _args(_quat, _point),
+    "geometry.compose_point_ypr.pose": _args(_ypr, _point),
+    "geometry.compose_pose_quat.j1": _args(_quat, _quat),
+    "geometry.compose_pose_ypr.j1": _args(_ypr, _ypr),
+    "geometry.inv_compose_point_quat.pose": _args(_quat, _point),
+    "geometry.inverse_pose_quat": _quat,
+    "matderiv.d_compose_wrt_A": _args(_hom, _hom),
+    "matderiv.d_compose_wrt_B": _args(_hom, _hom),
+    "matderiv.d_apply_wrt_point": _args(_hom, _point),
+    "matderiv.d_apply_wrt_pose": _args(_hom, _point),
+    "matderiv.d_inverse_wrt_pose": _hom,
+    "matderiv.d_invapply_wrt_point": _args(_hom, _point),
+    "matderiv.d_invapply_wrt_pose": _args(_hom, _point),
+    "manifold.dexp_so3_quat": lambda w: [_in(np.linalg.norm(w, axis=1), 0.05, 2.8)],
+    "manifold.dlog_so3": lambda r: [_in(np.linalg.norm(so3_log(r), axis=1), 0.05, np.pi - 0.15)],
+    "manifold.dpseudolog_se3": _hom,
+    "manifold.jacob_expeD_de": _hom,
+    "manifold.jacob_Dexpe_de": _hom,
+    "manifold.jacob_expeDp_de": _args(_hom, _point),
+    "manifold.jacob_p_ominus_expeD_de": _args(_hom, _point),
+    "manifold.jacob_AexpeD_de": _args(_hom, _hom),
+    "manifold.jacob_AexpeDp_de": _args(_hom, _hom, _point),
+    "manifold.jacob_p_ominus_AexpeD_de": _args(_hom, _hom, _point),
+    "manifold.edge_error_se3.j1": _edge,
+    "manifold.edge_error_se2.j1": _edge,
+    "manifold.jacob_Dexpe_de_se2": _se2(3.0),
+    "manifold.d_compose_se2_wrt_A": _args(_se2(1.5), _se2(1.5)),
+    "manifold.d_compose_se2_wrt_B": _args(_se2(1.5), _se2(1.5)),
+    "vision.dproject_dp": _args(_intrinsics_box, _front),
+    "vision.project_pose_point.eps": _camera(numcheck._act),
+    "vision.project_inv_pose_point.eps": _camera(numcheck._act_inv),
+}
+
+# unit: the (yaw, pitch, roll) that the library makes of a configuration,
+# which its rejection sampler keeps off the gimbal band and the cuts
+TAMED = {
+    "core.jacobian_quat_to_ypr": quat_to_ypr,
+    "geometry.compose_pose_ypr.j1": lambda p1, p2: compose_pose_ypr(p1, p2)[0],
 }
 
 
-def _drawn_at_a_time(unit, seed, n):
-    """The unit's n configurations from its reference sampler, one at a
-    time on the unit's generator."""
-    rng = np.random.default_rng([seed, crc32(unit.encode("ascii"))])
-    drawn = [DRAW_AT_A_TIME[unit](rng) for _ in range(n)]
-    return [s if isinstance(s, tuple) else (s,) for s in drawn]
-
-
 def test_units():
-    # 48 checks as 39 units; a unit is named after its first check
+    # 48 checks as 39 units, 37 of which draw; a unit is named after its first check
     assert len(numcheck._CHECKS) == 39
     assert sum(len(names) for names, *_ in numcheck._CHECKS.values()) == 48
     assert all(unit == names[0] for unit, (names, *_) in numcheck._CHECKS.items())
-    assert set(DRAW_AT_A_TIME) == {unit for unit, (_, sample, _, _) in numcheck._CHECKS.items()
-                                   if sample}
+    drawing = {unit for unit, (_, sample, _, _) in numcheck._CHECKS.items() if sample}
+    assert len(drawing) == 37
+    assert set(DOMAINS) == drawing
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-@pytest.mark.parametrize("unit", sorted(DRAW_AT_A_TIME))
-def test_stack_sampler_equals_the_draw_at_a_time_sampler(unit, seed):
-    # same generator calls, same order, same bits: every stack, and every
-    # value the public call gets
-    drawn = _drawn_at_a_time(unit, seed, 100)
-    stacks, values = numcheck._configurations(unit, seed, 100)
-    want = [np.array([_numbers(v) for v in col]) for col in zip(*drawn)]
-    assert [(s.shape, s.tobytes()) for s in stacks] == [(w.shape, w.tobytes()) for w in want]
-    assert len(values) == len(drawn)
-    for got, ref in zip(values, drawn):
-        assert [type(v) for v in got] == [type(v) for v in ref]
-        assert [np.asarray(_numbers(v)).tobytes() for v in got] == \
-            [np.asarray(_numbers(v)).tobytes() for v in ref]
-        assert all(g == r for g, r in zip(got, ref) if isinstance(r, (QuatPose, EulerPose,
-                                                                      CameraIntrinsics)))
+@pytest.mark.parametrize("unit", sorted(DOMAINS))
+def test_every_configuration_lies_in_its_samplers_domain(unit, seed):
+    stacks, values = numcheck._configurations(unit, seed, 200)
+    masks = DOMAINS[unit](*stacks)
+    if unit in TAMED:
+        e = [TAMED[unit](*v) for v in values]
+        masks.append(numcheck._tame(np.array([[p.yaw, p.pitch, p.roll] for p in e])))
+    assert len(values) == 200
+    for i, mask in enumerate(masks):
+        assert mask.all(), (i, np.argwhere(~mask)[:3])
 
 
 # unit: (its second check, that Jacobian's getter, its stack map)
@@ -597,13 +571,13 @@ SECOND = {
 def test_second_jacobian_is_its_own_check_on_the_first_checks_draws(unit, seed, monkeypatch):
     # the unit's one call per configuration and one stack-map call per
     # Jacobian give the second Jacobian the bits of its own getter and stack
-    # map, run one configuration at a time on the first check's draws
+    # map, run one configuration at a time on the draws of the unit (whose
+    # generator is seeded from its first check)
     name, getter, stack_map = SECOND[unit]
-    drawn = _drawn_at_a_time(unit, seed, 100)
-    stacks = [np.array([_numbers(v) for v in col]) for col in zip(*drawn)]
-    want_a = np.array([getter(*s) for s in drawn])
+    stacks, values = numcheck._configurations(unit, seed, 100)
+    want_a = np.array([getter(*v) for v in values])
     want_num = np.concatenate([stack_map(*[s[i:i + 1] for s in stacks])
-                               for i in range(len(drawn))])
+                               for i in range(len(values))])
     seen = {}
     report = numcheck._report
 

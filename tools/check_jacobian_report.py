@@ -4,8 +4,10 @@ Runs ``python -m rigidkit.cli jacobian-check --samples 100 --seed 7 --json``
 (the benchmark's size) in its process pool.  The command must exit 0 and
 its report must be strict JSON (no NaN or Infinity token), hold 48
 passing operations, and equal ``[r.to_json_dict() for r in
-check_catalog(seed=7, n=100)]``.  Exits non-zero otherwise.  Usage, with
-rigidkit importable:
+check_catalog(seed=7, n=100)]``.  It then runs the serial
+``check_catalog(seed, n=100)`` for each seed of ``SWEEP`` (1 to 20): all
+48 checks must pass at each.  Exits non-zero, naming what failed,
+otherwise.  Usage, with rigidkit importable:
 
     python3 tools/check_jacobian_report.py
 """
@@ -17,6 +19,7 @@ import sys
 from rigidkit import check_catalog
 
 SEED, SAMPLES = 7, 100
+SWEEP = range(1, 21)
 
 
 def _no_constant(token):
@@ -40,6 +43,11 @@ def main():
                  % [a["op"] for a, b in zip(reports, serial) if a != b])
     print("%d/%d operations passed; the pooled report equals the serial check_catalog"
           % (len(reports) - len(failed), len(reports)))
+    failed = ["seed %d: %s" % (seed, r.op) for seed in SWEEP
+              for r in check_catalog(seed=seed, n=SAMPLES) if not r.passed]
+    if failed:
+        sys.exit("failed: %s" % ", ".join(failed))
+    print("seeds %d-%d: 48/48 operations passed at each" % (SWEEP[0], SWEEP[-1]))
 
 
 if __name__ == "__main__":
