@@ -77,7 +77,8 @@ class Quaternion:
 
     @property
     def norm(self):
-        return float(np.linalg.norm(self.vec))
+        with np.errstate(over="ignore"):  # inf where the squared norm overflows
+            return float(np.linalg.norm(self.vec))
 
 
 @dataclass(frozen=True)
@@ -170,14 +171,7 @@ class HomPose:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = _checked(self.mat, "HomPose: matrix", (4, 4)).copy()
-        if not (m[3, 0] == 0.0 and m[3, 1] == 0.0 and m[3, 2] == 0.0 and m[3, 3] == 1.0):
-            raise GeometryError("HomPose: bottom row must be (0, 0, 0, 1)")
-        r = m[:3, :3]
-        if np.linalg.norm(r.T @ r - np.eye(3)) >= 1e-9:
-            raise GeometryError("HomPose: rotation block is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) >= 1e-9:
-            raise GeometryError("HomPose: rotation block must have determinant +1")
+        m = _rigid(_checked(self.mat, "HomPose: matrix", (4, 4)).copy(), "HomPose", 3)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -220,14 +214,7 @@ class HomPose2:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = _checked(self.mat, "HomPose2: matrix", (3, 3)).copy()
-        if not (m[2, 0] == 0.0 and m[2, 1] == 0.0 and m[2, 2] == 1.0):
-            raise GeometryError("HomPose2: bottom row must be (0, 0, 1)")
-        r = m[:2, :2]
-        if np.linalg.norm(r.T @ r - np.eye(2)) >= 1e-9:
-            raise GeometryError("HomPose2: rotation block is not orthonormal")
-        if np.linalg.det(r) <= 0.0:
-            raise GeometryError("HomPose2: rotation block must have determinant +1")
+        m = _rigid(_checked(self.mat, "HomPose2: matrix", (3, 3)).copy(), "HomPose2", 2)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -256,28 +243,72 @@ class HomPose2:
     _trusted = classmethod(_trusted)
 
 
-def _rigid_checks(m, name=None):
-    """The HomPose / HomPose2 constructor's tests on a stack m (N, n, n).
+# the rigidity tests' messages, after "<name>: ", by the rotation's size k
+_BOTTOM = {k: "bottom row must be (%s1)" % ("0, " * k) for k in (2, 3)}
+_ORTHO = "rotation block is not orthonormal"
+_DET = "rotation block must have determinant +1"
 
-    Returns a list of (pass mask, message) in the order the constructor
-    applies them, for :func:`_first_failure`; same tolerances.  Each
+
+def _rigid_checks(m, name=None, k=None):
+    """The rigidity tests of HomPose (k = 3) or HomPose2 (k = 2) on a stack.
+
+    m is (N, k + 1, k + 1), poses; (N, k, k + 1), their top blocks; or
+    (N, k, k), rotations; k defaults to that of poses.  Returns a list of
+    (pass mask, message) in the order the constructor applies them, for
+    :func:`_first_failure`: finite entries, the bottom row (0, ..., 0, 1)
+    where m has one, a Frobenius defect of R^T R - I below 1e-9, and a
+    determinant within 1e-9 of +1 (k = 3) or above 0 (k = 2).  Each
     message starts with name, by default the pose type's.
     """
-    k = m.shape[-1] - 1
+    k = k or m.shape[-1] - 1
     name = name or ("HomPose" if k == 3 else "HomPose2")
     r = m[:, :k, :k]
     with np.errstate(invalid="ignore", over="ignore"):
         ortho = np.linalg.norm(np.swapaxes(r, 1, 2) @ r - np.eye(k), axis=(1, 2)) < 1e-9
         det = np.linalg.det(r)
-    return [
-        (np.isfinite(m).all(axis=(1, 2)),
-         "%s: matrix must be a finite %dx%d" % (name, k + 1, k + 1)),
-        ((m[:, k, :k] == 0.0).all(axis=1) & (m[:, k, k] == 1.0),
-         name + ": bottom row must be (%s1)" % ("0, " * k)),
-        (ortho, name + ": rotation block is not orthonormal"),
-        (np.abs(det - 1.0) < 1e-9 if k == 3 else det > 0.0,
-         name + ": rotation block must have determinant +1"),
-    ]
+    return [(np.isfinite(m).all(axis=(1, 2)),
+             "%s: matrix must be a finite %dx%d" % (name, *m.shape[1:])),
+            # a rotation or a top block has no bottom row to fail
+            ((m[:, k:] == np.eye(m.shape[2])[-1]).all(axis=(1, 2)),
+             name + ": " + _BOTTOM[k]),
+            (ortho, name + ": " + _ORTHO),
+            (np.abs(det - 1.0) < 1e-9 if k == 3 else det > 0.0, name + ": " + _DET)]
+
+
+def _rigid(m, name, k):
+    """m, once each of its matrices passes the rigidity tests of HomPose
+    (k = 3) or HomPose2 (k = 2), with their tolerances.
+
+    m is a finite float array of one of :func:`_rigid_checks`' shapes,
+    without N for one matrix or with any stack axes.  A stack goes through
+    :func:`_rigid_checks`; one matrix takes the same tests in scalar form,
+    at about a third of the cost of a stack of one.  Entries whose
+    products overflow fail the orthonormality test, without a numpy
+    warning.
+
+    Raises
+    ------
+    GeometryError
+        "<name>: <test's message>", with the stack index after name when
+        m is a stack.
+    """
+    if m.ndim > 2:
+        fault = _first_failure(_rigid_checks(m.reshape((-1,) + m.shape[-2:]), name, k))
+        if fault:
+            at = ", ".join(str(int(i)) for i in np.unravel_index(fault[0], m.shape[:-2]))
+            raise GeometryError("%s[%s]%s" % (name, at, fault[1][len(name):]))
+        return m
+    r = m[:k, :k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(m) > k and m[k].tolist() != [0.0] * k + [1.0]:
+            fault = _BOTTOM[k]
+        elif not np.linalg.norm(r.T @ r - np.eye(k)) < 1e-9:
+            fault = _ORTHO
+        elif not (abs(np.linalg.det(r) - 1.0) < 1e-9 if k == 3 else np.linalg.det(r) > 0.0):
+            fault = _DET
+        else:
+            return m
+    raise GeometryError("%s: %s" % (name, fault))
 
 
 def _first_failure(checks):
@@ -558,7 +589,9 @@ def quat_normalize(q):
     -------
     (Quaternion, (4, 4) ndarray)
         The unit quaternion and the derivative of q -> q/|q| at the
-        input.  Idempotent on already-unit input.
+        input.  Idempotent on already-unit input.  Where the squared norm
+        overflows, they are those of q / max |q_i|, the derivative divided
+        by max |q_i|.
 
     Raises
     ------
@@ -566,7 +599,11 @@ def quat_normalize(q):
         For (numerically) zero norm.
     """
     v = _typed(q, "quat_normalize: q", Quaternion).vec
-    n = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if n == np.inf:  # q / max |q_i| has the same direction and a finite norm
+        u, jac = quat_normalize(Quaternion(*(v / np.abs(v).max())))
+        return u, jac / np.abs(v).max()
     if n < 1e-12:
         raise GeometryError("quat_normalize: zero-norm quaternion")
     u = v / n

@@ -30,6 +30,7 @@ fills one ``%`` template per line; its 17 significant digits round-trip
 doubles exactly.
 """
 
+import os
 import sys
 
 import numpy as np
@@ -39,6 +40,7 @@ from .core import (HomPose, HomPose2, _first_failure, _quat_from_rotation,
 from .errors import GeometryError
 from .graphslam import PoseGraph
 from .lie import _pseudo_exp, _pseudo_log
+from .matderiv import _typed
 
 __all__ = ["read_g2o", "write_g2o", "format_g2o"]
 
@@ -135,8 +137,8 @@ def read_g2o(source, auto_fix=True):
 
     Parameters
     ----------
-    source : str | Path | file-like
-        Path to the file, or an open text stream.
+    source : str | os.PathLike | file-like
+        Path to the file, or an open text stream (an object with read).
     auto_fix : bool
         When the file has no FIX record, fix the lowest vertex id and
         note it on stderr (a graph with a free gauge cannot be solved).
@@ -146,11 +148,16 @@ def read_g2o(source, auto_fix=True):
     GeometryError
         On malformed records, unknown tags, references to undefined
         vertices, or mixed planar/3D content; messages name the line.
+        Also if source is neither a stream nor a str or os.PathLike path:
+        open() would take an int as a file descriptor, and close it.
+    OSError
+        If the file cannot be opened.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:  # a byte that is not ASCII fails as a token, on its line
-        with open(source, "r", encoding="ascii", errors="replace") as fh:
+        with open(_typed(source, "read_g2o: source", (str, os.PathLike)), "r",
+                  encoding="ascii", errors="replace") as fh:
             text = fh.read()
     groups, fixes, fault = _split(text.splitlines())
     vertices, edges = [], []
@@ -181,7 +188,7 @@ def _se3_fields(mats):
 
 def format_g2o(g):
     """Render a PoseGraph as g2o text (vertices, FIX records, edges)."""
-    if g.kind not in ("se2", "se3"):
+    if _typed(g, "format_g2o: g", PoseGraph).kind not in ("se2", "se3"):
         raise GeometryError("format_g2o: graph is empty")
     vtag, etag, fields = (("VERTEX_SE2", "EDGE_SE2", _pseudo_log) if g.kind == "se2"
                           else ("VERTEX_SE3:QUAT", "EDGE_SE3:QUAT", _se3_fields))
@@ -200,10 +207,11 @@ def format_g2o(g):
 
 
 def write_g2o(g, dest):
-    """Write a PoseGraph to a path or open text stream in g2o format."""
-    text = format_g2o(g)
+    """Write a PoseGraph to a path (str or os.PathLike) or an open text
+    stream (an object with write) in g2o format."""
+    text = format_g2o(_typed(g, "write_g2o: g", PoseGraph))
     if hasattr(dest, "write"):
         dest.write(text)
     else:
-        with open(dest, "w", encoding="ascii") as fh:
+        with open(_typed(dest, "write_g2o: dest", (str, os.PathLike)), "w", encoding="ascii") as fh:
             fh.write(text)

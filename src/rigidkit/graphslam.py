@@ -52,7 +52,6 @@ reading g2o files and the pose commands never load it.
 import dataclasses
 import functools
 import heapq
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +60,7 @@ from .core import HomPose, HomPose2, _first_failure, _rigid_checks
 from .errors import GeometryError, RankDeficiencyError
 from .lie import _pseudo_exp, _pseudo_log, _vinv_coeff, se2_pseudo_exp, se3_pseudo_exp
 from .manifold_jac import _relative
-from .matderiv import _hat3, _inverse_rt
+from .matderiv import _checked, _hat3, _inverse_rt, _number, _typed
 
 _DENSE_LIMIT = 1500
 _LM_MAX_LAMBDA = 1e12
@@ -113,21 +112,15 @@ class Edge:
     information: np.ndarray
 
 
-def _check_lm(name, value, floor):
-    """value as a float, or GeometryError unless it is a finite number > floor."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not floor < value < np.inf:
-        raise GeometryError("%s must be finite and > %g, got %r" % (name, floor, value))
-    return float(value)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings for :func:`step` and :func:`optimize`.
 
     max_iterations must be an integer >= 0 and the two epsilons finite
-    numbers >= 0.  lm_initial_lambda must be finite and > 0, and lm_factor
-    finite and > 1, whatever the method: otherwise lambda would never pass
-    the 1e12 that ends a run of rejected trials.
+    numbers >= 0.  lm_initial_lambda must be a finite number > 0, and
+    lm_factor a finite number > 1, whatever the method: otherwise lambda
+    would never pass the 1e12 that ends a run of rejected trials.  Each
+    number follows ``matderiv._number``: a bool or a string is not one.
     """
 
     method: str = "levenberg-marquardt"
@@ -141,15 +134,10 @@ class SolverConfig:
         if self.method not in ("gauss-newton", "levenberg-marquardt"):
             raise GeometryError(
                 "SolverConfig: method must be 'gauss-newton' or 'levenberg-marquardt'")
-        count = self.max_iterations
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
-            raise GeometryError("SolverConfig: max_iterations must be an integer >= 0")
-        for name in ("epsilon_gradient", "epsilon_update"):
-            eps = getattr(self, name)
-            if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 <= eps < np.inf:
-                raise GeometryError("SolverConfig: %s must be a finite number >= 0" % name)
-        _check_lm("SolverConfig: lm_initial_lambda", self.lm_initial_lambda, 0.0)
-        _check_lm("SolverConfig: lm_factor", self.lm_factor, 1.0)
+        _number(self.max_iterations, "SolverConfig: max_iterations", 0, integer=True)
+        for name, low, strict in (("epsilon_gradient", 0, False), ("epsilon_update", 0, False),
+                                  ("lm_initial_lambda", 0, True), ("lm_factor", 1, True)):
+            _number(getattr(self, name), "SolverConfig: " + name, low, strict=strict)
 
 
 @dataclass(frozen=True)
@@ -481,7 +469,7 @@ class _Packed:
 
 def chi2(g):
     """Sum over edges of e^T Lambda e at the current vertex estimates."""
-    pk = _Packed(g)
+    pk = _Packed(_typed(g, "chi2: g", PoseGraph))
     return pk.chi2(pk.mats)
 
 
@@ -525,7 +513,7 @@ def build_normal_equations(g):
         If no vertex is fixed, or some free vertex has no path to a
         fixed one (the system would be singular by construction).
     """
-    _check_gauge(g)
+    _check_gauge(_typed(g, "build_normal_equations: g", PoseGraph))
     pk = _Packed(g)
     h, b = pk.normal_equations(pk.mats)
     return (h.toarray() if b.size <= _DENSE_LIMIT else h), b
@@ -652,10 +640,12 @@ def step(g, cfg, lambda_=None):
     ------
     GeometryError
         If chi2, the gradient b or the Hessian H at the input is not
-        finite, or lambda_ is given and is not finite and > 0.
+        finite, g is not a PoseGraph or cfg not a SolverConfig, or
+        lambda_ is given and is not a finite number > 0.
     """
-    lam = cfg.lm_initial_lambda if lambda_ is None else _check_lm("step: lambda_", lambda_, 0.0)
-    _check_gauge(g)
+    lam = _typed(cfg, "step: cfg", SolverConfig).lm_initial_lambda
+    lam = lam if lambda_ is None else _number(lambda_, "step: lambda_", 0, strict=True)
+    _check_gauge(_typed(g, "step: g", PoseGraph))
     pk = _Packed(g)
     base = _finite(pk.chi2(pk.mats), "the initial chi2")
     h, b = pk.normal_equations(pk.mats)
@@ -684,11 +674,12 @@ def optimize(g, cfg):
     Raises
     ------
     GeometryError
-        If chi2 at the input, or the gradient b or the Hessian H at any
-        step, is not finite.
+        If g is not a PoseGraph or cfg not a SolverConfig, or chi2 at the
+        input, or the gradient b or the Hessian H at any step, is not
+        finite.
     """
-    lm = cfg.method == "levenberg-marquardt"
-    pk = _Packed(g)
+    lm = _typed(cfg, "optimize: cfg", SolverConfig).method == "levenberg-marquardt"
+    pk = _Packed(_typed(g, "optimize: g", PoseGraph))
     mats = pk.mats
     base = _finite(pk.chi2(mats), "the initial chi2")
     stats = [IterationStats(0, base, 0.0, cfg.lm_initial_lambda if lm else 0.0)]
@@ -725,12 +716,13 @@ def synth_graph(kind, n, sigmas, seed):
         closures between vertically adjacent cells; sphere3d: n poses on
         a rising arc of radius 8 with one loop closure.
     n : int
-        Vertex count (at least 3).
+        Vertex count, an integer >= 3.
     sigmas : (float, float)
-        Translation / rotation noise standard deviations; the edge
-        information matrices are diag(1/sigma^2, ...).
+        Translation / rotation noise standard deviations, finite and > 0;
+        the edge information matrices are diag(1/sigma^2, ...).
     seed : int
-        Noise seed; the construction is fully deterministic.
+        Noise seed, an integer >= 0; the construction is fully
+        deterministic.
 
     Returns
     -------
@@ -740,13 +732,10 @@ def synth_graph(kind, n, sigmas, seed):
         right, vertex 0 fixed at the truth, other vertices dead-reckoned
         along the noisy odometry chain.
     """
-    n = int(n)
-    if n < 3:
-        raise GeometryError("synth_graph: need at least 3 vertices")
-    sig_t, sig_r = float(sigmas[0]), float(sigmas[1])
-    if sig_t <= 0 or sig_r <= 0:
-        raise GeometryError("synth_graph: noise sigmas must be positive")
-    rng = np.random.default_rng(seed)
+    n = _number(n, "synth_graph: n", 3, integer=True)
+    sig_t, sig_r = (_number(s, "synth_graph: sigmas", 0, strict=True)
+                    for s in _checked(sigmas, "synth_graph: sigmas", (2,)))
+    rng = np.random.default_rng(_number(seed, "synth_graph: seed", 0, integer=True))
     if kind == "circle2d":
         poses, pairs = _circle2d(n)
     elif kind == "grid2d":

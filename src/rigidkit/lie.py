@@ -21,19 +21,19 @@ solver's retraction, and they are its oracle.
 
 The public functions check that each array argument is numeric, finite
 and of an allowed shape (``matderiv._checked``).  The logarithms also
-test each matrix for rigidity with the pose constructors' tests and
-tolerances (``core._rigid_checks``): a matrix off the group has no
-logarithm.  The stack forms ``_pseudo_log`` and ``_pseudo_exp`` check
-nothing: the finite-difference machinery perturbs raw matrix entries
-through them, off the manifold, and the solver's matrices are rigid by
-construction.
+test each matrix for rigidity with ``core._rigid``, the test that the
+HomPose and HomPose2 constructors apply, with their tolerances: a matrix
+off the group has no logarithm.  The stack forms ``_pseudo_log`` and
+``_pseudo_exp`` check nothing: the finite-difference machinery perturbs
+raw matrix entries through them, off the manifold, and the solver's
+matrices are rigid by construction.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HomPose, HomPose2, Quaternion, _first_failure, _quat_from_rotation, _rigid_checks
+from .core import HomPose, HomPose2, Quaternion, _quat_from_rotation, _rigid
 from .errors import GeometryError, NearPiRotationError
 from .matderiv import _POSE, _checked, _hat3, _typed
 
@@ -50,8 +50,9 @@ class AxisAngle:
 
     def __post_init__(self):
         axis = _checked(self.axis, "AxisAngle: axis", (3,)).copy()
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
-            raise GeometryError("AxisAngle: axis must be unit length")
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, not unit
+            if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+                raise GeometryError("AxisAngle: axis must be unit length")
         angle = float(_checked(self.angle, "AxisAngle: angle", ()))
         if not -1e-12 <= angle <= np.pi + 1e-12:
             raise GeometryError("AxisAngle: angle must lie in [0, pi]")
@@ -341,35 +342,6 @@ def se2_pseudo_log(m):
     """
     m = _checked(m, "se2_pseudo_log: m", (..., 3, 3))
     return _pseudo_log(_rigid(m, "se2_pseudo_log: m", 2))
-
-
-# ---------------------------------------------------------------------------
-# the logarithms' rigidity test
-
-def _rigid(m, name, k):
-    """m, once each of its matrices passes the rigidity tests of HomPose
-    (k = 3) or HomPose2 (k = 2), with their tolerances.
-
-    m is (..., k, k), a rotation; (..., k, k + 1), the top block of a pose;
-    or (..., k + 1, k + 1), a pose.  A missing bottom row counts as
-    (0, ..., 0, 1).
-
-    Raises
-    ------
-    GeometryError
-        "<name>: <test's message>", with the stack index after name when
-        m is a stack.
-    """
-    h = np.zeros(m.shape[:-2] + (k + 1, k + 1))
-    h[..., k, k] = 1.0
-    h[..., :m.shape[-2], :m.shape[-1]] = m
-    fault = _first_failure(_rigid_checks(h.reshape(-1, k + 1, k + 1), name))
-    if fault:
-        row, msg = fault
-        at = "" if m.ndim == 2 else "[%s]" % ", ".join(
-            str(int(i)) for i in np.unravel_index(row, m.shape[:-2]))
-        raise GeometryError(name + at + msg[len(name):])
-    return m
 
 
 # ---------------------------------------------------------------------------

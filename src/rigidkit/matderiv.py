@@ -22,6 +22,9 @@ and finite, but never orthonormal, since the finite-difference catalog
 perturbs raw entries off the manifold.
 """
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import GeometryError
@@ -89,6 +92,25 @@ def _typed(x, name, types):
     return x
 
 
+def _number(x, name, low, *, integer=False, strict=False):
+    """x as an int (integer set) or a float, once it passes the number rule.
+
+    x must be a real number, or a ``numbers.Integral`` when integer is
+    set; not a bool; finite; and >= low, or > low when strict.
+
+    Raises
+    ------
+    GeometryError
+        "<name> must be an integer >= <low>" or "<name> must be a finite
+        number >= <low>" (> when strict) otherwise.
+    """
+    if (isinstance(x, bool) or not isinstance(x, numbers.Integral if integer else numbers.Real)
+            or not (low < x if strict else low <= x) or not x < math.inf):
+        raise GeometryError("%s must be %s %s %g" % (
+            name, "an integer" if integer else "a finite number", ">" if strict else ">=", low))
+    return int(x) if integer else float(x)
+
+
 def vec(a):
     """Stack the columns of a matrix into one vector.
 
@@ -103,8 +125,11 @@ def vec(a):
 
 
 def unvec(v, shape):
-    """Inverse of :func:`vec` for a known target shape."""
-    return _checked(v, "unvec: v", (int(np.prod(shape)),)).reshape(shape, order="F").copy()
+    """Inverse of :func:`vec` for a known target shape: one integer >= 0,
+    or a tuple, list or 1-D array of them."""
+    shape = [_number(n, "unvec: shape", 0, integer=True)
+             for n in (shape if isinstance(shape, (tuple, list, np.ndarray)) else [shape])]
+    return _checked(v, "unvec: v", (math.prod(shape),)).reshape(shape, order="F").copy()
 
 
 def kron(a, b):
@@ -160,8 +185,9 @@ def vee3(s):
         If the matrix is not skew-symmetric to within 1e-9.
     """
     s = _checked(s, "vee3: s", (3, 3))
-    if np.linalg.norm(s + s.T) >= 1e-9:
-        raise GeometryError("vee3: matrix is not skew-symmetric")
+    with np.errstate(over="ignore"):  # an overflowing sum is not skew-symmetric
+        if not np.linalg.norm(s + s.T) < 1e-9:
+            raise GeometryError("vee3: matrix is not skew-symmetric")
     return np.array([s[2, 1], s[0, 2], s[1, 0]])
 
 

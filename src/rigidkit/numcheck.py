@@ -51,7 +51,6 @@ draw and keep the first n that pass.
 
 import functools
 import itertools
-import numbers
 import operator
 from dataclasses import dataclass
 from zlib import crc32
@@ -82,13 +81,14 @@ def numeric_jacobian(f, x0, h=1e-6):
         Maps a (n,) ndarray to an (m,) ndarray.
     x0 : (n,) array_like
     h : float
-        Step size per coordinate.
+        Step size per coordinate, a finite number > 0.
 
     Returns
     -------
     (m, n) ndarray
     """
     x0 = matderiv._checked(x0, "numeric_jacobian: x0", (None,))
+    h = matderiv._number(h, "numeric_jacobian: h", 0, strict=True)
     if not x0.size:
         return np.zeros((np.size(f(x0)), 0))
     return _fd(_rows(f), (x0[None],), 0, h)[0]
@@ -112,10 +112,13 @@ def manifold_numeric_jacobian(f, base, side="left", h=1e-6):
     base : pose or ndarray
         HomPose / HomPose2 or their raw matrices.
     side : {'left', 'right'}
+    h : float
+        Step size per tangent coordinate, a finite number > 0.
     """
     m = matderiv._checked(base, "manifold_numeric_jacobian: base", (4, 4), (3, 3))
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+    if not isinstance(side, str) or side not in ("left", "right"):
+        raise GeometryError("manifold_numeric_jacobian: side must be 'left' or 'right'")
+    h = matderiv._number(h, "manifold_numeric_jacobian: h", 0, strict=True)
     return _manifold_fd(_rows(f), (m[None],), 0, side, h)[0]
 
 
@@ -738,10 +741,8 @@ def check_catalog(seed=1, n=100, tol=1e-5):
     GeometryError
         If n is not an integer >= 1 or tol not a finite number >= 0.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise GeometryError("check_catalog: n must be an integer >= 1")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
-        raise GeometryError("check_catalog: tol must be a finite number >= 0")
+    n = matderiv._number(n, "check_catalog: n", 1, integer=True)
+    tol = matderiv._number(tol, "check_catalog: tol", 0)
     return _by_op(_check_unit(unit, seed, n, tol) for unit in _CHECKS)
 
 

@@ -14,6 +14,7 @@ object must reject a raw array or another object with "<function>:
 <parameter> must be a <Type>".
 """
 import inspect
+import io
 import math
 import re
 import warnings
@@ -28,6 +29,9 @@ import rigidkit
 from rigidkit import (AxisAngle, CameraIntrinsics, EulerPose, GaussianPoint3, GaussianPose,
                       GeometryError, HomPose, HomPose2, QuatPose, so3_exp)
 from rigidkit import core, geometry, lie, manifold_jac, matderiv, numcheck, vision
+from rigidkit.g2o import format_g2o, read_g2o, write_g2o
+from rigidkit.graphslam import (SolverConfig, build_normal_equations, chi2, optimize, step,
+                                synth_graph)
 
 R = so3_exp([0.3, -0.2, 0.5])
 M4 = HomPose.from_rt(R, [1.0, -2.0, 0.5]).mat
@@ -39,6 +43,7 @@ QUAT = core.ypr_to_quat(YPR)
 POSE = [(4, 4), (3, 4)]
 P3 = ([(3,)], [0.2, -0.1, 2.0])
 AXIS_ANGLE = AxisAngle([0.0, 0.6, 0.8], 0.5)
+GRAPH = synth_graph("circle2d", 4, (0.1, 0.1), 1)[1]
 
 # parameter -> (allowed shapes, good value) for array parameters, or the
 # good value alone for the others (poses, intrinsics, callables, flags)
@@ -275,6 +280,8 @@ def test_malformed_argument_raises_geometry_error(fn, name, data):
 # matrices of an allowed shape that are not rigid: the logarithms gave
 # zeros or other meaningless numbers for them
 SCALED3, SCALED4 = np.diag([2.0, 2.0, 1.0]), np.diag([2.0, 2.0, 2.0, 1.0])
+# entries whose products overflow: a numpy warning came before the error
+HUGE3, HUGE4 = np.diag([1e200, 1.0, 1.0]), np.diag([1e200, 1.0, 1.0, 1.0])
 BOTTOM_5551 = np.vstack([np.eye(4)[:3], [5.0, 5.0, 5.0, 1.0]])
 ORTHO = "rotation block is not orthonormal"
 
@@ -300,6 +307,12 @@ ORTHO = "rotation block is not orthonormal"
     (lambda: lie.se2_pseudo_log(SCALED3), "se2_pseudo_log: m: " + ORTHO),
     (lambda: lie.se2_pseudo_log(np.stack([M3, M3 @ np.diag([1.0, -1.0, 1.0])])),
      "se2_pseudo_log: m[1]: rotation block must have determinant +1"),
+    (lambda: HomPose(HUGE4), "HomPose: " + ORTHO),
+    (lambda: HomPose2(HUGE3), "HomPose2: " + ORTHO),
+    (lambda: AxisAngle([1e200, 0.0, 0.0], 1.0), "AxisAngle: axis must be unit length"),
+    (lambda: matderiv.vee3(np.full((3, 3), 1e308)), "vee3: matrix is not skew-symmetric"),
+    (lambda: QuatPose(0, 0, 0, core.Quaternion(1e200, 0, 0, 0)),
+     "QuatPose: quaternion is not unit length"),
 ])
 def test_former_silent_results_now_raise(call, message):
     with pytest.raises(GeometryError, match="^" + re.escape(message)):
@@ -351,6 +364,32 @@ def test_wrong_object_raises_geometry_error(fn, name, value):
      "compose_pose_matrix: m1 must be a HomPose"),
     (lambda: lie.so3_log_quat(np.ones(4)), "so3_log_quat: q must be a Quaternion"),
     (lambda: core.quat_normalize(np.ones(4)), "quat_normalize: q must be a Quaternion"),
+    (lambda: numcheck.numeric_jacobian(np.sin, np.ones(2), h=0),
+     "numeric_jacobian: h must be a finite number > 0"),
+    (lambda: numcheck.numeric_jacobian(np.sin, np.ones(2), h=math.nan),
+     "numeric_jacobian: h must be a finite number > 0"),
+    (lambda: numcheck.numeric_jacobian(np.sin, np.ones(2), h="x"),
+     "numeric_jacobian: h must be a finite number > 0"),
+    (lambda: numcheck.manifold_numeric_jacobian(np.ravel, M4, h=0),
+     "manifold_numeric_jacobian: h must be a finite number > 0"),
+    (lambda: numcheck.manifold_numeric_jacobian(np.ravel, M4, h=math.nan),
+     "manifold_numeric_jacobian: h must be a finite number > 0"),
+    (lambda: numcheck.manifold_numeric_jacobian(np.ravel, M4, h="x"),
+     "manifold_numeric_jacobian: h must be a finite number > 0"),
+    (lambda: numcheck.manifold_numeric_jacobian(np.ravel, M4, side="up"),
+     "manifold_numeric_jacobian: side must be 'left' or 'right'"),
+    (lambda: matderiv.unvec(np.arange(12.0), "ab"), "unvec: shape must be an integer >= 0"),
+    (lambda: matderiv.unvec(np.arange(12.0), None), "unvec: shape must be an integer >= 0"),
+    (lambda: chi2(None), "chi2: g must be a PoseGraph"),
+    (lambda: build_normal_equations("g"), "build_normal_equations: g must be a PoseGraph"),
+    (lambda: step(None, SolverConfig()), "step: g must be a PoseGraph"),
+    (lambda: step(GRAPH, None), "step: cfg must be a SolverConfig"),
+    (lambda: optimize(None, SolverConfig()), "optimize: g must be a PoseGraph"),
+    (lambda: optimize(GRAPH, {}), "optimize: cfg must be a SolverConfig"),
+    (lambda: format_g2o(M3), "format_g2o: g must be a PoseGraph"),
+    (lambda: write_g2o(None, io.StringIO()), "write_g2o: g must be a PoseGraph"),
+    (lambda: read_g2o(None), "read_g2o: source must be a str or PathLike"),
+    (lambda: write_g2o(GRAPH, None), "write_g2o: dest must be a str or PathLike"),
 ])
 def test_former_python_errors_now_raise(call, message):
     with pytest.raises(GeometryError, match="^" + re.escape(message)):

@@ -290,6 +290,12 @@ def test_quat_normalize_scales_and_differentiates():
     assert np.abs(jac - fd).max() < 1e-7
     with pytest.raises(GeometryError):
         quat_normalize(_raw_quat(0.0, 0.0, 0.0, 0.0))
+    # a squared norm that overflows: the results of q / max |q_i|, no warning
+    big = _raw_quat(1e300, 1e300, 0.0, 0.0)
+    assert big.norm == math.inf
+    u, jac = quat_normalize(big)
+    unit, unit_jac = quat_normalize(_raw_quat(1.0, 1.0, 0.0, 0.0))
+    assert u == unit and np.array_equal(jac, unit_jac / 1e300) and np.isfinite(jac).all()
 
 
 def test_ypr_to_quat_jacobian_matches_fd():

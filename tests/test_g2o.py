@@ -1,6 +1,7 @@
 """Plain-text pose-graph file parsing and serialization."""
 import io
 import math
+import os
 import pathlib
 import re
 
@@ -138,6 +139,26 @@ def test_write_path_and_stream_agree(tmp_path):
     write_g2o(g, path)
     assert path.read_text(encoding="ascii") == buf.getvalue()
     assert buf.getvalue() == format_g2o(g)
+
+
+def test_paths_are_str_or_pathlike_and_a_descriptor_is_not(tmp_path):
+    g = read_g2o(CIRCLE)
+    write_g2o(g, str(tmp_path / "out.g2o"))
+    assert read_g2o(str(tmp_path / "out.g2o")).vertices.keys() == g.vertices.keys()
+    with pytest.raises(FileNotFoundError):
+        read_g2o(tmp_path / "missing.g2o")
+    # open() takes an int as a file descriptor and closes it afterwards
+    r, w = os.pipe()
+    try:
+        with pytest.raises(GeometryError, match="^write_g2o: dest must be a str or PathLike"):
+            write_g2o(g, w)
+        with pytest.raises(GeometryError, match="^read_g2o: source must be a str or PathLike"):
+            read_g2o(r)
+        os.fstat(r)
+        os.fstat(w)
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 def test_bundled_files_are_write_fixed_points():

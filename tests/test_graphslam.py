@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from rigidkit import (GeometryError, HomPose, HomPose2, PoseGraph,
                       RankDeficiencyError, SolverConfig, build_normal_equations,
                       chi2, edge_error_se2, edge_error_se3, optimize, se2_exp,
-                      se2_pseudo_exp, se3_pseudo_exp, so3_exp, so3_log, step,
-                      synth_graph)
+                      se2_pseudo_exp, se2_pseudo_log, se3_pseudo_exp, se3_pseudo_log,
+                      so3_exp, so3_log, step, synth_graph)
 from rigidkit import graphslam
 from rigidkit.graphslam import (_DENSE_LIMIT, IterationStats, _damped, _linearize,
                                 _Packed, _solve)
@@ -237,6 +237,17 @@ def test_synth_validation():
         synth_graph("moebius", 10, (0.05, 0.01), 1)
     with pytest.raises(GeometryError):
         synth_graph("circle2d", 10, (0.0, 0.01), 1)
+
+
+# each of these once built a graph, or failed with a Python error or a
+# message from deep inside
+@pytest.mark.parametrize("n, sigmas, seed", [
+    (3.7, (0.05, 0.01), 1), ("5", (0.05, 0.01), 1), (5, (np.nan, 0.01), 1), (5, None, 1),
+    (5, (0.05,), 1), (5, (0.05, 0.01, 0.02), 1), (5, (0.05, -0.01), 1),
+    (5, (0.05, 0.01), -1), (5, (0.05, 0.01), "x")])
+def test_synth_graph_names_its_bad_argument(n, sigmas, seed):
+    with pytest.raises(GeometryError, match="^synth_graph: "):
+        synth_graph("circle2d", n, sigmas, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -690,25 +701,43 @@ def _planted(kind, row, k=1):
     return pk.unpack(mats)
 
 
+def _message(call):
+    """The message of the GeometryError that call() raises, or None if it returns."""
+    try:
+        call()
+    except GeometryError as exc:
+        return str(exc)
+    return None
+
+
+def _with(n, i, j, value):
+    m = np.eye(n)
+    m[i, j] = value
+    return m
+
+
 @pytest.mark.parametrize("kind", ["grid2d", "sphere3d"])
 def test_unpack_rejects_rows_the_constructor_rejects(kind):
     n = 3 if kind == "grid2d" else 4
     cls = HomPose2 if n == 3 else HomPose
-    nan = np.eye(n)
-    nan[0, n - 1] = np.nan
-    skewed = np.eye(n)
-    skewed[0, 1] = 1e-6
-    mirror = np.eye(n)
-    mirror[0, 0] = -1.0
-    lifted = np.eye(n)
-    lifted[n - 1, 0] = 1e-3
-    for row, reason in [(nan, "must be a finite"), (skewed, "not orthonormal"),
-                        (mirror, "determinant"), (lifted, "bottom row")]:
-        with pytest.raises(GeometryError, match=reason) as caught:
-            _planted(kind, row)
-        with pytest.raises(GeometryError) as direct:
-            cls(row)
-        assert str(caught.value) == str(direct.value)
+    # the defect of R^T R - I is sqrt(2) times the skew entry: 0.99e-9 and
+    # 1.004e-9 lie either side of the 1e-9 tolerance
+    for row, reason in [(_with(n, 0, n - 1, np.nan), "must be a finite"),
+                        (_with(n, 0, 1, 1e-6), "not orthonormal"),
+                        (_with(n, 0, 1, 0.7e-9), None),
+                        (_with(n, 0, 1, 0.71e-9), "not orthonormal"),
+                        (_with(n, 0, 0, 1e200), "not orthonormal"),
+                        (_with(n, 0, 0, -1.0), "determinant"),
+                        (_with(n, n - 1, 0, 1e-3), "bottom row")]:
+        message = _message(lambda: cls(row))
+        assert (message is None) if reason is None else (reason in message)
+        assert _message(lambda: _planted(kind, row)) == message
+        # the logarithms: one matrix and a stack of one give the same
+        # outcome, through a pose, a top block or a rotation
+        for log, m in ([(se2_pseudo_log, row)] if n == 3 else
+                       [(se3_pseudo_log, row[:3]), (so3_log, row[:3, :3])]):
+            single, stacked = _message(lambda: log(m)), _message(lambda: log(m[None]))
+            assert single == (stacked and stacked.replace("[0]", "")), (single, stacked)
 
 
 def test_unpack_gives_read_only_poses_equal_to_validated_ones():
