@@ -19,6 +19,7 @@ failed jacobian-check run.  A bare ``rigidkit`` prints the help on stdout
 and exits 0, as ``rigidkit --help`` does.
 """
 
+import contextlib
 import functools
 import json
 import math
@@ -58,6 +59,24 @@ def _load_json(infile):
         raise _InputError("invalid JSON: %s" % exc)
 
 
+def _object(infile, what):
+    """The JSON object read from infile; otherwise "input must be <what>"."""
+    obj = _load_json(infile)
+    if not isinstance(obj, dict):
+        raise _InputError("input must be " + what)
+    return obj
+
+
+@contextlib.contextmanager
+def _reading(where=None):
+    """A GeometryError raised while an input is built, as an _InputError
+    "<where>: <message>" (the bare message without where)."""
+    try:
+        yield
+    except GeometryError as exc:
+        raise _InputError("%s: %s" % (where, exc) if where else str(exc))
+
+
 def _numbers(obj, count, where):
     try:
         if (isinstance(obj, list) and len(obj) == count
@@ -74,7 +93,7 @@ def _pose_from_json(obj, where, degrees=False):
     kind = obj.get("type")
     if kind not in ("ypr", "quat", "matrix"):
         raise _InputError("%s.type must be 'ypr', 'quat' or 'matrix'" % where)
-    try:
+    with _reading(where):
         if kind == "ypr":
             v = _numbers(obj.get("data"), 6, where + ".data")
             if degrees:
@@ -84,8 +103,6 @@ def _pose_from_json(obj, where, degrees=False):
             return QuatPose.from_vec(_numbers(obj.get("data"), 7, where + ".data"))
         v = _numbers(obj.get("data"), 16, where + ".data")
         return HomPose(v.reshape((4, 4)))
-    except GeometryError as exc:
-        raise _InputError("%s: %s" % (where, exc))
 
 
 def _cov_from_json(obj, dim, where):
@@ -103,10 +120,8 @@ def _cov_from_json(obj, dim, where):
 def _gaussian_pose_from_json(obj, where):
     mean = _pose_from_json(obj, where)
     cov = _cov_from_json(obj, _KIND_DIM[pose_kind(mean)], where)
-    try:
+    with _reading(where):
         return GaussianPose(mean, cov)
-    except GeometryError as exc:
-        raise _InputError("%s: %s" % (where, exc))
 
 
 def _gaussian_point_from_json(obj, where):
@@ -114,10 +129,8 @@ def _gaussian_point_from_json(obj, where):
         raise _InputError("%s must be an object with 'data' and 'cov'" % where)
     mean = _numbers(obj.get("data"), 3, where + ".data")
     cov = _cov_from_json(obj, 3, where)
-    try:
+    with _reading(where):
         return GaussianPoint3(mean, cov)
-    except GeometryError as exc:
-        raise _InputError("%s: %s" % (where, exc))
 
 
 def _pose_to_json(pose, degrees=False):
@@ -221,9 +234,7 @@ def convert(target, degrees, infile):
 @click.option("--in", "infile", type=click.File("r"), default="-")
 def compose(infile):
     """Compose two poses of the same parameterization: p1 then p2."""
-    obj = _load_json(infile)
-    if not isinstance(obj, dict):
-        raise _InputError("input must be an object with 'p1' and 'p2'")
+    obj = _object(infile, "an object with 'p1' and 'p2'")
     p1 = _pose_from_json(obj.get("p1"), "p1")
     p2 = _pose_from_json(obj.get("p2"), "p2")
     k1, k2 = pose_kind(p1), pose_kind(p2)
@@ -243,9 +254,7 @@ def compose(infile):
 @click.option("--in", "infile", type=click.File("r"), default="-")
 def invert(infile):
     """Invert a pose, keeping its parameterization."""
-    obj = _load_json(infile)
-    if not isinstance(obj, dict):
-        raise _InputError("input must be an object with 'pose'")
+    obj = _object(infile, "an object with 'pose'")
     pose = _pose_from_json(obj.get("pose"), "pose")
     kind = pose_kind(pose)
     if kind == "quat":
@@ -263,9 +272,7 @@ def invert(infile):
 @click.option("--in", "infile", type=click.File("r"), default="-")
 def apply_point(inverse, infile):
     """Transform a point by a pose (or by its inverse)."""
-    obj = _load_json(infile)
-    if not isinstance(obj, dict):
-        raise _InputError("input must be an object with 'pose' and 'point'")
+    obj = _object(infile, "an object with 'pose' and 'point'")
     pose = _pose_from_json(obj.get("pose"), "pose")
     point = _numbers(obj.get("point"), 3, "point")
     inverse = inverse or bool(obj.get("inverse", False))
@@ -295,9 +302,7 @@ def propagate(infile):
     {"op": "apply-point" | "inv-apply-point", "pose": POSE+cov,
     "point": {"data": [...], "cov": [[...]]}}.
     """
-    obj = _load_json(infile)
-    if not isinstance(obj, dict):
-        raise _InputError("input must be an object with an 'op' field")
+    obj = _object(infile, "an object with an 'op' field")
     op = obj.get("op")
     if op == "compose":
         g1 = _gaussian_pose_from_json(obj.get("p1"), "p1")
@@ -348,15 +353,11 @@ def expmap(pseudo, infile):
 def logmap(pseudo, infile):
     """Logarithm of a matrix pose: 'matrix' (4x4) gives a 6-vector,
     'matrix2' (3x3, row-major) a planar 3-vector."""
-    obj = _load_json(infile)
-    if not isinstance(obj, dict):
-        raise _InputError("input must be a pose object")
+    obj = _object(infile, "a pose object")
     if obj.get("type") == "matrix2":
         v = _numbers(obj.get("data"), 9, "data")
-        try:
+        with _reading("pose"):
             pose = HomPose2(v.reshape((3, 3)))
-        except GeometryError as exc:
-            raise _InputError("pose: %s" % exc)
         tangent = se2_pseudo_log(pose) if pseudo else se2_log(pose)
     else:
         pose = _pose_from_json(obj, "pose")
@@ -373,9 +374,7 @@ def logmap(pseudo, infile):
 @click.option("--in", "infile", type=click.File("r"), default="-")
 def project_cmd(inverse, infile):
     """Pinhole-project a 3D point, optionally through a camera pose."""
-    obj = _load_json(infile)
-    if not isinstance(obj, dict):
-        raise _InputError("input must be an object with 'intrinsics' and 'point'")
+    obj = _object(infile, "an object with 'intrinsics' and 'point'")
     intr = obj.get("intrinsics")
     if not isinstance(intr, dict):
         raise _InputError("intrinsics must be an object with fx, fy, cx, cy")
@@ -434,6 +433,8 @@ def jacobian_check(seed, samples, tol, as_json):
 
     Exits 0 when all operations pass, 3 otherwise.
     """
+    if seed < 0:
+        raise _InputError("--seed must be an integer >= 0")
     if samples < 1:
         raise _InputError("--samples must be an integer >= 1")
     if not 0.0 <= tol < math.inf:
@@ -471,10 +472,8 @@ def slam(input_path, output_path, method, max_iters, stats_path):
     """
     if max_iters < 0:
         raise _InputError("--max-iters must be >= 0")
-    try:
+    with _reading():
         graph = g2o_io.read_g2o(input_path)
-    except GeometryError as exc:
-        raise _InputError(str(exc))
     cfg = SolverConfig(method=method, max_iterations=max_iters)
     final, stats = optimize(graph, cfg)
     g2o_io.write_g2o(final, output_path)

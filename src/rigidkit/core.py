@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, SingularConfigurationError
-from .matderiv import _POSE, _checked, _typed
+from .matderiv import _POSE, _checked, _row_norms, _typed
 
 _GIMBAL_DELTA = 0.5 - 1e-7
 
@@ -147,41 +147,57 @@ class QuatPose:
         return cls(v[0], v[1], v[2], Quaternion(v[3], v[4], v[5], v[6]))
 
 
-def _trusted(cls, m):
-    """A pose holding m without the constructor's checks.
-
-    Only for a read-only float matrix that is rigid by construction or has
-    passed :func:`_rigid_checks`; the batched readers, the solver's
-    unpacking and the Jacobian catalog use it so that they validate a
-    whole stack at once.
-    """
-    p = object.__new__(cls)
-    object.__setattr__(p, "mat", m)
-    return p
-
-
 @dataclass(frozen=True)
-class HomPose:
-    """Pose as a 4x4 homogeneous matrix.
+class _Homogeneous:
+    """A pose as a (k + 1)x(k + 1) homogeneous matrix, k = _K.
 
-    The bottom row must be exactly (0, 0, 0, 1); the rotation block must
+    The bottom row must be exactly (0, ..., 0, 1); the rotation block must
     be orthonormal (Frobenius defect below 1e-9) with determinant +1.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        m = _rigid(_checked(self.mat, "HomPose: matrix", (4, 4)).copy(), "HomPose", 3)
+        name, k = type(self).__name__, self._K
+        m = _rigid(_checked(self.mat, name + ": matrix", (k + 1, k + 1)).copy(), name, k)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
     @property
     def rotation(self):
-        return self.mat[:3, :3].copy()
+        return self.mat[:self._K, :self._K].copy()
 
     @property
     def translation(self):
-        return self.mat[:3, 3].copy()
+        return self.mat[:self._K, self._K].copy()
+
+    @classmethod
+    def identity(cls):
+        return cls(np.eye(cls._K + 1))
+
+    @classmethod
+    def _trusted(cls, m):
+        """A pose holding m without the constructor's checks.
+
+        Only for a read-only float matrix that is rigid by construction or
+        has passed :func:`_rigid_checks`; the batched readers, the solver's
+        unpacking and the Jacobian catalog use it so that they validate a
+        whole stack at once.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "mat", m)
+        return p
+
+
+@dataclass(frozen=True)
+class HomPose(_Homogeneous):
+    """Pose as a 4x4 homogeneous matrix.
+
+    The bottom row must be exactly (0, 0, 0, 1); the rotation block must
+    be orthonormal (Frobenius defect below 1e-9) with determinant +1.
+    """
+
+    _K = 3
 
     @property
     def vec12(self):
@@ -200,31 +216,12 @@ class HomPose:
         m[:3, :4] = _checked(v, "HomPose.from_vec12: v", (12,)).reshape((3, 4), order="F")
         return cls(m)
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(4))
-
-    _trusted = classmethod(_trusted)
-
 
 @dataclass(frozen=True)
-class HomPose2:
+class HomPose2(_Homogeneous):
     """Planar pose as a 3x3 homogeneous matrix."""
 
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = _rigid(_checked(self.mat, "HomPose2: matrix", (3, 3)).copy(), "HomPose2", 2)
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def rotation(self):
-        return self.mat[:2, :2].copy()
-
-    @property
-    def translation(self):
-        return self.mat[:2, 2].copy()
+    _K = 2
 
     @property
     def angle(self):
@@ -235,12 +232,6 @@ class HomPose2:
         x, y, theta = _checked([x, y, theta], "HomPose2.from_xyt: x, y, theta", (3,)).tolist()
         c, s = np.cos(theta), np.sin(theta)
         return cls(np.array([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]]))
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3))
-
-    _trusted = classmethod(_trusted)
 
 
 # the rigidity tests' messages, after "<name>: ", by the rotation's size k
@@ -612,20 +603,27 @@ def quat_normalize(q):
 
 def _quat_to_matrix_rows(t, q):
     """Batched :func:`quat_to_matrix`: (N, 4, 4) poses of translations t and
-    quaternions q (scalar first), with the tests of Quaternion, then
-    quat_normalize, then HomPose in order for :func:`_first_failure`."""
+    quaternions q (scalar first), and the tests of Quaternion (finite q),
+    quat_normalize (norm not below 1e-12), HomPose.from_rt (finite t) and
+    HomPose, in that order, for :func:`_first_failure`.  As in
+    quat_normalize, a finite q whose squared norm overflows is normed as
+    q / max |q_i|."""
     finite = np.isfinite(q).all(axis=1)
     q = np.where(q[:, :1] < 0.0, -q, q)
-    # one norm call per row: a batched norm sums in another order, an ulp off
-    norm = np.array([np.linalg.norm(row) for row in q])
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm = _row_norms(q)
+        big = finite & (norm == np.inf)
+        q[big] /= np.abs(q[big]).max(axis=1, keepdims=True)
+        norm[big] = _row_norms(q[big])
         u = q / norm[:, None]
     m = np.zeros((len(q), 4, 4))
     m[:, :3, :3] = np.moveaxis(_rotation_from_unit_quat(*u.T), -1, 0)
     m[:, :3, 3] = t
     m[:, 3, 3] = 1.0
     return m, [(finite, _QUATERNION_FIELDS + " must be a finite 4-vector"),
-               (norm >= 1e-12, "quat_normalize: zero-norm quaternion")] + _rigid_checks(m)
+               (norm >= 1e-12, "quat_normalize: zero-norm quaternion"),
+               (np.isfinite(t).all(axis=1), "HomPose.from_rt: t must be a finite 3-vector"),
+               *_rigid_checks(m)]
 
 
 def ypr_to_quat(p):

@@ -111,6 +111,14 @@ def _number(x, name, low, *, integer=False, strict=False):
     return int(x) if integer else float(x)
 
 
+def _row_norms(q):
+    """|q| of each row of q (N, n), with the bits of np.linalg.norm of that
+    row alone: one dot product per row, as that norm takes (a reduction
+    along an axis sums in another order)."""
+    q = np.ascontiguousarray(q)
+    return np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0, 0])
+
+
 def vec(a):
     """Stack the columns of a matrix into one vector.
 

@@ -214,18 +214,13 @@ class JacobianReport:
 # Stack maps: row i of the result is the map at input i, with the bits of
 # the same formula on that input alone.  Inputs are (N, n) vectors or
 # (N, k, k) matrices; a matrix product runs per matrix on C-ordered
-# blocks, as on one matrix, and a norm is a dot product, as in
-# np.linalg.norm of one vector (a reduction along an axis sums in another
-# order).
-
-def _norm(q):
-    """|q| of each row of q (N, n)."""
-    q = np.ascontiguousarray(q)
-    return np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0, 0])
-
+# blocks, as on one matrix, and a norm is matderiv._row_norms, one dot
+# product per row, as in np.linalg.norm of one vector (a reduction along
+# an axis sums in another order); the g2o reader norms its quaternions
+# with it too.
 
 def _unit(q):
-    return q / _norm(q)[:, None]
+    return q / matderiv._row_norms(q)[:, None]
 
 
 def _mats(entries):
@@ -360,7 +355,7 @@ def _inverse_quatvec(v):
 
 def _so3_exp_quat(w):
     """lie.so3_exp_quat of each row of w (N, 3), as (qr, qx, qy, qz)."""
-    theta = _norm(w)
+    theta = matderiv._row_norms(w)
     small = theta < lie._TAYLOR_EPS
     t2 = theta * theta
     half_sinc = np.where(small, 0.5 - t2 / 48.0 + t2 * t2 / 3840.0,
@@ -421,7 +416,7 @@ def _uniform(lo, hi):
 def _rotvecs(rng, n, lo=0.05, hi=2.8):
     """n rotation vectors: normal directions times angles uniform in [lo, hi]."""
     d = rng.normal(size=(n, 3))
-    return d / _norm(d)[:, None] * rng.uniform(lo, hi, (n, 1))
+    return d / matderiv._row_norms(d)[:, None] * rng.uniform(lo, hi, (n, 1))
 
 
 def _raw_quats(rng, n):
@@ -429,7 +424,7 @@ def _raw_quats(rng, n):
     scalar part first moved to at least 0.2."""
     v = rng.normal(size=(n, 4))
     v[:, 0] = np.abs(v[:, 0]) + 0.2
-    return v * (rng.uniform(0.5, 2.0, n) / _norm(v))[:, None]
+    return v * (rng.uniform(0.5, 2.0, n) / matderiv._row_norms(v))[:, None]
 
 
 def _tame(e):
@@ -705,12 +700,6 @@ def _check_unit(unit, seed, n, tol):
             for name, a, num in zip(names, jacobians, numeric(*stacks))]
 
 
-def _check_op(name, seed, n, tol):
-    """The report of the check registered as name; its whole unit runs."""
-    unit = next(u for u, (names, *_) in _CHECKS.items() if name in names)
-    return next(r for r in _check_unit(unit, seed, n, tol) if r.op == name)
-
-
 def check_catalog(seed=1, n=100, tol=1e-5):
     """Run every registered check and report the worst deviation of each.
 
@@ -722,9 +711,10 @@ def check_catalog(seed=1, n=100, tol=1e-5):
     Parameters
     ----------
     seed : int
-        Master seed; each unit derives its own generator from it and the
-        CRC-32 of the name of its first check, so results do not depend on
-        registration order and are bit-identical across runs.
+        Master seed, an integer >= 0; each unit derives its own generator
+        from it and the CRC-32 of the name of its first check, so results
+        do not depend on registration order and are bit-identical across
+        runs.
     n : int
         Configurations per unit, at least 1.
     tol : float
@@ -739,8 +729,10 @@ def check_catalog(seed=1, n=100, tol=1e-5):
     Raises
     ------
     GeometryError
-        If n is not an integer >= 1 or tol not a finite number >= 0.
+        If seed is not an integer >= 0, n not an integer >= 1 or tol
+        not a finite number >= 0.
     """
+    seed = matderiv._number(seed, "check_catalog: seed", 0, integer=True)
     n = matderiv._number(n, "check_catalog: n", 1, integer=True)
     tol = matderiv._number(tol, "check_catalog: tol", 0)
     return _by_op(_check_unit(unit, seed, n, tol) for unit in _CHECKS)

@@ -34,7 +34,7 @@ class CameraIntrinsics:
         fx, fy, _, _ = _checked([self.fx, self.fy, self.cx, self.cy],
                                 "CameraIntrinsics: fx, fy, cx, cy", (4,))
         if not (fx > 0 and fy > 0):
-            raise GeometryError("focal lengths must be positive")
+            raise GeometryError("CameraIntrinsics: focal lengths must be positive")
 
 
 def _check_depth(z, where):

@@ -13,6 +13,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the suite's settings with 20 times the examples, for a deeper run of a
+# module: pytest --hypothesis-profile=deep tests/test_g2o.py
+settings.register_profile("deep", parent=settings.get_profile("suite"), max_examples=1000)
 settings.load_profile("suite")
 
 

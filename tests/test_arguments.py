@@ -378,6 +378,16 @@ def test_wrong_object_raises_geometry_error(fn, name, value):
      "manifold_numeric_jacobian: h must be a finite number > 0"),
     (lambda: numcheck.manifold_numeric_jacobian(np.ravel, M4, side="up"),
      "manifold_numeric_jacobian: side must be 'left' or 'right'"),
+    (lambda: numcheck.check_catalog(seed=-1, n=1),
+     "check_catalog: seed must be an integer >= 0"),
+    (lambda: numcheck.check_catalog(seed=1.5, n=1),
+     "check_catalog: seed must be an integer >= 0"),
+    (lambda: numcheck.check_catalog(seed="x", n=1),
+     "check_catalog: seed must be an integer >= 0"),
+    (lambda: numcheck.check_catalog(seed=None, n=1),
+     "check_catalog: seed must be an integer >= 0"),
+    (lambda: numcheck.check_catalog(seed=True, n=1),
+     "check_catalog: seed must be an integer >= 0"),
     (lambda: matderiv.unvec(np.arange(12.0), "ab"), "unvec: shape must be an integer >= 0"),
     (lambda: matderiv.unvec(np.arange(12.0), None), "unvec: shape must be an integer >= 0"),
     (lambda: chi2(None), "chi2: g must be a PoseGraph"),

@@ -364,6 +364,7 @@ def test_jacobian_check_absurd_tolerance_fails(runner):
 
 
 @pytest.mark.parametrize("args, message", [
+    (["--seed", "-1"], "error: --seed must be an integer >= 0"),
     (["--samples", "0"], "error: --samples must be an integer >= 1"),
     (["--samples", "-3"], "error: --samples must be an integer >= 1"),
     (["--tol", "nan"], "error: --tol must be a finite number >= 0"),

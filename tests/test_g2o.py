@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidkit import (GeometryError, HomPose, HomPose2, PoseGraph, Quaternion,
@@ -279,7 +279,8 @@ def _ref_pose2(x, y, theta):
     # numbers and meets the constructor's, as in the batched reader
     if np.isfinite([x, y, theta]).all():
         return HomPose2.from_xyt(x, y, theta)
-    c, s = np.cos(theta), np.sin(theta)
+    with np.errstate(invalid="ignore"):  # cos/sin of inf, as in the batched reader
+        c, s = np.cos(theta), np.sin(theta)
     return HomPose2(np.array([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]]))
 
 
@@ -533,7 +534,16 @@ def test_batched_reader_and_writer_match_reference_on_fixtures():
         assert format_g2o(g) == _reference_format(g) == text
 
 
+_SE3_PAIR = "VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1\nVERTEX_SE3:QUAT 1 0 0 0 0 0 0 1\nFIX 0\n"
+_SE3_INFO = "1 0 0 0 0 0 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1"
+
+
 @given(faulty_text())
+# a non-finite translation, and quaternions whose squared norm overflows
+@example("VERTEX_SE3:QUAT 0 nan 0 0 0 0 0 1\n")
+@example(_SE3_PAIR + "EDGE_SE3:QUAT 0 1 0 0 -inf 0 0 0 1 " + _SE3_INFO + "\n")
+@example("VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1e200\n")
+@example(_SE3_PAIR + "EDGE_SE3:QUAT 0 1 1 2 3 0.5 -1e154 0 -3e154 " + _SE3_INFO + "\n")
 def test_faults_give_the_reference_line_and_message(text):
     got, want = _outcome(read_g2o, text), _outcome(_reference_read, text)
     assert got[0] == want[0]

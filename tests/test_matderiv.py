@@ -8,6 +8,7 @@ from rigidkit import (GeometryError, HomPose2, apply_vec12, d_apply_wrt_point,
                       d_invapply_wrt_pose, d_inverse_wrt_pose, hat3,
                       inverse_rt, kron, numeric_jacobian, pose_to_vec12,
                       transpose_permutation, unvec, vec, vec12_to_pose, vee3)
+from rigidkit.matderiv import _row_norms
 
 
 def test_vec_stacks_columns():
@@ -96,6 +97,15 @@ def test_inverse_rt_matches_general_inverse():
             assert np.array_equal(mi[:k, k], -m[:k, :k].T @ m[:k, k])
             assert np.array_equal(mi[k], np.eye(k + 1)[k])
         assert np.allclose(inv @ stack, np.eye(k + 1), atol=1e-12)
+
+
+def test_row_norms_have_the_bits_of_the_norm_of_each_row():
+    # a reduction along an axis would sum in another order; the g2o reader
+    # and the catalog's stand-ins need each row's own bits
+    rng = np.random.default_rng(7)
+    for n in (3, 4):
+        q = rng.normal(size=(2000, n)) * 10.0 ** rng.uniform(-150.0, 150.0, (2000, 1))
+        assert [v.tobytes() for v in _row_norms(q)] == [np.linalg.norm(r).tobytes() for r in q]
 
 
 def test_compose_derivative_left_factor():

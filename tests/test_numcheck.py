@@ -195,7 +195,7 @@ def test_non_finite_difference_fails_at_its_first_sample(first, later, monkeypat
     # np.argmax's preference for NaN over inf nor a huge finite entry in a
     # later sample may move the report
     _poison(monkeypatch, "core.jacobian_matrix_wrt_quat", {3: first, 7: later})
-    r = numcheck._check_op("core.jacobian_matrix_wrt_quat", 1, 10, 1e-5)
+    [r] = numcheck._check_unit("core.jacobian_matrix_wrt_quat", 1, 10, 1e-5)
     assert not r.passed
     assert (r.worst_sample, r.worst_row, r.worst_col) == (3, 1, 2)
     assert not np.isfinite(r.max_abs_error)
@@ -250,7 +250,7 @@ def test_sampled_poses_are_validated_once_per_check(monkeypatch):
     _corrupt_sample_4(monkeypatch, "manifold.jacob_expeD_de", 0, lambda m: m * 1.01)
     with pytest.raises(GeometryError, match="manifold.jacob_expeD_de: sample 4: HomPose: "
                                             "bottom row must be"):
-        numcheck._check_op("manifold.jacob_expeD_de", 1, 10, 1e-5)
+        numcheck._check_unit("manifold.jacob_expeD_de", 1, 10, 1e-5)
 
 
 def test_public_adapters_call_f_on_one_point():
@@ -328,14 +328,14 @@ def test_stand_in_equals_the_library_row_by_row(name):
     ("core.jacobian_ypr_to_quat", 0, lambda v: v * [1, 1, 1, 1, 0, 1] + [0, 0, 0, 0, 2.0, 0],
      "EulerPose: pitch outside [-pi/2, pi/2]"),
     ("vision.project_pose_point.eps", 0, lambda k: k * [1, -1, 1, 1],
-     "focal lengths must be positive"),
+     "CameraIntrinsics: focal lengths must be positive"),
 ])
 def test_every_sampled_type_is_validated_once_per_unit(unit, arg, corrupt, message, monkeypatch):
     # each stack gets the tests of the constructor of its type
     _corrupt_sample_4(monkeypatch, unit, arg, corrupt)
     with pytest.raises(GeometryError, match="^%s: sample 4: %s$"
                        % (re.escape(unit), re.escape(message))):
-        numcheck._check_op(unit, 1, 10, 1e-5)
+        numcheck._check_unit(unit, 1, 10, 1e-5)
 
 
 @pytest.mark.parametrize("unit, corrupt", [
