@@ -20,10 +20,8 @@ and exits 0, as ``rigidkit --help`` does.
 """
 
 import contextlib
-import functools
 import json
 import math
-import os
 import sys
 
 import click
@@ -43,7 +41,7 @@ from .geometry import (GaussianPoint3, compose_point_matrix, compose_point_quat,
 from .graphslam import SolverConfig, optimize
 from .lie import (se2_exp, se2_log, se2_pseudo_exp, se2_pseudo_log, se3_exp,
                   se3_log, se3_pseudo_exp, se3_pseudo_log)
-from .numcheck import _CHECKS, _by_op, _check_unit
+from .numcheck import check_catalog
 from .vision import (CameraIntrinsics, project, project_inv_pose_point,
                      project_pose_point)
 
@@ -397,30 +395,6 @@ def project_cmd(inverse, infile):
     _echo_json({"pixel": [float(v) for v in pixel]})
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _pooled_catalog(seed, n, tol):
-    """numcheck.check_catalog's reports, its units spread over a process pool.
-
-    One worker per CPU this process may use, at most one per unit.  The
-    pool lives in the command, whose module is guarded by its ``__main__``
-    test, and not in the library: a library call that starts processes
-    breaks scripts without that guard under the spawn and forkserver start
-    methods, and callers that are daemonic workers or run threads.
-    """
-    # imported here, so the other commands do not load it
-    from concurrent.futures import ProcessPoolExecutor
-
-    units = sorted(_CHECKS)
-    with ProcessPoolExecutor(max_workers=min(_usable_cpus(), len(units))) as pool:
-        return _by_op(pool.map(functools.partial(_check_unit, seed=seed, n=n, tol=tol), units))
-
-
 @main.command("jacobian-check")
 @click.option("--seed", default=1, show_default=True)
 @click.option("--samples", default=100, show_default=True,
@@ -439,7 +413,7 @@ def jacobian_check(seed, samples, tol, as_json):
         raise _InputError("--samples must be an integer >= 1")
     if not 0.0 <= tol < math.inf:
         raise _InputError("--tol must be a finite number >= 0")
-    reports = _pooled_catalog(seed, samples, tol)
+    reports = check_catalog(seed, samples, tol)
     failed = [r for r in reports if not r.passed]
     if as_json:
         _echo_json([r.to_json_dict() for r in reports])

@@ -348,6 +348,8 @@ def propagate_binary(f, g1, g2):
         Mean of the op at the means; covariance J1 S1 J1^T + J2 S2 J2^T
         (operands treated as independent), re-symmetrized.
     """
+    if not isinstance(f, str) or f not in ("compose", "apply-point", "inv-apply-point"):
+        raise GeometryError("propagate_binary: unknown operation %r" % (f,))
     if f == "compose":
         if not isinstance(g1, GaussianPose) or not isinstance(g2, GaussianPose):
             raise GeometryError("propagate_binary: 'compose' takes two Gaussian poses")
@@ -363,23 +365,20 @@ def propagate_binary(f, g1, g2):
                 "convert to 'ypr' or 'quat' first")
         return GaussianPose(mean, _propagated(j1, g1.cov, j2, g2.cov))
 
-    if f in ("apply-point", "inv-apply-point"):
-        if not isinstance(g1, GaussianPose) or not isinstance(g2, GaussianPoint3):
-            raise GeometryError(
-                "propagate_binary: %r takes a Gaussian pose and a Gaussian point" % (f,))
-        if f == "apply-point":
-            if g1.kind == "quat":
-                mean, jp, ja = compose_point_quat(g1.mean, g2.mean)
-            elif g1.kind == "ypr":
-                mean, jp, ja = compose_point_ypr(g1.mean, g2.mean)
-            else:
-                raise GeometryError(
-                    "propagate_binary: matrix-form point action has no covariance rule here")
+    if not isinstance(g1, GaussianPose) or not isinstance(g2, GaussianPoint3):
+        raise GeometryError(
+            "propagate_binary: %r takes a Gaussian pose and a Gaussian point" % (f,))
+    if f == "apply-point":
+        if g1.kind == "quat":
+            mean, jp, ja = compose_point_quat(g1.mean, g2.mean)
+        elif g1.kind == "ypr":
+            mean, jp, ja = compose_point_ypr(g1.mean, g2.mean)
         else:
-            if g1.kind != "quat":
-                raise GeometryError(
-                    "propagate_binary: 'inv-apply-point' requires a quaternion pose")
-            mean, jp, ja = inv_compose_point_quat(g2.mean, g1.mean)
-        return GaussianPoint3(mean, _propagated(jp, g1.cov, ja, g2.cov))
-
-    raise GeometryError("propagate_binary: unknown operation %r" % (f,))
+            raise GeometryError(
+                "propagate_binary: matrix-form point action has no covariance rule here")
+    else:
+        if g1.kind != "quat":
+            raise GeometryError(
+                "propagate_binary: 'inv-apply-point' requires a quaternion pose")
+        mean, jp, ja = inv_compose_point_quat(g2.mean, g1.mean)
+    return GaussianPoint3(mean, _propagated(jp, g1.cov, ja, g2.cov))

@@ -31,9 +31,9 @@ its n configurations, validates them, calls the public function once per
 configuration and takes the finite differences of each Jacobian with one
 call of its target map; the two units that draw nothing run once.  The
 same seed yields bit-identical reports, independent of the order in which
-units were registered and of the process that runs each, because every
-unit gets its own generator seeded from (seed, crc32 of the name of its
-first check).
+units were registered and of which units run, because every unit gets
+its own generator seeded from (seed, crc32 of the name of its first
+check).
 
 A sampler draws each quantity of its n configurations with one generator
 call and builds each stack from those arrays; a sampled HomPose or
@@ -50,7 +50,6 @@ draw and keep the first n that pass.
 """
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from zlib import crc32
@@ -89,6 +88,8 @@ def numeric_jacobian(f, x0, h=1e-6):
     """
     x0 = matderiv._checked(x0, "numeric_jacobian: x0", (None,))
     h = matderiv._number(h, "numeric_jacobian: h", 0, strict=True)
+    if not callable(f):
+        raise GeometryError("numeric_jacobian: f must be callable")
     if not x0.size:
         return np.zeros((np.size(f(x0)), 0))
     return _fd(_rows(f), (x0[None],), 0, h)[0]
@@ -119,6 +120,8 @@ def manifold_numeric_jacobian(f, base, side="left", h=1e-6):
     if not isinstance(side, str) or side not in ("left", "right"):
         raise GeometryError("manifold_numeric_jacobian: side must be 'left' or 'right'")
     h = matderiv._number(h, "manifold_numeric_jacobian: h", 0, strict=True)
+    if not callable(f):
+        raise GeometryError("manifold_numeric_jacobian: f must be callable")
     return _manifold_fd(_rows(f), (m[None],), 0, side, h)[0]
 
 
@@ -705,7 +708,6 @@ def check_catalog(seed=1, n=100, tol=1e-5):
 
     The checks run unit by unit, one after another, in the calling
     process, which starts no other process.  ``rigidkit jacobian-check``
-    spreads the same units over a process pool, one worker per CPU, and
     prints these reports.
 
     Parameters
@@ -735,9 +737,5 @@ def check_catalog(seed=1, n=100, tol=1e-5):
     seed = matderiv._number(seed, "check_catalog: seed", 0, integer=True)
     n = matderiv._number(n, "check_catalog: n", 1, integer=True)
     tol = matderiv._number(tol, "check_catalog: tol", 0)
-    return _by_op(_check_unit(unit, seed, n, tol) for unit in _CHECKS)
-
-
-def _by_op(units):
-    """The reports of units (an iterable of report lists), sorted by name."""
-    return sorted(itertools.chain.from_iterable(units), key=operator.attrgetter("op"))
+    return sorted((r for unit in _CHECKS for r in _check_unit(unit, seed, n, tol)),
+                  key=operator.attrgetter("op"))

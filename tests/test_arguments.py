@@ -378,6 +378,12 @@ def test_wrong_object_raises_geometry_error(fn, name, value):
      "manifold_numeric_jacobian: h must be a finite number > 0"),
     (lambda: numcheck.manifold_numeric_jacobian(np.ravel, M4, side="up"),
      "manifold_numeric_jacobian: side must be 'left' or 'right'"),
+    (lambda: numcheck.numeric_jacobian(3, [1.0, 2.0]), "numeric_jacobian: f must be callable"),
+    (lambda: numcheck.manifold_numeric_jacobian(None, np.eye(4)),
+     "manifold_numeric_jacobian: f must be callable"),
+    (lambda: geometry.propagate_binary(np.array([1.0, 2.0]), GaussianPose(YPR, np.eye(6)),
+                                       GaussianPose(YPR, np.eye(6))),
+     "propagate_binary: unknown operation array([1., 2.])"),
     (lambda: numcheck.check_catalog(seed=-1, n=1),
      "check_catalog: seed must be an integer >= 0"),
     (lambda: numcheck.check_catalog(seed=1.5, n=1),

@@ -372,8 +372,8 @@ def test_jacobian_check_absurd_tolerance_fails(runner):
     (["--tol", "inf"], "error: --tol must be a finite number >= 0"),
 ])
 def test_jacobian_check_rejects_impossible_arguments(args, message, monkeypatch):
-    # rejected before any check runs: no pool is started
-    monkeypatch.setattr(cli, "_pooled_catalog", None)
+    # rejected before any check runs
+    monkeypatch.setattr(cli, "check_catalog", None)
     res = CliRunner().invoke(main, ["jacobian-check", *args])
     assert res.exit_code == 1
     assert res.output.strip() == message
@@ -386,7 +386,6 @@ def test_jacobian_check_json_stays_strict_on_a_nan(monkeypatch):
     names, sample, analytic, numeric = numcheck._CHECKS[name]
     monkeypatch.setitem(numcheck._CHECKS, name,
                         (names, sample, lambda p: [j * np.nan for j in analytic(p)], numeric))
-    monkeypatch.setattr(cli, "_pooled_catalog", lambda seed, n, tol: check_catalog(seed, n, tol))
     res = CliRunner().invoke(main, ["jacobian-check", "--samples", "3", "--json"])
     assert res.exit_code == 3
 
@@ -399,32 +398,14 @@ def test_jacobian_check_json_stays_strict_on_a_nan(monkeypatch):
     assert len(reports) == 47 and all(r["pass"] for r in reports.values())
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
-@pytest.mark.parametrize("seed", [1, 7])
-def test_pooled_catalog_equals_check_catalog(seed, cpus, monkeypatch):
-    # the command's process pool, of one worker or several, must give the
-    # library's serial reports, in name order and bit for bit
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    got = cli._pooled_catalog(seed, 8, 1e-5)
-    want = check_catalog(seed=seed, n=8)
-    assert len(got) == len(want) == 48
-    for a, b in zip(got, want):
-        assert (a.op, a.max_abs_error, a.worst_row, a.worst_col, a.worst_sample, a.passed) == \
-            (b.op, b.max_abs_error, b.worst_row, b.worst_col, b.worst_sample, b.passed)
-        assert a.analytic.tobytes() == b.analytic.tobytes()
-        assert a.numeric.tobytes() == b.numeric.tobytes()
-
-
 def test_jacobian_check_under_spawn(tmp_path):
-    # workers that re-import the program, as under spawn (the default on
-    # macOS and Windows) or forkserver (Linux from Python 3.14)
+    # a script without a __main__ guard, under spawn (the default on macOS
+    # and Windows), which re-imports the script in any process it starts
     script = tmp_path / "check.py"
     script.write_text("import multiprocessing\n"
                       "from rigidkit import cli\n"
-                      "if __name__ == '__main__':\n"
-                      "    multiprocessing.set_start_method('spawn')\n"
-                      "    cli._usable_cpus = lambda: 2\n"
-                      "    cli.main(['jacobian-check', '--samples', '3', '--json'])\n")
+                      "multiprocessing.set_start_method('spawn', force=True)\n"
+                      "cli.main(['jacobian-check', '--samples', '3', '--json'])\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rigidkit.__path__[0]).parent))
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr

@@ -1,12 +1,11 @@
-"""Check the pooled ``rigidkit jacobian-check --json`` report against the serial catalog.
+"""Check the ``rigidkit jacobian-check --json`` report against the catalog.
 
 Runs ``python -m rigidkit.cli jacobian-check --samples 100 --seed 7 --json``
-(the benchmark's size) in its process pool.  The command must exit 0 and
-its report must be strict JSON (no NaN or Infinity token), hold 48
-passing operations, and equal ``[r.to_json_dict() for r in
-check_catalog(seed=7, n=100)]``.  It then runs the serial
-``check_catalog(seed, n=100)`` for each seed of ``SWEEP`` (1 to 20): all
-48 checks must pass at each.  Exits non-zero, naming what failed,
+(the benchmark's size).  The command must exit 0 and its report must be
+strict JSON (no NaN or Infinity token), hold 48 passing operations, and
+equal ``[r.to_json_dict() for r in check_catalog(seed=7, n=100)]``.  It
+then runs ``check_catalog(seed, n=100)`` for each seed of ``SWEEP`` (1 to
+20): all 48 checks must pass at each.  Exits non-zero, naming what failed,
 otherwise.  Usage, with rigidkit importable:
 
     python3 tools/check_jacobian_report.py
@@ -37,11 +36,11 @@ def main():
     failed = [r["op"] for r in reports if r["pass"] is not True]
     if len(reports) != 48 or failed:
         sys.exit("%d operations, failed: %s" % (len(reports), failed))
-    serial = [r.to_json_dict() for r in check_catalog(seed=SEED, n=SAMPLES)]
-    if reports != serial:
-        sys.exit("differs from the serial check_catalog: %s"
-                 % [a["op"] for a, b in zip(reports, serial) if a != b])
-    print("%d/%d operations passed; the pooled report equals the serial check_catalog"
+    expected = [r.to_json_dict() for r in check_catalog(seed=SEED, n=SAMPLES)]
+    if reports != expected:
+        sys.exit("differs from check_catalog: %s"
+                 % [a["op"] for a, b in zip(reports, expected) if a != b])
+    print("%d/%d operations passed; the command's report equals check_catalog"
           % (len(reports) - len(failed), len(reports)))
     failed = ["seed %d: %s" % (seed, r.op) for seed in SWEEP
               for r in check_catalog(seed=seed, n=SAMPLES) if not r.passed]
