@@ -398,6 +398,20 @@ def test_jacobian_check_json_stays_strict_on_a_nan(monkeypatch):
     assert len(reports) == 47 and all(r["pass"] for r in reports.values())
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_jacobian_check_prints_check_catalog_reports(runner, seed):
+    # both report formats carry the library's reports, in its order and
+    # bit for bit, for the seed and sample count the command was given
+    want = check_catalog(seed=seed, n=8)
+    args = ["jacobian-check", "--seed", str(seed), "--samples", "8"]
+    assert json.loads(_run(runner, [*args, "--json"]).output) == \
+        [r.to_json_dict() for r in want]
+    lines = _run(runner, args).output.splitlines()
+    assert lines == ["PASS  %-40s max|err| = %.3e  at (%d, %d)"
+                     % (r.op, r.max_abs_error, r.worst_row, r.worst_col) for r in want] + \
+        ["48/48 operations passed"]
+
+
 def test_jacobian_check_under_spawn(tmp_path):
     # a script without a __main__ guard, under spawn (the default on macOS
     # and Windows), which re-imports the script in any process it starts
