@@ -43,10 +43,16 @@ every full step overshoots, this takes fewer factorizations; lambda's
 schedule does not see it.  The blocks are summed into a CSR H through a
 scatter pattern computed once per graph from the edge endpoints.
 
-Every system is factored by a symmetric-mode sparse LU (minimum-degree
-ordering, diagonal pivots), accepted if all pivots are diagonal and > 0.
-scipy is imported at the first assembly of H, so importing the package,
-reading g2o files and the pose commands never load it.
+Every system is factored by a sparse block Cholesky written in numpy,
+:mod:`rigidkit._cholesky`, on the d x d blocks of H.  Its symbolic
+analysis (a minimum-degree ordering of the free vertices, the supernodes
+and the index maps) is made once per graph, at the first solve, which
+also imports that module; each trial then only refactors numbers.  A
+system is accepted if it is positive definite, i.e. every pivot block
+has a Cholesky factor, and its solution is finite.  Importing the
+package, reading g2o files and the pose commands load neither that
+module nor scipy, which only :func:`build_normal_equations` imports, for
+its sparse return.
 """
 
 import dataclasses
@@ -346,6 +352,7 @@ class _Scatter:
     index in the CSR data array of H or in b, with entries that touch a
     fixed vertex sent to one spare slot past the end.  ``diag`` indexes H's
     diagonal, which exists once the graph has passed :func:`_check_gauge`.
+    ``blocks`` is the block pattern that :attr:`cholesky` analyses.
     """
 
     def __init__(self, si, sj, d, nblocks):
@@ -374,15 +381,35 @@ class _Scatter:
         self.h_pos = np.full(rb.shape + (d, d), self.size)
         self.h_pos[keep] = upos[which]
         self.diag = upos[brow == bcol][:, off, off].ravel()
+        self.blocks = (nblocks, brow, bcol, upos)
+
+    @functools.cached_property
+    def cholesky(self):
+        """The symbolic analysis of H's sparse Cholesky, made at the first solve."""
+        from ._cholesky import Symbolic
+
+        return Symbolic(*self.blocks)
 
     def assemble(self, h_vals, b_vals):
-        """(H, b) from per-edge values, H as a CSR matrix."""
-        import scipy.sparse
-
+        """(H, b) from per-edge values."""
         h = np.bincount(self.h_pos.ravel(), h_vals.ravel(), self.size + 1)[:-1]
         b = np.bincount(self.b_pos.ravel(), b_vals.ravel(), self.ncoord + 1)[:-1]
-        return scipy.sparse.csr_matrix((h, self.indices, self.indptr),
-                                       shape=(self.ncoord, self.ncoord)), b
+        return _Hessian(h, self), b
+
+
+@dataclass(frozen=True)
+class _Hessian:
+    """H as the data array of its scatter's CSR pattern."""
+
+    data: np.ndarray
+    pattern: _Scatter
+
+    def toarray(self):
+        """H as a dense array."""
+        s = self.pattern
+        out = np.zeros((s.ncoord, s.ncoord))
+        out[np.repeat(np.arange(s.ncoord), np.diff(s.indptr)), s.indices] = self.data
+        return out
 
 
 class _Packed:
@@ -505,7 +532,7 @@ def build_normal_equations(g):
 
     Free vertices (ascending id) get consecutive coordinate blocks.
     Returns (H, b): H is a dense ndarray up to 1500 free coordinates and
-    a CSR sparse matrix beyond.
+    a scipy CSR sparse matrix beyond, the one case that imports scipy.
 
     Raises
     ------
@@ -516,43 +543,44 @@ def build_normal_equations(g):
     _check_gauge(_typed(g, "build_normal_equations: g", PoseGraph))
     pk = _Packed(g)
     h, b = pk.normal_equations(pk.mats)
-    return (h.toarray() if b.size <= _DENSE_LIMIT else h), b
+    if b.size <= _DENSE_LIMIT:
+        return h.toarray(), b
+    import scipy.sparse
+
+    s = h.pattern
+    return scipy.sparse.csr_matrix((h.data, s.indices, s.indptr), shape=(b.size, b.size)), b
 
 
 # ---------------------------------------------------------------------------
 # solving and stepping
 
 def _solve(h, rhs, *, lm_hint):
-    """Solve h x = rhs for a symmetric (so CSR = CSC) positive definite h.
+    """Solve h x = rhs for a symmetric positive definite :class:`_Hessian` h.
 
-    Diagonal pivots under a symmetric ordering make the factor L D L^T up to
-    scaling: h is positive definite iff all pivots stay diagonal and positive.
+    h is factored by the block Cholesky of :mod:`rigidkit._cholesky`, with
+    the symbolic analysis cached on its pattern.  The Cholesky of a pivot
+    block fails iff h is not positive definite; that, or a solution that
+    is not finite, raises RankDeficiencyError.
     """
-    import scipy.sparse.linalg
-
     msg = "normal equations are not positive definite"
     if lm_hint:
         msg += "; try method='levenberg-marquardt'"
-    a = scipy.sparse.csc_matrix((h.data, h.indices, h.indptr), shape=h.shape)
-    try:
-        lu = scipy.sparse.linalg.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                      options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise RankDeficiencyError(msg) from exc
-    x = lu.solve(rhs)
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)
-            and np.all(np.isfinite(x))):
+    chol = h.pattern.cholesky
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            x = chol.solve(chol.factor(h.data), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficiencyError(msg) from exc
+    if not np.all(np.isfinite(x)):
         raise RankDeficiencyError(msg)
     return x
 
 
 def _damped(h, diag, lam):
-    """h + lam I for a CSR h whose diagonal sits at the data indices diag."""
-    import scipy.sparse
-
+    """h + lam I for an h whose diagonal sits at the data indices diag."""
     data = h.data.copy()
     data[diag] += lam
-    return scipy.sparse.csr_matrix((data, h.indices, h.indptr), shape=h.shape)
+    return dataclasses.replace(h, data=data)
 
 
 def _finite(value, what):

@@ -13,8 +13,8 @@ from rigidkit import (GeometryError, HomPose, HomPose2, PoseGraph,
                       se2_pseudo_exp, se2_pseudo_log, se3_pseudo_exp, se3_pseudo_log,
                       so3_exp, so3_log, step, synth_graph)
 from rigidkit import graphslam
-from rigidkit.graphslam import (_DENSE_LIMIT, IterationStats, _damped, _linearize,
-                                _Packed, _solve)
+from rigidkit.graphslam import (_DENSE_LIMIT, IterationStats, _damped, _Hessian, _linearize,
+                                _Packed, _Scatter, _solve)
 from rigidkit.matderiv import inverse_rt
 
 INFO2 = np.diag([400.0, 400.0, 10000.0])
@@ -666,12 +666,93 @@ def test_solve_damped_normal_equations(kind, n):
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("h", [
-    -scipy.sparse.identity(3000, format="csr"),
-    scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))])
+def _minus_identity(n):
+    # n x n, as 1x1 blocks on the diagonal: no edge between two vertices
+    pattern = _Scatter(np.arange(n), np.arange(n), 1, n)
+    data = np.zeros(pattern.size)
+    data[pattern.diag] = -1.0
+    return _Hessian(data, pattern)
+
+
+def _swap():
+    # [[0, 1], [1, 0]]: one edge between two vertices of 1x1 blocks
+    pattern = _Scatter(np.array([0]), np.array([1]), 1, 2)
+    return _Hessian(np.array([0.0, 1.0, 1.0, 0.0]), pattern)
+
+
+@pytest.mark.parametrize("h", [_minus_identity(3000), _swap()])
 def test_solve_rejects_matrices_that_are_not_positive_definite(h):
     with pytest.raises(RankDeficiencyError, match="not positive definite"):
-        _solve(h, np.ones(h.shape[0]), lm_hint=False)
+        _solve(h, np.ones(h.pattern.ncoord), lm_hint=False)
+
+
+def test_small_non_positive_definite_cases_are_what_they_say():
+    assert np.array_equal(_minus_identity(4).toarray(), -np.eye(4))
+    assert np.array_equal(_swap().toarray(), [[0.0, 1.0], [1.0, 0.0]])
+
+
+def _block_edges(kind, n, rng):
+    """Vertex pairs (i, j) of a block pattern with n blocks."""
+    if kind == "tree":
+        return [(int(rng.integers(0, k)), k) for k in range(1, n)]
+    if kind == "cycle":
+        chords = rng.integers(0, n, size=(n // 8, 2))
+        return [(k, (k + 1) % n) for k in range(n)] + [(i, j) for i, j in chords if i != j]
+    if kind == "grid":
+        side = int(np.sqrt(n))
+        return [(k, k + step) for k in range(side * side) for step in (1, side)
+                if k + step < side * side and (step == side or (k + 1) % side)]
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]  # clique
+
+
+@given(st.sampled_from(["tree", "cycle", "grid", "clique"]), st.integers(2, 80),
+       st.sampled_from([3, 6]), st.integers(0, 2 ** 32 - 1))
+def test_block_cholesky_solves_random_positive_definite_patterns(kind, n, d, seed):
+    rng = np.random.default_rng(seed)
+    n = min(n, 14) if kind == "clique" else max(n, 4) if kind == "grid" else n
+    si, sj = np.array(_block_edges(kind, n, rng)).reshape(-1, 2).T
+    nb = int(np.sqrt(n)) ** 2 if kind == "grid" else n
+    pattern = _Scatter(si, sj, d, nb)
+    # each edge adds a J^T J over its two blocks; the damping makes H definite
+    jac = rng.normal(size=(len(si), d, 2 * d))
+    h_vals = np.einsum("eri,erj->eij", jac, jac).reshape(-1, 2, d, 2, d).swapaxes(2, 3)
+    h, _ = pattern.assemble(h_vals, np.zeros((len(si), 2, d)))
+    h = _damped(h, pattern.diag, 0.5 + float(np.abs(h.data).max()) * 0.05)
+    rhs = rng.normal(size=nb * d)
+    x = _solve(h, rhs, lm_hint=False)
+    ref = np.linalg.solve(h.toarray(), rhs)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the ordering is a permutation of every block, the same on every analysis
+    again = type(pattern.cholesky)(*pattern.blocks)
+    assert np.array_equal(np.sort(pattern.cholesky.perm), np.arange(nb))
+    assert np.array_equal(again.perm, pattern.cholesky.perm)
+    assert np.array_equal(again.solve(again.factor(h.data), rhs), x)
+    # a negated diagonal block makes H indefinite
+    k = int(rng.integers(0, nb))
+    nblocks, brow, bcol, at = pattern.blocks
+    flipped = h.data.copy()
+    flipped[at[(brow == k) & (bcol == k)]] *= -1.0
+    with pytest.raises(RankDeficiencyError, match="not positive definite"):
+        _solve(_Hessian(flipped, pattern), rhs, lm_hint=False)
+
+
+def test_optimize_makes_the_symbolic_analysis_once(monkeypatch):
+    from rigidkit import _cholesky
+
+    made = []
+
+    class Counted(_cholesky.Symbolic):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(_cholesky, "Symbolic", Counted)
+    calls = _count_solves(monkeypatch)
+    _, noisy = synth_graph("circle2d", 50, (0.3, 0.2), 1)
+    _, stats = optimize(noisy, SolverConfig())
+    assert sum(s.rejected for s in stats) >= 1
+    assert len(calls) > len(stats) > 2
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("kind, n", [("sphere3d", 40), ("circle2d", 600)])
