@@ -14,18 +14,28 @@ the work that depends on the pattern only, once:
   minority of its factor;
 * batches: the supernodes of one level of the assembly tree (leaves at
   0) with the same pivot and front sizes;
+* a memory plan: the fronts of a batch take one region of a pool, which
+  opens when the first child batch pushes an update into it and closes
+  once the batch is factored.  Regions that are never open at the same
+  step share space, placed by first fit in order of opening, so the pool
+  holds the live fronts only, as a multifrontal stack does;
 * index arrays that place the data in each front and each child's update
-  matrix in its parent's front.
+  matrix in its parent's front.  The updates' arrays, by far the largest,
+  are int32 while the pool allows.
 
 :meth:`Symbolic.factor` then factors the data by the multifrontal method
 (Liu, "The multifrontal method for sparse matrix solution: theory and
 practice", SIAM Review 34, 1992), one batch at a time with stacked numpy
 calls, and :meth:`Symbolic.solve` substitutes forward and back over the
-same batches.  A matrix that is not positive definite raises numpy's
-LinAlgError from the first batch whose pivot blocks fail their Cholesky.
+same batches.  Each entry of a front sums its H entry first, then its
+children's updates in batch order, whatever the plan.  A matrix that is
+not positive definite raises numpy's LinAlgError from the first batch
+whose pivot blocks fail their Cholesky.
 """
 
+import bisect
 import heapq
+from itertools import chain
 
 import numpy as np
 
@@ -76,32 +86,74 @@ def _min_degree(adj):
 
 
 def _relaxed(groups, d):
-    """Supernodes from the groups: [(columns, rows)], children before parents."""
-    at = {v: k for k, (group, _) in enumerate(groups) for v in group}
-    cols = [list(group) for group, _ in groups]
-    stored = [len(c) * (len(c) + 1) // 2 + len(c) * len(r) for c, (_, r) in zip(cols, groups)]
-    for k, (_, rows) in enumerate(groups):
-        if not rows:
-            continue
-        p = min(at[v] for v in rows)  # the parent: the first group to eliminate a row
-        n, r = len(cols[k]) + len(cols[p]), len(groups[p][1])
-        dense = n * (n + 1) // 2 + n * r
-        if (n + r) * d <= _FRONT and 2 * (stored[k] + stored[p]) > dense:
+    """Supernodes from the groups, children before parents.
+
+    Returns [(columns, rows)] and each supernode's parent, the supernode
+    that eliminates the first of its rows (-1 at a root), as an array.
+    """
+    cols = [group for group, _ in groups]
+    ncol, nrow = np.array([(len(c), len(rows)) for c, rows in groups]).T
+    at = np.empty(ncol.sum(), dtype=np.intp)  # the group of each block
+    at[np.fromiter(chain.from_iterable(cols), np.intp, len(at))] = np.repeat(range(len(cols)), ncol)
+    # a group's parent is the first group to eliminate one of its rows
+    parent = np.full(len(cols), -1)
+    flat = np.fromiter(chain.from_iterable(rows for _, rows in groups), np.intp, nrow.sum())
+    if flat.size:
+        parent[nrow > 0] = np.minimum.reduceat(at[flat], (np.cumsum(nrow) - nrow)[nrow > 0])
+    stored = (ncol * (ncol + 1) // 2 + ncol * nrow).tolist()
+    up = np.arange(len(cols))  # the group that each group is merged into
+    for k, p in zip(np.flatnonzero(parent >= 0).tolist(), parent[parent >= 0].tolist()):
+        n, r = len(cols[k]) + len(cols[p]), nrow[p]
+        if (n + r) * d <= _FRONT and 2 * (stored[k] + stored[p]) > n * (n + 1) // 2 + n * r:
             cols[p] = cols[k] + cols[p]
             stored[p] += stored[k]
             cols[k] = None
-    return [(c, rows) for c, (_, rows) in zip(cols, groups) if c is not None]
+            up[k] = p
+    kept = up == np.arange(len(cols))
+    for k in np.flatnonzero(~kept)[::-1].tolist():
+        up[k] = up[up[k]]  # a parent comes later, so its own entry is final
+    # the supernode of the group that each parent group is merged into; -1 stays -1
+    parent = np.append((np.cumsum(kept) - 1)[up], -1)[parent[kept]]
+    return [(c, rows) for c, (_, rows) in zip(cols, groups) if c is not None], parent
+
+
+def _first_fit(opens, span):
+    """Offsets in one pool for regions of span[t] entries open from step opens[t] to t.
+
+    Regions are placed in order of opening, each at the lowest offset
+    where it overlaps no region still open at its first step.  Returns
+    the offsets and the size of the pool.
+    """
+    start = [0] * len(span)
+    live = []  # (start, end, last step) of the regions placed so far, by start
+    opens, span = opens.tolist(), span.tolist()
+    for t in np.argsort(opens, kind="stable").tolist():
+        live = [r for r in live if r[2] >= opens[t]]
+        a = 0
+        for s, e, _ in live:
+            if s - a >= span[t]:
+                break
+            a = e
+        start[t] = a
+        bisect.insort(live, (a, a + span[t], t))
+    return np.array(start), max(a + n for a, n in zip(start, span))
 
 
 class Symbolic:
-    """The ordering, supernodes, batches and index maps of one block pattern.
+    """The ordering, supernodes, batches, memory plan and index maps of one block pattern.
 
     nb blocks of size d; brow and bcol are the block coordinates of the
     stored blocks in CSR order (by row, then column), the diagonal among
     them, and at (nblk, d, d) holds the data index of every entry of
     each block.  ``perm`` lists the blocks in elimination order: batch by
-    batch, so the columns of a batch and its fronts in the pool of one
-    factorization are contiguous.
+    batch, so the columns of a batch are contiguous.
+
+    Batch t is factored at step t.  Its fronts take one contiguous region
+    of a factorization's pool, which opens at step ``opens[t]``, that of
+    the first child batch to push an update into it (t if none does), and
+    closes once batch t is factored.  Regions that are never open at the
+    same step share pool space, so ``pool`` is the most entries that are
+    open at once, not the sum of all fronts.
     """
 
     def __init__(self, nb, brow, bcol, at):
@@ -110,72 +162,83 @@ class Symbolic:
         per_row = np.bincount(brow, minlength=nb).tolist()
         cols, ends = bcol.tolist(), np.cumsum(per_row).tolist()
         adj = [set(cols[e - n:e]) - {v} for v, (e, n) in enumerate(zip(ends, per_row))]
-        snodes = _relaxed(_min_degree(adj), d)
-        # a parent is the first supernode to eliminate one of its child's rows,
-        # and its level is one above its highest child's
-        home = {v: s for s, (c, _) in enumerate(snodes) for v in c}
+        snodes, parent = _relaxed(_min_degree(adj), d)
+        # a supernode's level in the assembly tree is one above its highest child's
         level = [0] * len(snodes)
-        for s, (_, rows) in enumerate(snodes):
-            if rows:
-                p = min(home[v] for v in rows)
-                level[p] = max(level[p], level[s] + 1)
-        key = sorted((lv, len(c), len(r), s) for s, (lv, (c, r)) in enumerate(zip(level, snodes)))
-        snodes = [snodes[s] for *_, s in key]
-        self.perm = np.array([v for c, _ in snodes for v in c], dtype=np.intp)
+        for s, p in zip(np.flatnonzero(parent >= 0).tolist(), parent[parent >= 0].tolist()):
+            level[p] = max(level[p], level[s] + 1)
+        key = np.array([level, [len(c) for c, _ in snodes], [len(r) for _, r in snodes]])
+        order = np.lexsort(key[::-1])
+        _, ncol, nrow = key = key[:, order]
+        parent = np.append(np.argsort(order), -1)[parent[order]]  # -1 stays -1
+        snodes = [snodes[s] for s in order.tolist()]
+        self.perm = np.fromiter(chain.from_iterable(c for c, _ in snodes), np.intp, nb)
         pos = np.empty(nb, dtype=np.intp)
         pos[self.perm] = np.arange(nb)
-        ncol = np.array([len(c) for c, _ in snodes])
-        nrow = np.array([len(r) for _, r in snodes])
-        rows = [np.sort(pos[np.fromiter(r, np.intp, len(r))]) for _, r in snodes]
-        first = np.cumsum(ncol) - ncol
-        # each front's blocks, by position: its columns, then its rows
+        rows = np.fromiter(chain.from_iterable(r for _, r in snodes), np.intp, nrow.sum())
+        snode = np.repeat(np.arange(len(order)), ncol)  # the supernode of each position
+        # each front's blocks, by position: its columns, then its rows (all
+        # in later supernodes), so keys is sorted
+        keys = np.sort(np.concatenate([snode * nb + np.arange(nb),
+                                       np.repeat(np.arange(len(order)), nrow) * nb + pos[rows]]))
         fstart = np.cumsum(ncol + nrow) - ncol - nrow
-        keys = np.concatenate([s * nb + np.concatenate([np.arange(a, a + n), r])
-                               for s, (a, n, r) in enumerate(zip(first, ncol, rows))])
-        snode = np.repeat(np.arange(len(snodes)), ncol)  # the supernode of each position
         size = (ncol + nrow) * d
-        base = np.cumsum(size * size) - size * size  # each front's offset in the pool
-        self.pool = int(base[-1] + size[-1] ** 2)
+        # the batches: runs of supernodes with the same level, pivot and front sizes
+        lo = np.flatnonzero(np.diff(key, axis=1, prepend=-1).any(axis=0))
+        hi = np.append(lo[1:], len(order))
+        batch = np.repeat(np.arange(len(lo)), hi - lo)  # the batch of each supernode
+        self.opens = np.arange(len(lo))
+        np.minimum.at(self.opens, batch[parent[parent >= 0]], batch[parent >= 0])
+        start, self.pool = _first_fit(self.opens, (hi - lo) * size[lo] ** 2)
+        base = start[batch] + (np.arange(len(order)) - lo[batch]) * size * size
+        idx = np.int32 if self.pool < 2 ** 31 else np.intp  # of the updates' targets
 
-        def place(s, x, y):  # pool indices of the entries (rows x, columns y) of fronts s
+        def place(s, x, y):  # pool indices of the entries (rows x, columns y) of each front s
             cx, cy = (((np.searchsorted(keys, s[:, None] * nb + z) - fstart[s][:, None])[..., None]
                        * d + off).reshape(len(s), -1) for z in (x, y))
-            return base[s][:, None, None] + cx[:, :, None] * size[s][:, None, None] + cy[:, None, :]
+            return (base[s][:, None, None] + cx[:, :, None] * size[s][:, None, None]
+                    + cy[:, None, :]).reshape(len(s), -1)
 
-        # only lower triangles are read: the Cholesky's, the panels' and the updates'
-        low = pos[brow] >= pos[bcol]
+        # only lower triangles are read: the Cholesky's, the panels' and the
+        # updates'; H's blocks go in at the step their region opens
+        low = np.flatnonzero(pos[brow] >= pos[bcol])
+        low = low[np.argsort(self.opens[batch[snode[pos[bcol[low]]]]])]
         p, q = pos[brow[low]], pos[bcol[low]]
-        self.h_src = at[low].ravel()
-        self.h_tgt = place(snode[q], p[:, None], q[:, None]).ravel()
+        src, tgt = at[low].ravel(), place(snode[q], p[:, None], q[:, None]).ravel()
+        cut = np.searchsorted(self.opens[batch[snode[q]]], np.arange(len(lo) + 1)) * d * d
+        self.h_steps = [(src[a:b], tgt[a:b]) for a, b in zip(cut, cut[1:])]
         self.coords = (self.perm[:, None] * d + off).ravel()
         # per batch: where its fronts start in the pool, how many, their pivot
-        # and front sizes, and where the lower triangles of their updates go;
-        # for the solve, its first column and its rows' coordinates
+        # and front sizes, and where the lower triangles of their updates go
+        # (the fronts of their parents); for the solve, its first column and
+        # its rows' coordinates
         self.batches, self.steps = [], []
-        cuts = [i for i in range(1, len(key)) if key[i][:3] != key[i - 1][:3]]
-        for lo, hi in zip([0] + cuts, cuts + [len(key)]):
-            r = np.array(rows[lo:hi])
-            tri = np.flatnonzero(np.tri(r.shape[1] * d, dtype=bool))
-            push = None if r.size == 0 else \
-                place(snode[r[:, 0]], r, r).reshape(hi - lo, -1)[:, tri].ravel()
-            self.batches.append((base[lo], hi - lo, ncol[lo] * d, size[lo], push, tri))
-            self.steps.append((first[lo] * d, (r[..., None] * d + off).ravel()))
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            g, c, m = b - a, ncol[a], nrow[a]
+            blk = keys[fstart[a]:fstart[a] + g * (c + m)].reshape(g, c + m) % nb  # by position
+            tri = np.flatnonzero(np.tri(m * d, dtype=bool))
+            push = place(parent[a:b], blk[:, c:], blk[:, c:])[:, tri].ravel().astype(idx)
+            self.batches.append((int(base[a]), g, c * d, size[a], push, tri))
+            self.steps.append((blk[0, 0] * d, (blk[:, c:, None] * d + off).ravel()))
 
     def factor(self, data):
         """Per batch, the inverses of its pivot blocks' factors and its panels.
 
-        Raises numpy's LinAlgError if the matrix is not positive definite.
+        At each step the regions that open there get their entries of H,
+        the batch is factored and its updates pushed, and its region is
+        zeroed for the regions that reuse its space.  Raises numpy's
+        LinAlgError if the matrix is not positive definite.
         """
         pool = np.zeros(self.pool)
-        pool[self.h_tgt] = data[self.h_src]
         factors = []
-        for o, g, k, f, push, tri in self.batches:
+        for (o, g, k, f, push, tri), (src, tgt) in zip(self.batches, self.h_steps):
+            pool[tgt] = data[src]
             front = pool[o:o + g * f * f].reshape(g, f, f)
             inv = np.linalg.inv(np.linalg.cholesky(front[:, :k, :k]))
             panel = front[:, k:, :k] @ inv.swapaxes(1, 2)
-            if push is not None:
-                update = front[:, k:, k:] - panel @ panel.swapaxes(1, 2)
-                np.add.at(pool, push, update.reshape(g, -1)[:, tri].ravel())
+            update = front[:, k:, k:] - panel @ panel.swapaxes(1, 2)
+            np.add.at(pool, push, update.reshape(g, -1)[:, tri].ravel())
+            front.fill(0.0)
             factors.append((inv, panel))
         return factors
 

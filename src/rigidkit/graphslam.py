@@ -45,9 +45,10 @@ scatter pattern computed once per graph from the edge endpoints.
 
 Every system is factored by a sparse block Cholesky written in numpy,
 :mod:`rigidkit._cholesky`, on the d x d blocks of H.  Its symbolic
-analysis (a minimum-degree ordering of the free vertices, the supernodes
-and the index maps) is made once per graph, at the first solve, which
-also imports that module; each trial then only refactors numbers.  A
+analysis (a minimum-degree ordering of the free vertices, the supernodes,
+a plan that lets fronts no longer alive share memory, and the index
+maps) is made once per graph, at the first solve, which also imports
+that module; each trial then only refactors numbers.  A
 system is accepted if it is positive definite, i.e. every pivot block
 has a Cholesky factor, and its solution is finite.  Importing the
 package, reading g2o files and the pose commands load neither that

@@ -705,19 +705,55 @@ def _block_edges(kind, n, rng):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]  # clique
 
 
-@given(st.sampled_from(["tree", "cycle", "grid", "clique"]), st.integers(2, 80),
-       st.sampled_from([3, 6]), st.integers(0, 2 ** 32 - 1))
-def test_block_cholesky_solves_random_positive_definite_patterns(kind, n, d, seed):
-    rng = np.random.default_rng(seed)
+def _block_pattern(kind, n, d, rng):
+    """The _Scatter of d x d blocks on a _block_edges pattern with about n blocks, and its edges."""
     n = min(n, 14) if kind == "clique" else max(n, 4) if kind == "grid" else n
     si, sj = np.array(_block_edges(kind, n, rng)).reshape(-1, 2).T
-    nb = int(np.sqrt(n)) ** 2 if kind == "grid" else n
-    pattern = _Scatter(si, sj, d, nb)
+    return _Scatter(si, sj, d, int(np.sqrt(n)) ** 2 if kind == "grid" else n), si, sj
+
+
+def _definite(pattern, si, sj, rng):
+    """A positive definite _Hessian on the pattern of the edges (si, sj)."""
+    d = pattern.blocks[3].shape[1]
     # each edge adds a J^T J over its two blocks; the damping makes H definite
     jac = rng.normal(size=(len(si), d, 2 * d))
     h_vals = np.einsum("eri,erj->eij", jac, jac).reshape(-1, 2, d, 2, d).swapaxes(2, 3)
     h, _ = pattern.assemble(h_vals, np.zeros((len(si), 2, d)))
-    h = _damped(h, pattern.diag, 0.5 + float(np.abs(h.data).max()) * 0.05)
+    return _damped(h, pattern.diag, 0.5 + float(np.abs(h.data).max()) * 0.05)
+
+
+def _plan_share(chol):
+    """Check the pool plan of a Symbolic; returns its pool over the sum of its fronts.
+
+    Batch t's region, of g f^2 entries from its offset, is open from step
+    opens[t] to step t.  Regions open at the same step must not overlap,
+    each entry of H must go to a region that opens at its step, and each
+    update that batch t pushes must go to a region still open after step t.
+    """
+    start = np.array([o for o, *_ in chol.batches])
+    end = start + [g * f * f for _, g, _, f, *_ in chol.batches]
+    opens, close = chol.opens, np.arange(len(start))
+    assert np.all(opens <= close) and end.max() == chol.pool
+    space = (start[:, None] < end) & (start < end[:, None])
+    live = (opens[:, None] <= close) & (opens <= close[:, None])
+    assert np.array_equal(space & live, np.eye(len(start), dtype=bool))
+
+    def inside(x, regions):
+        return np.any((start[regions] <= x[:, None]) & (x[:, None] < end[regions]), axis=1).all()
+
+    for t, ((_, _, _, _, push, _), (_, tgt)) in enumerate(zip(chol.batches, chol.h_steps)):
+        assert inside(tgt, opens == t)
+        assert inside(push, (opens <= t) & (close > t))
+    return chol.pool / (end - start).sum()
+
+
+@given(st.sampled_from(["tree", "cycle", "grid", "clique"]), st.integers(2, 80),
+       st.sampled_from([3, 6]), st.integers(0, 2 ** 32 - 1))
+def test_block_cholesky_solves_random_positive_definite_patterns(kind, n, d, seed):
+    rng = np.random.default_rng(seed)
+    pattern, si, sj = _block_pattern(kind, n, d, rng)
+    nb = pattern.blocks[0]
+    h = _definite(pattern, si, sj, rng)
     rhs = rng.normal(size=nb * d)
     x = _solve(h, rhs, lm_hint=False)
     ref = np.linalg.solve(h.toarray(), rhs)
@@ -727,6 +763,7 @@ def test_block_cholesky_solves_random_positive_definite_patterns(kind, n, d, see
     assert np.array_equal(np.sort(pattern.cholesky.perm), np.arange(nb))
     assert np.array_equal(again.perm, pattern.cholesky.perm)
     assert np.array_equal(again.solve(again.factor(h.data), rhs), x)
+    assert _plan_share(again) <= 1.0
     # a negated diagonal block makes H indefinite
     k = int(rng.integers(0, nb))
     nblocks, brow, bcol, at = pattern.blocks
@@ -734,6 +771,30 @@ def test_block_cholesky_solves_random_positive_definite_patterns(kind, n, d, see
     flipped[at[(brow == k) & (bcol == k)]] *= -1.0
     with pytest.raises(RankDeficiencyError, match="not positive definite"):
         _solve(_Hessian(flipped, pattern), rhs, lm_hint=False)
+
+
+def test_block_cholesky_pool_of_a_grid_is_at_most_half_its_fronts():
+    assert _plan_share(_block_pattern("grid", 900, 3, None)[0].cholesky) <= 0.5
+
+
+def test_block_cholesky_failed_factorization_leaves_no_state():
+    rng = np.random.default_rng(11)
+    pattern, si, sj = _block_pattern("grid", 100, 3, rng)
+    h, rhs = _definite(pattern, si, sj, rng), rng.normal(size=pattern.ncoord)
+    _, brow, bcol, at = pattern.blocks
+    chol = pattern.cholesky
+    last = chol.perm[-1]
+    # the last block's diagonal, negated, fails only the last batch
+    flipped = h.data.copy()
+    flipped[at[(brow == last) & (bcol == last)]] *= -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        chol.factor(flipped)
+    fresh = type(chol)(*pattern.blocks)
+    factors, again = chol.factor(h.data), fresh.factor(h.data)
+    assert len(factors) == len(chol.batches) > 1
+    for a, b in zip(factors, again):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert np.array_equal(chol.solve(factors, rhs), fresh.solve(again, rhs))
 
 
 def test_optimize_makes_the_symbolic_analysis_once(monkeypatch):
