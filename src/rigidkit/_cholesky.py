@@ -1,9 +1,10 @@
 """Sparse Cholesky of a symmetric positive definite block matrix, in numpy.
 
-The matrix is n x n blocks of size d, given by its block pattern and, per
-stored block, the indices of its d x d entries in a data array (the CSR
-layout of :class:`rigidkit.graphslam._Scatter`).  :class:`Symbolic` does
-the work that depends on the pattern only, once:
+The matrix is n x n blocks of size d, given by its block pattern, with
+its data stored block by block: stored block k holds the d * d entries
+k d^2 .. (k + 1) d^2 - 1, row-major (the layout of
+:class:`rigidkit.graphslam._Scatter`).  :class:`Symbolic` does the work
+that depends on the pattern only, once:
 
 * a minimum-degree ordering of the block graph, with multiple and mass
   elimination (Liu, "Modification of the minimum-degree algorithm by
@@ -19,9 +20,10 @@ the work that depends on the pattern only, once:
   once the batch is factored.  Regions that are never open at the same
   step share space, placed by first fit in order of opening, so the pool
   holds the live fronts only, as a multifrontal stack does;
-* index arrays that place the data in each front and each child's update
-  matrix in its parent's front.  The updates' arrays, by far the largest,
-  are int32 while the pool allows.
+* index arrays that place each stored block in its front and each
+  child's update matrix in its parent's front.  The updates' arrays, by
+  far the largest, are int32 while the pool allows; batches with updates
+  of one size share the index array of their lower triangle.
 
 :meth:`Symbolic.factor` then factors the data by the multifrontal method
 (Liu, "The multifrontal method for sparse matrix solution: theory and
@@ -143,10 +145,12 @@ class Symbolic:
     """The ordering, supernodes, batches, memory plan and index maps of one block pattern.
 
     nb blocks of size d; brow and bcol are the block coordinates of the
-    stored blocks in CSR order (by row, then column), the diagonal among
-    them, and at (nblk, d, d) holds the data index of every entry of
-    each block.  ``perm`` lists the blocks in elimination order: batch by
-    batch, so the columns of a batch are contiguous.
+    stored blocks, by row and then column, the diagonal among them.  The
+    data that :meth:`factor` takes holds stored block k in its entries
+    k d^2 .. (k + 1) d^2 - 1.  ``perm`` lists the blocks in elimination
+    order: batch by batch, so the columns of a batch are contiguous.
+    ``h_steps`` holds, per step, the stored blocks that go in then and
+    their d^2 pool indices each.
 
     Batch t is factored at step t.  Its fronts take one contiguous region
     of a factorization's pool, which opens at step ``opens[t]``, that of
@@ -156,8 +160,8 @@ class Symbolic:
     open at once, not the sum of all fronts.
     """
 
-    def __init__(self, nb, brow, bcol, at):
-        d = at.shape[1]
+    def __init__(self, nb, brow, bcol, d):
+        self.d = d
         off = np.arange(d)
         per_row = np.bincount(brow, minlength=nb).tolist()
         cols, ends = bcol.tolist(), np.cumsum(per_row).tolist()
@@ -204,19 +208,19 @@ class Symbolic:
         low = np.flatnonzero(pos[brow] >= pos[bcol])
         low = low[np.argsort(self.opens[batch[snode[pos[bcol[low]]]]])]
         p, q = pos[brow[low]], pos[bcol[low]]
-        src, tgt = at[low].ravel(), place(snode[q], p[:, None], q[:, None]).ravel()
-        cut = np.searchsorted(self.opens[batch[snode[q]]], np.arange(len(lo) + 1)) * d * d
-        self.h_steps = [(src[a:b], tgt[a:b]) for a, b in zip(cut, cut[1:])]
+        tgt = place(snode[q], p[:, None], q[:, None])
+        cut = np.searchsorted(self.opens[batch[snode[q]]], np.arange(len(lo) + 1))
+        self.h_steps = [(low[a:b], tgt[a:b]) for a, b in zip(cut, cut[1:])]
         self.coords = (self.perm[:, None] * d + off).ravel()
         # per batch: where its fronts start in the pool, how many, their pivot
         # and front sizes, and where the lower triangles of their updates go
         # (the fronts of their parents); for the solve, its first column and
         # its rows' coordinates
-        self.batches, self.steps = [], []
+        self.batches, self.steps, tris = [], [], {}
         for a, b in zip(lo.tolist(), hi.tolist()):
             g, c, m = b - a, ncol[a], nrow[a]
             blk = keys[fstart[a]:fstart[a] + g * (c + m)].reshape(g, c + m) % nb  # by position
-            tri = np.flatnonzero(np.tri(m * d, dtype=bool))
+            tri = tris.setdefault(m * d, np.flatnonzero(np.tri(m * d, dtype=bool)))
             push = place(parent[a:b], blk[:, c:], blk[:, c:])[:, tri].ravel().astype(idx)
             self.batches.append((int(base[a]), g, c * d, size[a], push, tri))
             self.steps.append((blk[0, 0] * d, (blk[:, c:, None] * d + off).ravel()))
@@ -230,9 +234,10 @@ class Symbolic:
         LinAlgError if the matrix is not positive definite.
         """
         pool = np.zeros(self.pool)
+        blocks = data.reshape(-1, self.d * self.d)
         factors = []
         for (o, g, k, f, push, tri), (src, tgt) in zip(self.batches, self.h_steps):
-            pool[tgt] = data[src]
+            pool[tgt] = blocks[src]
             front = pool[o:o + g * f * f].reshape(g, f, f)
             inv = np.linalg.inv(np.linalg.cholesky(front[:, :k, :k]))
             panel = front[:, k:, :k] @ inv.swapaxes(1, 2)

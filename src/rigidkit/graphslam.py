@@ -40,8 +40,9 @@ refit along its direction: the minimum of the parabola through chi2 at
 without a factorization, replaces delta if it is lower.  Near the
 optimum, where the true curvature along delta exceeds the model's and
 every full step overshoots, this takes fewer factorizations; lambda's
-schedule does not see it.  The blocks are summed into a CSR H through a
-scatter pattern computed once per graph from the edge endpoints.
+schedule does not see it.  The blocks are summed into H, stored as its
+d x d blocks one after another, through a scatter pattern computed once
+per graph from the edge endpoints.
 
 Every system is factored by a sparse block Cholesky written in numpy,
 :mod:`rigidkit._cholesky`, on the d x d blocks of H.  Its symbolic
@@ -349,11 +350,15 @@ class _Scatter:
 
     Built once per graph from the edge endpoints' coordinate blocks.  H
     values are laid out per edge as (E, 2, 2, d, d) (blocks ii, ij, ji,
-    jj) and b values as (E, 2, d); ``h_pos`` / ``b_pos`` give each value's
-    index in the CSR data array of H or in b, with entries that touch a
-    fixed vertex sent to one spare slot past the end.  ``diag`` indexes H's
-    diagonal, which exists once the graph has passed :func:`_check_gauge`.
-    ``blocks`` is the block pattern that :attr:`cholesky` analyses.
+    jj) and b values as (E, 2, d).  H is stored block-major: the stored
+    blocks, the distinct (block row, block column) pairs in ascending
+    order, each hold d * d consecutive entries, row-major, so stored block
+    k is entries k d^2 .. (k + 1) d^2 - 1.  ``h_pos`` / ``b_pos`` give each
+    value's index in H's data or in b, with entries that touch a fixed
+    vertex sent to one spare block or slot past the end.  ``diag`` indexes
+    H's diagonal, which exists once the graph has passed
+    :func:`_check_gauge`.  ``blocks`` is (block count, block rows, block
+    columns, d), the pattern that :attr:`cholesky` analyses.
     """
 
     def __init__(self, si, sj, d, nblocks):
@@ -365,24 +370,13 @@ class _Scatter:
         ends = np.stack([si, sj], axis=1)
         self.b_pos = np.where((ends >= 0)[..., None], ends[..., None] * d + off, ncoord)
         self.ncoord = ncoord
-        # block (p, q) row r holds columns q*d .. q*d+d-1, blocks of a
-        # block row in ascending q
         blocks, which = np.unique((rb * nblocks + cb)[keep], return_inverse=True)
         brow, bcol = np.divmod(blocks, nblocks)
-        per_row = np.bincount(brow, minlength=nblocks)
-        first = np.cumsum(per_row) - per_row
-        self.indptr = np.concatenate([[0], np.cumsum(np.repeat(per_row * d, d))])
-        self.size = int(self.indptr[-1])
-        start = (self.indptr[:-1][brow[:, None] * d + off]
-                 + ((np.arange(len(blocks)) - first[brow]) * d)[:, None])
-        upos = start[:, :, None] + off
-        self.indices = np.empty(self.size, dtype=np.int32)
-        self.indices[upos] = (bcol[:, None] * d + off)[:, None, :]
-        self.indptr = self.indptr.astype(np.int32)
-        self.h_pos = np.full(rb.shape + (d, d), self.size)
-        self.h_pos[keep] = upos[which]
-        self.diag = upos[brow == bcol][:, off, off].ravel()
-        self.blocks = (nblocks, brow, bcol, upos)
+        self.size = len(blocks) * d * d
+        self.h_pos = np.full(rb.shape + (d * d,), self.size)
+        self.h_pos[keep] = which[:, None] * d * d + np.arange(d * d)
+        self.diag = (np.flatnonzero(brow == bcol)[:, None] * d * d + off * (d + 1)).ravel()
+        self.blocks = (nblocks, brow, bcol, d)
 
     @functools.cached_property
     def cholesky(self):
@@ -400,17 +394,17 @@ class _Scatter:
 
 @dataclass(frozen=True)
 class _Hessian:
-    """H as the data array of its scatter's CSR pattern."""
+    """H as the block-major data array of its scatter's pattern."""
 
     data: np.ndarray
     pattern: _Scatter
 
     def toarray(self):
         """H as a dense array."""
-        s = self.pattern
-        out = np.zeros((s.ncoord, s.ncoord))
-        out[np.repeat(np.arange(s.ncoord), np.diff(s.indptr)), s.indices] = self.data
-        return out
+        nb, brow, bcol, d = self.pattern.blocks
+        out = np.zeros((nb, d, nb, d))
+        out[brow, :, bcol] = self.data.reshape(-1, d, d)
+        return out.reshape(nb * d, nb * d)
 
 
 class _Packed:
@@ -548,8 +542,10 @@ def build_normal_equations(g):
         return h.toarray(), b
     import scipy.sparse
 
-    s = h.pattern
-    return scipy.sparse.csr_matrix((h.data, s.indices, s.indptr), shape=(b.size, b.size)), b
+    nb, brow, bcol, d = h.pattern.blocks
+    indptr = np.searchsorted(brow, np.arange(nb + 1)).astype(np.int32)
+    return scipy.sparse.bsr_matrix((h.data.reshape(-1, d, d), bcol.astype(np.int32), indptr),
+                                   shape=(b.size, b.size)).tocsr(), b
 
 
 # ---------------------------------------------------------------------------

@@ -600,6 +600,15 @@ def test_normal_equations_match_edge_loop(kind, n):
     assert scipy.sparse.issparse(h) == (ref_b.size > _DENSE_LIMIT)
     assert np.abs(_dense(h) - ref_h).max() <= 1e-12 * np.abs(ref_h).max()
     assert np.abs(b - ref_b).max() <= 1e-12 * np.abs(ref_b).max()
+    if scipy.sparse.issparse(h):
+        # the sparse return is CSR with int32 indices, sorted and without
+        # duplicates, and keeps every entry of every stored block
+        pk = _Packed(g)
+        packed, _ = pk.normal_equations(pk.mats)
+        assert isinstance(h, scipy.sparse.csr_matrix) and h.has_canonical_format
+        assert h.indices.dtype == h.indptr.dtype == np.int32
+        assert h.nnz == g.block_size ** 2 * len(pk.scatter.blocks[1])
+        assert np.array_equal(h.toarray(), packed.toarray())
 
 
 def test_near_pi_edge_chi2_and_build():
@@ -714,7 +723,7 @@ def _block_pattern(kind, n, d, rng):
 
 def _definite(pattern, si, sj, rng):
     """A positive definite _Hessian on the pattern of the edges (si, sj)."""
-    d = pattern.blocks[3].shape[1]
+    d = pattern.blocks[3]
     # each edge adds a J^T J over its two blocks; the damping makes H definite
     jac = rng.normal(size=(len(si), d, 2 * d))
     h_vals = np.einsum("eri,erj->eij", jac, jac).reshape(-1, 2, d, 2, d).swapaxes(2, 3)
@@ -722,13 +731,15 @@ def _definite(pattern, si, sj, rng):
     return _damped(h, pattern.diag, 0.5 + float(np.abs(h.data).max()) * 0.05)
 
 
-def _plan_share(chol):
-    """Check the pool plan of a Symbolic; returns its pool over the sum of its fronts.
+def _plan_share(chol, blocks):
+    """Check the pool plan of a Symbolic of blocks; returns its pool over the sum of its fronts.
 
     Batch t's region, of g f^2 entries from its offset, is open from step
     opens[t] to step t.  Regions open at the same step must not overlap,
     each entry of H must go to a region that opens at its step, and each
     update that batch t pushes must go to a region still open after step t.
+    The steps place every stored block of the lower triangle, in
+    elimination order, exactly once.
     """
     start = np.array([o for o, *_ in chol.batches])
     end = start + [g * f * f for _, g, _, f, *_ in chol.batches]
@@ -742,13 +753,18 @@ def _plan_share(chol):
         return np.any((start[regions] <= x[:, None]) & (x[:, None] < end[regions]), axis=1).all()
 
     for t, ((_, _, _, _, push, _), (_, tgt)) in enumerate(zip(chol.batches, chol.h_steps)):
-        assert inside(tgt, opens == t)
+        assert inside(tgt.ravel(), opens == t)
         assert inside(push, (opens <= t) & (close > t))
+    nb, brow, bcol, _ = blocks
+    pos = np.empty(nb, dtype=np.intp)
+    pos[chol.perm] = np.arange(nb)
+    placed = np.sort(np.concatenate([src for src, _ in chol.h_steps]))
+    assert np.array_equal(placed, np.flatnonzero(pos[brow] >= pos[bcol]))
     return chol.pool / (end - start).sum()
 
 
 @given(st.sampled_from(["tree", "cycle", "grid", "clique"]), st.integers(2, 80),
-       st.sampled_from([3, 6]), st.integers(0, 2 ** 32 - 1))
+       st.sampled_from([1, 2, 3, 6]), st.integers(0, 2 ** 32 - 1))
 def test_block_cholesky_solves_random_positive_definite_patterns(kind, n, d, seed):
     rng = np.random.default_rng(seed)
     pattern, si, sj = _block_pattern(kind, n, d, rng)
@@ -763,30 +779,31 @@ def test_block_cholesky_solves_random_positive_definite_patterns(kind, n, d, see
     assert np.array_equal(np.sort(pattern.cholesky.perm), np.arange(nb))
     assert np.array_equal(again.perm, pattern.cholesky.perm)
     assert np.array_equal(again.solve(again.factor(h.data), rhs), x)
-    assert _plan_share(again) <= 1.0
+    assert _plan_share(again, pattern.blocks) <= 1.0
     # a negated diagonal block makes H indefinite
     k = int(rng.integers(0, nb))
-    nblocks, brow, bcol, at = pattern.blocks
+    _, brow, bcol, _ = pattern.blocks
     flipped = h.data.copy()
-    flipped[at[(brow == k) & (bcol == k)]] *= -1.0
+    flipped.reshape(-1, d * d)[(brow == k) & (bcol == k)] *= -1.0
     with pytest.raises(RankDeficiencyError, match="not positive definite"):
         _solve(_Hessian(flipped, pattern), rhs, lm_hint=False)
 
 
 def test_block_cholesky_pool_of_a_grid_is_at_most_half_its_fronts():
-    assert _plan_share(_block_pattern("grid", 900, 3, None)[0].cholesky) <= 0.5
+    pattern = _block_pattern("grid", 900, 3, None)[0]
+    assert _plan_share(pattern.cholesky, pattern.blocks) <= 0.5
 
 
 def test_block_cholesky_failed_factorization_leaves_no_state():
     rng = np.random.default_rng(11)
     pattern, si, sj = _block_pattern("grid", 100, 3, rng)
     h, rhs = _definite(pattern, si, sj, rng), rng.normal(size=pattern.ncoord)
-    _, brow, bcol, at = pattern.blocks
+    _, brow, bcol, d = pattern.blocks
     chol = pattern.cholesky
     last = chol.perm[-1]
     # the last block's diagonal, negated, fails only the last batch
     flipped = h.data.copy()
-    flipped[at[(brow == last) & (bcol == last)]] *= -1.0
+    flipped.reshape(-1, d * d)[(brow == last) & (bcol == last)] *= -1.0
     with pytest.raises(np.linalg.LinAlgError):
         chol.factor(flipped)
     fresh = type(chol)(*pattern.blocks)
