@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, SingularConfigurationError
-from .matderiv import _POSE, _checked, _row_norms, _typed
+from .matderiv import _EYE3, _EYE4, _POSE, _checked, _const, _row_norms, _typed
 
 _GIMBAL_DELTA = 0.5 - 1e-7
 
@@ -293,7 +293,7 @@ def _rigid(m, name, k):
     with np.errstate(over="ignore", invalid="ignore"):
         if len(m) > k and m[k].tolist() != [0.0] * k + [1.0]:
             fault = _BOTTOM[k]
-        elif not np.linalg.norm(r.T @ r - np.eye(k)) < 1e-9:
+        elif not np.linalg.norm(r.T @ r - _EYE3[:k, :k]) < 1e-9:
             fault = _ORTHO
         elif not (abs(np.linalg.det(r) - 1.0) < 1e-9 if k == 3 else np.linalg.det(r) > 0.0):
             fault = _DET
@@ -468,6 +468,16 @@ _DIAG_ONE = _PIVOT_DIAG.tolist()
 _VEC_ORDER = np.arange(9).reshape(3, 3).T.ravel()
 
 
+# per pivot k, the derivatives by vec(R) of s^2/4 (4, 9), whose diagonal
+# positions are the same in either order, and of the four numerators
+# r[P] + SIGN r[Q], with s^2/4 in the pivot's row (4, 4, 9)
+_RATE_RAD = np.zeros((4, 9))
+_RATE_RAD[:, [0, 4, 8]] = _PIVOT_DIAG
+_RATE_NUM = np.eye(9)[_PIVOT_P] + _PIVOT_SIGN[..., None] * np.eye(9)[_PIVOT_Q]
+_RATE_NUM[np.arange(4), np.arange(4)] = _RATE_RAD
+_RATE_NUM, _RATE_RAD = _const(_RATE_NUM[..., _VEC_ORDER]), _const(_RATE_RAD)
+
+
 def _pivot_one(f):
     """Pivot k, s and the quaternion before the sign flip of one rotation,
     from its 9 row-major entries as Python floats.
@@ -527,26 +537,19 @@ def _quat_from_rotation_rate(r):
     """
     k, s, q = _pivot_one(np.asarray(r, dtype=float).ravel().tolist())
     q = np.array(q)
-    drad = np.zeros(9)
-    drad[[0, 4, 8]] = _PIVOT_DIAG[k]
-    num = np.zeros((4, 9))
-    num[np.arange(4), _PIVOT_P[k]] = 1.0
-    num[np.arange(4), _PIVOT_Q[k]] += _PIVOT_SIGN[k]
-    num[k] = drad
     sign = -1.0 if q[0] < 0.0 else 1.0
-    dq = (sign / s) * (num - (2.0 / s) * np.outer(q, drad))
-    return sign * q, dq[:, _VEC_ORDER]
+    return sign * q, (sign / s) * (_RATE_NUM[k] - (2.0 / s) * (q[:, None] * _RATE_RAD[k]))
 
 
 def _norm_jacobian(qvec):
     """4x4 derivative of q -> q/|q|."""
     n2 = float(np.dot(qvec, qvec))
-    n = np.sqrt(n2)
-    return (n2 * np.eye(4) - np.outer(qvec, qvec)) / (n2 * n)
+    return (n2 * _EYE4 - qvec[:, None] * qvec) / (n2 * math.sqrt(n2))
 
 
 def _ypr_rate_block(q):
-    """3x4 derivative of the (yaw, pitch, roll) extraction at a unit q.
+    """3x4 derivative of the (yaw, pitch, roll) extraction at a unit q,
+    four Python floats.
 
     Raises in the gimbal band where the Euler chart is singular.
     """
@@ -555,19 +558,20 @@ def _ypr_rate_block(q):
     if abs(delta) > _GIMBAL_DELTA:
         raise SingularConfigurationError(
             "quaternion-to-Euler Jacobian undefined near |pitch| = pi/2")
-    out = np.zeros((3, 4))
-    n1 = 2.0 * (qr * qz + qx * qy)
-    d1 = 1.0 - 2.0 * (qy * qy + qz * qz)
-    dn1 = 2.0 * np.array([qz, qy, qx, qr])
-    dd1 = np.array([0.0, 0.0, -4.0 * qy, -4.0 * qz])
-    out[0] = (d1 * dn1 - n1 * dd1) / (n1 * n1 + d1 * d1)
-    out[1] = 2.0 * np.array([qy, -qz, qr, -qx]) / np.sqrt(1.0 - 4.0 * delta * delta)
-    n3 = 2.0 * (qr * qx + qy * qz)
-    d3 = 1.0 - 2.0 * (qx * qx + qy * qy)
-    dn3 = 2.0 * np.array([qx, qr, qz, qy])
-    dd3 = np.array([0.0, -4.0 * qx, -4.0 * qy, 0.0])
-    out[2] = (d3 * dn3 - n3 * dd3) / (n3 * n3 + d3 * d3)
-    return out
+    s = math.sqrt(1.0 - 4.0 * delta * delta)
+    return np.array([
+        _atan2_rate(2.0 * (qr * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz),
+                    (qz, qy, qx, qr), (0.0, 0.0, -4.0 * qy, -4.0 * qz)),
+        [2.0 * a / s for a in (qy, -qz, qr, -qx)],
+        _atan2_rate(2.0 * (qr * qx + qy * qz), 1.0 - 2.0 * (qx * qx + qy * qy),
+                    (qx, qr, qz, qy), (0.0, -4.0 * qx, -4.0 * qy, 0.0))])
+
+
+def _atan2_rate(n, d, half_dn, dd):
+    """The derivative of atan2(n, d), (d dn - n dd) / (n^2 + d^2), as a list,
+    from Python floats n and d and sequences of dn / 2 and dd."""
+    e = n * n + d * d
+    return [(d * (2.0 * a) - n * b) / e for a, b in zip(half_dn, dd)]
 
 
 # ---------------------------------------------------------------------------
@@ -589,16 +593,21 @@ def quat_normalize(q):
     GeometryError
         For (numerically) zero norm.
     """
-    v = _typed(q, "quat_normalize: q", Quaternion).vec
+    u, jac = _normalized(_typed(q, "quat_normalize: q", Quaternion).vec)
+    return Quaternion(u[0], u[1], u[2], u[3]), jac
+
+
+def _normalized(v):
+    """:func:`quat_normalize` of a finite 4-vector v, as the unit 4-vector
+    and its derivative, without the Quaternion."""
     with np.errstate(over="ignore"):
         n = np.linalg.norm(v)
     if n == np.inf:  # q / max |q_i| has the same direction and a finite norm
-        u, jac = quat_normalize(Quaternion(*(v / np.abs(v).max())))
+        u, jac = _normalized(v / np.abs(v).max())
         return u, jac / np.abs(v).max()
     if n < 1e-12:
         raise GeometryError("quat_normalize: zero-norm quaternion")
-    u = v / n
-    return Quaternion(u[0], u[1], u[2], u[3]), _norm_jacobian(v)
+    return v / n, _norm_jacobian(v)
 
 
 def _quat_to_matrix_rows(t, q):
@@ -640,10 +649,14 @@ def jacobian_ypr_to_quat(p):
     canonical sign flip is a discrete representative choice and is not
     part of the map.
     """
-    _typed(p, "jacobian_ypr_to_quat: p", EulerPose)
-    cy, sy = np.cos(0.5 * p.yaw), np.sin(0.5 * p.yaw)
-    cp, sp = np.cos(0.5 * p.pitch), np.sin(0.5 * p.pitch)
-    cr, sr = np.cos(0.5 * p.roll), np.sin(0.5 * p.roll)
+    return _ypr_to_quat_rate(_typed(p, "jacobian_ypr_to_quat: p", EulerPose))
+
+
+def _ypr_to_quat_rate(p):
+    """:func:`jacobian_ypr_to_quat` of an EulerPose p, unchecked."""
+    cy, sy = math.cos(0.5 * p.yaw), math.sin(0.5 * p.yaw)
+    cp, sp = math.cos(0.5 * p.pitch), math.sin(0.5 * p.pitch)
+    cr, sr = math.cos(0.5 * p.roll), math.sin(0.5 * p.roll)
     ccc = cr * cp * cy
     ccs = cr * cp * sy
     csc = cr * sp * cy
@@ -659,7 +672,7 @@ def jacobian_ypr_to_quat(p):
         [ccc + sss, -(css + scc), -(csc + scs)],
     ])
     out = np.zeros((7, 6))
-    out[:3, :3] = np.eye(3)
+    out[:3, :3] = _EYE3
     out[3:, 3:] = dq
     return out
 
@@ -671,8 +684,7 @@ def quat_to_ypr(p):
     (|qr*qy - qx*qz| above 0.5 - 1e-7) the dedicated |pitch| = pi/2
     branches fire, with roll fixed to zero.
     """
-    u, _ = quat_normalize(_typed(p, "quat_to_ypr: p", QuatPose).q)
-    qr, qx, qy, qz = u.vec
+    qr, qx, qy, qz = _normalized(_typed(p, "quat_to_ypr: p", QuatPose).q.vec)[0].tolist()
     delta = qr * qy - qx * qz
     if delta <= -_GIMBAL_DELTA:
         yaw = 2.0 * np.arctan2(qx, qr)
@@ -694,11 +706,10 @@ def jacobian_quat_to_ypr(p):
     SingularConfigurationError
         In the gimbal band, where the Euler angles are not a chart.
     """
-    u, jn = quat_normalize(_typed(p, "jacobian_quat_to_ypr: p", QuatPose).q)
-    block = _ypr_rate_block(u.vec) @ jn
+    u, jn = _normalized(_typed(p, "jacobian_quat_to_ypr: p", QuatPose).q.vec)
     out = np.zeros((6, 7))
-    out[:3, :3] = np.eye(3)
-    out[3:, 3:] = block
+    out[:3, :3] = _EYE3
+    out[3:, 3:] = _ypr_rate_block(u.tolist()) @ jn
     return out
 
 
@@ -711,8 +722,8 @@ def ypr_to_matrix(p):
 
 def quat_to_matrix(p):
     """Quaternion pose -> homogeneous matrix pose (normalizes internally)."""
-    u, _ = quat_normalize(_typed(p, "quat_to_matrix: p", QuatPose).q)
-    return HomPose.from_rt(_rotation_from_unit_quat(*u.vec), [p.x, p.y, p.z])
+    u = _normalized(_typed(p, "quat_to_matrix: p", QuatPose).q.vec)[0]
+    return HomPose.from_rt(_rotation_from_unit_quat(*u.tolist()), [p.x, p.y, p.z])
 
 
 def matrix_to_ypr(m):
@@ -750,7 +761,7 @@ def jacobian_ypr_wrt_matrix(m):
     sk = np.sqrt(k)
     kp = k + r[2, 0] * r[2, 0]
     out = np.zeros((6, 12))
-    out[:3, 9:] = np.eye(3)
+    out[:3, 9:] = _EYE3
     ang = np.zeros((3, 9))
     ang[0, 0] = -r[1, 0] / k
     ang[0, 1] = r[0, 0] / k
@@ -792,13 +803,17 @@ def jacobian_matrix_wrt_ypr(p):
     """12x6 derivative of :func:`ypr_to_matrix` in the 12-vector view."""
     _typed(p, "jacobian_matrix_wrt_ypr: p", EulerPose)
     out = np.zeros((12, 6))
-    out[9:, :3] = np.eye(3)
+    out[9:, :3] = _EYE3
     out[:9, 3:] = _rotation_ypr_rate(p.yaw, p.pitch, p.roll)
     return out
 
 
 def _rotation_quat_rate(qr, qx, qy, qz):
-    """9x4 derivative of vec(R(q)) for the unit-quaternion quadratic form."""
+    """9x4 derivative of vec(R(q)) for the unit-quaternion quadratic form.
+
+    The definition of :data:`_QUAT_RATE`, through which the library
+    evaluates it.
+    """
     rows = [
         (2 * qr, 2 * qx, -2 * qy, -2 * qz),   # R11
         (2 * qz, 2 * qy, 2 * qx, 2 * qr),     # R21
@@ -813,17 +828,20 @@ def _rotation_quat_rate(qr, qx, qy, qz):
     return np.array(rows, dtype=float)
 
 
+# (9, 4, 4): _rotation_quat_rate(*q) is _QUAT_RATE @ q, each entry one
+# table entry (+-2) times one component of q, exactly
+_QUAT_RATE = _const(np.stack([_rotation_quat_rate(*e) for e in np.eye(4)], axis=-1))
+
+
 def _rotation_raw_quat_rate(q):
     """9x4 derivative of vec(R(q / |q|)) at a raw, nonzero 4-vector q."""
-    # Python floats build the table faster than numpy scalars, same values
-    u = (q / np.linalg.norm(q)).tolist()
-    return _rotation_quat_rate(*u) @ _norm_jacobian(q)
+    return (_QUAT_RATE @ (q / math.sqrt(float(q @ q)))) @ _norm_jacobian(q)
 
 
 def jacobian_matrix_wrt_quat(p):
     """12x7 derivative of :func:`quat_to_matrix` (normalization chained)."""
     out = np.zeros((12, 7))
-    out[9:, :3] = np.eye(3)
+    out[9:, :3] = _EYE3
     out[:9, 3:] = _rotation_raw_quat_rate(_typed(p, "jacobian_matrix_wrt_quat: p", QuatPose).q.vec)
     return out
 
@@ -885,7 +903,7 @@ def _conv_quat_matrix(p):
 def _conv_matrix_quat(m):
     mean = matrix_to_quat(m)
     jac = np.zeros((7, 12))
-    jac[:3, 9:] = np.eye(3)
+    jac[:3, 9:] = _EYE3
     jac[3:, :9] = _quat_from_rotation_rate(m.mat[:3, :3])[1]
     return mean, jac
 

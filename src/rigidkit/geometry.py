@@ -29,14 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EulerPose, GaussianPose, HomPose, QuatPose,
-                   _angles_from_rotation, _checked_covariance, _norm_jacobian,
+from .core import (_QUAT_RATE, EulerPose, GaussianPose, HomPose, QuatPose,
+                   _angles_from_rotation, _checked_covariance, _norm_jacobian, _normalized,
                    _quat_components_from_angles, _rotation_from_angles,
-                   _rotation_from_unit_quat, _rotation_quat_rate,
-                   _rotation_raw_quat_rate, _rotation_ypr_rate,
-                   _ypr_rate_block, jacobian_ypr_to_quat, quat_normalize)
+                   _rotation_from_unit_quat, _rotation_raw_quat_rate, _rotation_ypr_rate,
+                   _ypr_rate_block, _ypr_to_quat_rate)
 from .errors import GeometryError
-from .matderiv import _checked, _typed, inverse_rt
+from .matderiv import _EYE3, _checked, _const, _inverse_rt, _typed
+
+# the conjugation of a quaternion, (qr, -qx, -qy, -qz)
+_CONJUGATE = _const([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ def compose_point_quat(p, a):
     q = _typed(p, "compose_point_quat: p", QuatPose).q.vec
     rot = _rotation_from_unit_quat(*(q / np.linalg.norm(q)).tolist())
     value = np.array([p.x, p.y, p.z]) + rot @ a
-    jac_pose = np.hstack([np.eye(3), _rotate_rate(_rotation_raw_quat_rate(q), a)])
+    jac_pose = np.concatenate([_EYE3, _rotate_rate(_rotation_raw_quat_rate(q), a)], axis=1)
     return value, jac_pose, rot
 
 
@@ -97,7 +99,7 @@ def compose_point_ypr(p, a):
     rot = _rotation_from_angles(p.yaw, p.pitch, p.roll)
     value = np.array([p.x, p.y, p.z]) + rot @ a
     j = _rotate_rate(_rotation_ypr_rate(p.yaw, p.pitch, p.roll), a)
-    return value, np.hstack([np.eye(3), j]), rot
+    return value, np.concatenate([_EYE3, j], axis=1), rot
 
 
 def compose_point_ypr_small_rot_jacobian(a):
@@ -107,7 +109,7 @@ def compose_point_ypr_small_rot_jacobian(a):
     to a fixed bilinear pattern in the point coordinates.
     """
     ax, ay, az = _checked(a, "compose_point_ypr_small_rot_jacobian: a", (3,))
-    return np.hstack([np.eye(3), np.array([
+    return np.hstack([_EYE3, np.array([
         [-ay, az, 0.0],
         [ax, 0.0, -az],
         [0.0, -ax, ay],
@@ -137,7 +139,7 @@ def inv_compose_point_quat(a, p):
     rot = _rotation_from_unit_quat(*(q / np.linalg.norm(q)).tolist())
     d = a - np.array([p.x, p.y, p.z])
     value = rot.T @ d
-    jac_pose = np.hstack([-rot.T, _inv_rotate_rate(_rotation_raw_quat_rate(q), d)])
+    jac_pose = np.concatenate([-rot.T, _inv_rotate_rate(_rotation_raw_quat_rate(q), d)], axis=1)
     return value, jac_pose, rot.T.copy()
 
 
@@ -199,27 +201,24 @@ def _compose_quat_vecs(v1, v2):
     t2 = v2[:3]
     t = v1[:3] + rot1 @ t2
 
-    h = _hamilton(q1r, q2r)
+    # Python floats: the same operations as on numpy scalars, faster
+    l1, l2 = q1r.tolist(), q2r.tolist()
+    h = _hamilton(l1, l2)
     hn = np.linalg.norm(h)
     if hn < 1e-12:
         raise GeometryError("pose composition produced a zero-norm quaternion")
     jn_h = _norm_jacobian(h)
 
     j1 = np.zeros((7, 7))
-    j1[:3, :3] = np.eye(3)
+    j1[:3, :3] = _EYE3
     j1[:3, 3:] = _rotate_rate(_rotation_raw_quat_rate(q1r), t2)
-    j1[3:, 3:] = jn_h @ _hamilton_wrt_left(q2r)
+    j1[3:, 3:] = jn_h @ _hamilton_wrt_left(l2)
 
     j2 = np.zeros((7, 7))
     j2[:3, :3] = rot1
-    j2[3:, 3:] = jn_h @ _hamilton_wrt_right(q1r)
+    j2[3:, 3:] = jn_h @ _hamilton_wrt_right(l1)
 
     return np.concatenate([t, h / hn]), j1, j2
-
-
-def _compose_quat_raw(p1, p2):
-    return _compose_quat_vecs(_typed(p1, "compose_pose_quat: p1", QuatPose).vec,
-                              _typed(p2, "compose_pose_quat: p2", QuatPose).vec)
 
 
 def compose_pose_quat(p1, p2):
@@ -233,7 +232,8 @@ def compose_pose_quat(p1, p2):
         returned quaternion, the quaternion rows are flipped with it, so
         covariances propagated around the returned mean stay consistent.
     """
-    v, j1, j2 = _compose_quat_raw(p1, p2)
+    v, j1, j2 = _compose_quat_vecs(_typed(p1, "compose_pose_quat: p1", QuatPose).vec,
+                                   _typed(p2, "compose_pose_quat: p2", QuatPose).vec)
     if v[3] < 0.0:
         j1 = j1.copy()
         j2 = j2.copy()
@@ -275,10 +275,10 @@ def compose_pose_ypr(p1, p2):
     h, jq1, jq2 = _compose_quat_vecs(v1, v2)
     hq = h[3:]
     to_ypr = np.zeros((6, 7))
-    to_ypr[:3, :3] = np.eye(3)
-    to_ypr[3:, 3:] = _ypr_rate_block(hq) @ _norm_jacobian(hq)
-    j1 = to_ypr @ jq1 @ jacobian_ypr_to_quat(p1)
-    j2 = to_ypr @ jq2 @ jacobian_ypr_to_quat(p2)
+    to_ypr[:3, :3] = _EYE3
+    to_ypr[3:, 3:] = _ypr_rate_block(hq.tolist()) @ _norm_jacobian(hq)
+    j1 = to_ypr @ jq1 @ _ypr_to_quat_rate(p1)
+    j2 = to_ypr @ jq2 @ _ypr_to_quat_rate(p2)
     return value, j1, j2
 
 
@@ -300,21 +300,20 @@ def inverse_pose_quat(p):
         Inverse pose (-R^T t, conjugate quaternion) and its (7, 7)
         derivative (normalization chained, conjugation as diag(1,-1,-1,-1)).
     """
-    u, jn = quat_normalize(_typed(p, "inverse_pose_quat: p", QuatPose).q)
-    rot = _rotation_from_unit_quat(*u.vec)
+    u, jn = _normalized(_typed(p, "inverse_pose_quat: p", QuatPose).q.vec)
+    rot = _rotation_from_unit_quat(*u.tolist())
     t = np.array([p.x, p.y, p.z])
-    value = QuatPose.from_vec(np.concatenate([
-        -(rot.T @ t), [u.qr, -u.qx, -u.qy, -u.qz]]))
+    value = QuatPose.from_vec(np.concatenate([-(rot.T @ t), _CONJUGATE * u]))
     jac = np.zeros((7, 7))
     jac[:3, :3] = -rot.T
-    jac[:3, 3:] = _inv_rotate_rate(_rotation_quat_rate(*u.vec) @ jn, -t)
-    jac[3:, 3:] = np.diag([1.0, -1.0, -1.0, -1.0]) @ jn
+    jac[:3, 3:] = _inv_rotate_rate((_QUAT_RATE @ u) @ jn, -t)
+    jac[3:, 3:] = _CONJUGATE[:, None] * jn
     return value, jac
 
 
 def inverse_pose_matrix(m):
     """Inverse of a matrix pose via the closed form (R^T, -R^T t)."""
-    return HomPose(inverse_rt(_typed(m, "inverse_pose_matrix: m", HomPose).mat))
+    return HomPose(_inverse_rt(_typed(m, "inverse_pose_matrix: m", HomPose).mat))
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,11 @@ def _so3_exp(w):
 
 def rot_z(theta):
     """Rotation about the z axis."""
-    theta = _checked(theta, "rot_z: theta", ())
+    return _rot_z(_checked(theta, "rot_z: theta", ()))
+
+
+def _rot_z(theta):
+    """:func:`rot_z` of a float theta, unchecked."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
@@ -172,7 +176,7 @@ def axis_angle_factorization(a):
 def so3_exp_coordinate(a):
     """Rotation matrix from axis/angle via the z-axis conjugation route."""
     p = axis_angle_factorization(_typed(a, "so3_exp_coordinate: a", AxisAngle))
-    return p @ rot_z(a.angle) @ p.T
+    return p @ _rot_z(a.angle) @ p.T
 
 
 def so3_exp_quat(w):
@@ -249,7 +253,7 @@ def se3_exp(v):
     k = _hat3(w)
     vmat = np.eye(3) + _cosc(theta) * k + _sinc3(theta) * (k @ k)
     m = np.eye(4)
-    m[:3, :3] = so3_exp(w)
+    m[:3, :3] = _so3_exp(w)
     m[:3, 3] = vmat @ t
     return HomPose(m)
 
@@ -281,7 +285,7 @@ def se3_pseudo_exp(v):
     """Like :func:`se3_exp` but the translation is stored verbatim."""
     v = _checked(v, "se3_pseudo_exp: v", (6,))
     m = np.eye(4)
-    m[:3, :3] = so3_exp(v[3:])
+    m[:3, :3] = _so3_exp(v[3:])
     m[:3, 3] = v[:3]
     return HomPose(m)
 

@@ -14,15 +14,22 @@ keeps every chain rule a plain matrix product.
 
 True and pseudo exponentials share all these derivatives: they agree to
 first order at eps = 0.
+
+As in :mod:`rigidkit.matderiv`, each public function checks its own
+arguments and calls the unchecked private bodies of the others.  The
+chains multiply 3x3 blocks: kron(I4, R) @ J is R times each 3-row block
+of J, and d_compose_wrt_A(B) @ J is :func:`matderiv._compose_wrt_A_times`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import _quat_from_rotation_rate
 from .lie import _pseudo_log
-from .matderiv import _POSE, _checked, _hat3, _inverse_rt, d_compose_wrt_A, d_invapply_wrt_pose
+from .matderiv import (_EYE3, _POSE, _checked, _compose_wrt_A_times, _const, _hat3, _inverse_rt,
+                       _typed)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +62,7 @@ def dexp_so3_quat(w):
         g = (0.5 * theta * np.cos(0.5 * theta) - np.sin(0.5 * theta)) / theta ** 3
     out = np.zeros((4, 3))
     out[0] = -0.5 * s * w
-    out[1:] = s * np.eye(3) + g * np.outer(w, w)
+    out[1:] = s * _EYE3 + g * (w[:, None] * w)
     return out
 
 
@@ -71,6 +78,10 @@ def dexp_se3_at_zero():
     return out
 
 
+# its four 3x6 row blocks, which jacob_Dexpe_de multiplies by R_D
+_DEXP_SE3_BLOCKS = _const(dexp_se3_at_zero().reshape(4, 3, 6))
+
+
 def dlog_so3(r):
     """3x9 derivative of :func:`so3_log` w.r.t. vec(R) (column-major).
 
@@ -83,19 +94,25 @@ def dlog_so3(r):
     c = (q0/m2 - a/|v|) / |v|^2, whose cancellation error stays at
     rounding level after the product with v v^T.
     """
-    q, dq = _quat_from_rotation_rate(_checked(r, "dlog_so3: r", (3, 3)))
-    q0, v = q[0], q[1:]
-    n2 = float(v @ v)
+    return _dlog_so3(_checked(r, "dlog_so3: r", (3, 3)))
+
+
+def _dlog_so3(r):
+    """:func:`dlog_so3` of a float 3x3 r, unchecked."""
+    q, dq = _quat_from_rotation_rate(r)
+    v = q[1:]
+    q0, n2 = float(q[0]), float(v @ v)
     m2 = q0 * q0 + n2
     if n2 > 0.0:
-        n = np.sqrt(n2)
-        a_n = np.arctan2(n, q0) / n
+        n = math.sqrt(n2)
+        a_n = float(np.arctan2(n, q0)) / n
         c = (q0 / m2 - a_n) / n2
     else:
         a_n, c = 1.0 / q0, 0.0
-    dw = np.empty((3, 4))
-    dw[:, 0] = -v / m2
-    dw[:, 1:] = a_n * np.eye(3) + c * np.outer(v, v)
+    x, y, z = v.tolist()
+    dw = np.array([[-x / m2, a_n + c * (x * x), c * (x * y), c * (x * z)],
+                   [-y / m2, c * (y * x), a_n + c * (y * y), c * (y * z)],
+                   [-z / m2, c * (z * x), c * (z * y), a_n + c * (z * z)]])
     return 2.0 * dw @ dq
 
 
@@ -105,10 +122,14 @@ def dpseudolog_se3(t):
     The translation block is a plain selection; the rotation block is
     :func:`dlog_so3` of the rotation part.
     """
-    m = _checked(t, "dpseudolog_se3: t", *_POSE)
+    return _dpseudolog_se3(_checked(t, "dpseudolog_se3: t", *_POSE))
+
+
+def _dpseudolog_se3(m):
+    """:func:`dpseudolog_se3` of a float 4x4 or 3x4 m, unchecked."""
     out = np.zeros((6, 12))
-    out[:3, 9:] = np.eye(3)
-    out[3:, :9] = dlog_so3(m[:3, :3])
+    out[:3, 9:] = _EYE3
+    out[3:, :9] = _dlog_so3(m[:3, :3])
     return out
 
 
@@ -122,12 +143,15 @@ def jacob_expeD_de(d):
     row groups; [I3, -hat(t_D)] for the translation rows].  Identical to
     d_compose_wrt_A(D) @ dexp_se3_at_zero().
     """
-    m = _checked(d, "jacob_expeD_de: d", *_POSE)
+    return _expeD(_checked(d, "jacob_expeD_de: d", *_POSE))
+
+
+def _expeD(m):
+    """:func:`jacob_expeD_de` of a float 4x4 or 3x4 m, unchecked: the
+    row blocks -hat of the four columns of m's top block."""
     out = np.zeros((12, 6))
-    for j in range(3):
-        out[3 * j:3 * j + 3, 3:] = -_hat3(m[:3, j])
-    out[9:, :3] = np.eye(3)
-    out[9:, 3:] = -_hat3(m[:3, 3])
+    out[:, 3:] = -_hat3(m[:3, :4].T).reshape(12, 3)
+    out[9:, :3] = _EYE3
     return out
 
 
@@ -137,22 +161,27 @@ def jacob_Dexpe_de(d):
     Equals kron(I4, R_D) @ dexp_se3_at_zero(): rotation columns mix the
     columns of R_D, translation rows rotate the increment.
     """
-    m = _checked(d, "jacob_Dexpe_de: d", *_POSE)
-    c1, c2, c3 = m[:3, 0], m[:3, 1], m[:3, 2]
-    z = np.zeros(3)
-    out = np.zeros((12, 6))
-    out[0:3, 3:] = np.column_stack([z, -c3, c2])
-    out[3:6, 3:] = np.column_stack([c3, z, -c1])
-    out[6:9, 3:] = np.column_stack([-c2, c1, z])
-    out[9:, :3] = m[:3, :3]
+    return _Dexpe(_checked(d, "jacob_Dexpe_de: d", *_POSE))
+
+
+def _Dexpe(m):
+    """:func:`jacob_Dexpe_de` of a float 4x4 or 3x4 m, unchecked: R_D
+    times each 3x6 row block of dexp_se3_at_zero()."""
+    return (m[:3, :3] @ _DEXP_SE3_BLOCKS).reshape(12, 6)
+
+
+def _expe_point(g):
+    """[I3 | -hat(g)]: the 3x6 derivative of exp(eps) * g at eps = 0."""
+    out = np.zeros((3, 6))
+    out[:, :3] = _EYE3
+    out[:, 3:] = -_hat3(g)
     return out
 
 
 def jacob_expeDp_de(d, p):
     """3x6 derivative of (exp(eps) @ D) * p at eps = 0: [I3 | -hat(D*p)]."""
     m = _checked(d, "jacob_expeDp_de: d", *_POSE)
-    g = m[:3, :3] @ _checked(p, "jacob_expeDp_de: p", (3,)) + m[:3, 3]
-    return np.hstack([np.eye(3), -_hat3(g)])
+    return _expe_point(m[:3, :3] @ _checked(p, "jacob_expeDp_de: p", (3,)) + m[:3, 3])
 
 
 def jacob_p_ominus_expeD_de(d, p):
@@ -162,9 +191,12 @@ def jacob_p_ominus_expeD_de(d, p):
     which is row i of R_D^T hat(p).
     """
     m = _checked(d, "jacob_p_ominus_expeD_de: d", *_POSE)
-    p = _checked(p, "jacob_p_ominus_expeD_de: p", (3,))
-    r = m[:3, :3]
-    return np.hstack([-r.T, r.T @ _hat3(p)])
+    return _p_ominus_expeD(m[:3, :3], _checked(p, "jacob_p_ominus_expeD_de: p", (3,)))
+
+
+def _p_ominus_expeD(r, p):
+    """:func:`jacob_p_ominus_expeD_de` of float R_D and p, unchecked."""
+    return np.concatenate([-r.T, r.T @ _hat3(p)], axis=1)
 
 
 def jacob_AexpeD_de(a, d):
@@ -174,8 +206,12 @@ def jacob_AexpeD_de(a, d):
     of its four 3x6 row blocks.
     """
     ra = _checked(a, "jacob_AexpeD_de: a", *_POSE)[:3, :3]
-    j = jacob_expeD_de(_checked(d, "jacob_AexpeD_de: d", *_POSE))
-    return (ra @ j.reshape(4, 3, 6)).reshape(12, 6)
+    return _AexpeD(ra, _checked(d, "jacob_AexpeD_de: d", *_POSE))
+
+
+def _AexpeD(ra, md):
+    """:func:`jacob_AexpeD_de` of float R_A and D, unchecked."""
+    return (ra @ _expeD(md).reshape(4, 3, 6)).reshape(12, 6)
 
 
 def jacob_AexpeDp_de(a, d, p, approx=False):
@@ -183,21 +219,31 @@ def jacob_AexpeDp_de(a, d, p, approx=False):
 
     With approx=True both outer poses are treated as near the identity
     and the cheap pattern [I3 | -hat(p + t_D)] is returned instead of the
-    exact R_A @ [I3 | -hat(D*p)].
+    exact R_A @ [I3 | -hat(D*p)].  approx must be a bool, and A is
+    checked in both cases.
     """
-    md = _checked(d, "jacob_AexpeDp_de: d", *_POSE)
-    p = _checked(p, "jacob_AexpeDp_de: p", (3,))
-    if approx:
-        return np.hstack([np.eye(3), -_hat3(p + md[:3, 3])])
-    ra = _checked(a, "jacob_AexpeDp_de: a", *_POSE)[:3, :3]
-    return ra @ jacob_expeDp_de(d, p)
+    name = "jacob_AexpeDp_de: "
+    md = _checked(d, name + "d", *_POSE)
+    p = _checked(p, name + "p", (3,))
+    ra = _checked(a, name + "a", *_POSE)[:3, :3]
+    if _typed(approx, name + "approx", bool):
+        return _expe_point(p + md[:3, 3])
+    return ra @ _expe_point(md[:3, :3] @ p + md[:3, 3])
 
 
 def jacob_p_ominus_AexpeD_de(a, d, p):
-    """3x6 derivative of (A @ exp(eps) @ D)^{-1} * p at eps = 0."""
+    """3x6 derivative of (A @ exp(eps) @ D)^{-1} * p at eps = 0.
+
+    The chain d_invapply_wrt_pose(A @ D, p) @ jacob_AexpeD_de(A, D), by
+    blocks: the first factor is [kron(I3, (p - t)^T) | -R^T] with (R, t)
+    of A @ D, so row i of the product is (p - t) . J_i - (R^T J_3)_i
+    over the 3x6 row blocks J_i of the second.
+    """
     name = "jacob_p_ominus_AexpeD_de: "
-    mad = _checked(a, name + "a", (4, 4)) @ _checked(d, name + "d", (4, 4))
-    return d_invapply_wrt_pose(mad, _checked(p, name + "p", (3,))) @ jacob_AexpeD_de(a, d)
+    ma, md = _checked(a, name + "a", (4, 4)), _checked(d, name + "d", (4, 4))
+    mad = ma @ md
+    j = _AexpeD(ma[:3, :3], md).reshape(4, 3, 6)
+    return (_checked(p, name + "p", (3,)) - mad[:3, 3]) @ j[:3] - mad[:3, :3].T @ j[3]
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +288,9 @@ def edge_error_se3(d, p1, p2):
     d_inv = _inverse_rt(_checked(d, "edge_error_se3: d", (4, 4)))
     b, t_err = _relative(d_inv, _checked(p1, "edge_error_se3: p1", (4, 4)),
                          _checked(p2, "edge_error_se3: p2", (4, 4)))
-    e = _pseudo_log(t_err)
-    dlog = dpseudolog_se3(t_err)
-    j1 = dlog @ d_compose_wrt_A(b) @ (-jacob_Dexpe_de(d_inv))
-    j2 = dlog @ jacob_Dexpe_de(t_err)
-    return EdgeErrorSE3(e, j1, j2)
+    dlog = _dpseudolog_se3(t_err)
+    j1 = dlog @ _compose_wrt_A_times(b, -_Dexpe(d_inv))
+    return EdgeErrorSE3(_pseudo_log(t_err), j1, dlog @ _Dexpe(t_err))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +298,11 @@ def edge_error_se3(d, p1, p2):
 
 def jacob_Dexpe_de_se2(d):
     """3x3 derivative of params(D @ exp(eps)) at eps = 0 for planar poses."""
-    m = _checked(d, "jacob_Dexpe_de_se2: d", (3, 3))
+    return _Dexpe_se2(_checked(d, "jacob_Dexpe_de_se2: d", (3, 3)))
+
+
+def _Dexpe_se2(m):
+    """:func:`jacob_Dexpe_de_se2` of a float 3x3 m, unchecked."""
     out = np.eye(3)
     out[:2, :2] = m[:2, :2]
     return out
@@ -262,8 +310,12 @@ def jacob_Dexpe_de_se2(d):
 
 def d_compose_se2_wrt_A(a, b):
     """3x3 derivative of params(A @ B) w.r.t. (x_A, y_A, phi_A)."""
-    ma = _checked(a, "d_compose_se2_wrt_A: a", (3, 3))
-    mb = _checked(b, "d_compose_se2_wrt_A: b", (3, 3))
+    return _compose_se2_wrt_A(_checked(a, "d_compose_se2_wrt_A: a", (3, 3)),
+                              _checked(b, "d_compose_se2_wrt_A: b", (3, 3)))
+
+
+def _compose_se2_wrt_A(ma, mb):
+    """:func:`d_compose_se2_wrt_A` of float 3x3 ma and mb, unchecked."""
     sa, ca = ma[1, 0], ma[0, 0]
     xb, yb = mb[0, 2], mb[1, 2]
     out = np.eye(3)
@@ -274,7 +326,7 @@ def d_compose_se2_wrt_A(a, b):
 
 def d_compose_se2_wrt_B(a):
     """3x3 derivative of params(A @ B) w.r.t. (x_B, y_B, phi_B)."""
-    return jacob_Dexpe_de_se2(_checked(a, "d_compose_se2_wrt_B: a", (3, 3)))
+    return _Dexpe_se2(_checked(a, "d_compose_se2_wrt_B: a", (3, 3)))
 
 
 def edge_error_se2(d, p1, p2):
@@ -287,7 +339,5 @@ def edge_error_se2(d, p1, p2):
     d_inv = _inverse_rt(_checked(d, "edge_error_se2: d", (3, 3)))
     b, t_err = _relative(d_inv, _checked(p1, "edge_error_se2: p1", (3, 3)),
                          _checked(p2, "edge_error_se2: p2", (3, 3)))
-    e = _pseudo_log(t_err)
-    j1 = d_compose_se2_wrt_A(d_inv, b) @ (-jacob_Dexpe_de_se2(d_inv))
-    j2 = jacob_Dexpe_de_se2(t_err)
-    return EdgeErrorSE2(e, j1, j2)
+    j1 = _compose_se2_wrt_A(d_inv, b) @ (-_Dexpe_se2(d_inv))
+    return EdgeErrorSE2(_pseudo_log(t_err), j1, _Dexpe_se2(t_err))

@@ -20,6 +20,15 @@ each row or matrix the bits of its own call.  Every public function checks
 its array arguments with :func:`_checked`: numeric, of an allowed shape,
 and finite, but never orthonormal, since the finite-difference catalog
 perturbs raw entries off the manifold.
+
+Arguments are checked once, where they enter the library: a public
+function validates its own, and a library function that needs another
+one's result calls that function's unchecked private body (``_hat3``,
+``_inverse_rt``, ``_kron``, ...) on the arrays it has already checked.
+The Kronecker forms in the docstrings are the definitions; the code
+builds them as broadcast products and block writes, and the chain rules
+of :mod:`rigidkit.manifold_jac` multiply their 3x3 blocks instead of the
+12x12 matrices.
 """
 
 import math
@@ -31,6 +40,16 @@ from .errors import GeometryError
 
 # the shapes of a pose argument: a 4x4 or its top 3x4 block
 _POSE = ((4, 4), (3, 4))
+
+
+def _const(a):
+    """a as a float ndarray made read-only, for a constant that calls share."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+_EYE3, _EYE4 = _const(np.eye(3)), _const(np.eye(4))
 
 
 def _fits(shape, want):
@@ -142,7 +161,15 @@ def unvec(v, shape):
 
 def kron(a, b):
     """Kronecker product of two matrices."""
-    return np.kron(_checked(a, "kron: a", (None, None)), _checked(b, "kron: b", (None, None)))
+    return _kron(_checked(a, "kron: a", (None, None)), _checked(b, "kron: b", (None, None)))
+
+
+def _kron(a, b):
+    """:func:`kron` of two float matrices, unchecked: the product that
+    np.kron forms, entry (i p + k, j q + l) = a[i, j] b[k, l], broadcast
+    in one step."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def transpose_permutation(m, n):
@@ -158,13 +185,12 @@ def transpose_permutation(m, n):
         if v < 0 or v != int(v):
             raise GeometryError("transpose_permutation: %s must be a non-negative integer" % name)
     m, n = int(m), int(n)
-    p = np.zeros((m * n, m * n))
-    for i in range(m):
-        for j in range(n):
-            # entry A[i, j] sits at position j*m + i in vec(A) and at
-            # position i*n + j in vec(A.T)
-            p[i * n + j, j * m + i] = 1.0
-    return p
+    # entry A[i, j] sits at position j*m + i in vec(A) and at position
+    # i*n + j in vec(A.T): row i*n + j of P is the unit row j*m + i
+    return np.eye(m * n)[np.arange(m * n).reshape(n, m).T.ravel()]
+
+
+_TRANSPOSE3 = _const(transpose_permutation(3, 3))
 
 
 def hat3(w):
@@ -221,18 +247,27 @@ def d_compose_wrt_A(tb):
 
     Returns
     -------
-    (12, 12) ndarray  equal to kron(B[:4,:4].T restricted suitably, I3);
-    concretely kron(T_B.T, I3) where T_B is B's full 4x4.
+    (12, 12) ndarray
+        kron(T_B.T, I3), where T_B is B's full 4x4 with the bottom row
+        (0, 0, 0, 1): block (j, i) is T_B[i, j] I3.
     """
     full = np.eye(4)
-    full[:3, :4] = _checked(tb, "d_compose_wrt_A: tb", *_POSE)[:3]
-    return np.kron(full.T, np.eye(3))
+    full[:3] = _checked(tb, "d_compose_wrt_A: tb", *_POSE)[:3]
+    return _kron(full.T, _EYE3)
+
+
+def _compose_wrt_A_times(tb, y):
+    """d_compose_wrt_A(tb) @ y for a (12, k) y, by 3-row blocks: block j
+    of the product is sum_i T_B[i, j] y_i over the blocks y_i of y, the
+    bottom row of T_B taken as (0, 0, 0, 1)."""
+    out = tb[:3].T @ y[:9].reshape(3, -1)
+    out[3] += y[9:].ravel()
+    return out.reshape(y.shape)
 
 
 def d_compose_wrt_B(ta):
     """Derivative of vec12(A @ B) with respect to vec12(B): kron(I4, R_A)."""
-    ta = _checked(ta, "d_compose_wrt_B: ta", *_POSE)
-    return np.kron(np.eye(4), ta[:3, :3])
+    return _kron(_EYE4, _checked(ta, "d_compose_wrt_B: ta", *_POSE)[:3, :3])
 
 
 def d_apply_wrt_point(ta):
@@ -242,9 +277,8 @@ def d_apply_wrt_point(ta):
 
 def d_apply_wrt_pose(p):
     """Derivative of (A * p) with respect to vec12(A): kron((p^T, 1), I3)."""
-    p = _checked(p, "d_apply_wrt_pose: p", (3,))
-    row = np.concatenate([p, [1.0]])[None, :]
-    return np.kron(row, np.eye(3))
+    row = np.append(_checked(p, "d_apply_wrt_pose: p", (3,)), 1.0)[None, :]
+    return _kron(row, _EYE3)
 
 
 def apply_vec12(v, p):
@@ -284,15 +318,14 @@ def d_inverse_wrt_pose(ta):
 
     Block form  [[ T_{3,3}        0_{9x3} ]
                  [ kron(I3,-t^T)  -R^T    ]]
-    where T_{3,3} is the transpose permutation of the rotation block.
+    where T_{3,3} = transpose_permutation(3, 3) is the transpose
+    permutation of the rotation block.
     """
     ta = _checked(ta, "d_inverse_wrt_pose: ta", *_POSE)
-    r = ta[:3, :3]
-    t = ta[:3, 3]
     out = np.zeros((12, 12))
-    out[:9, :9] = transpose_permutation(3, 3)
-    out[9:, :9] = np.kron(np.eye(3), -t[None, :])
-    out[9:, 9:] = -r.T
+    out[:9, :9] = _TRANSPOSE3
+    out[9:, :9] = _kron(_EYE3, -ta[None, :3, 3])
+    out[9:, 9:] = -ta[:3, :3].T
     return out
 
 
@@ -307,10 +340,7 @@ def d_invapply_wrt_pose(ta, p):
     Equals [ kron(I3, (p - t)^T) | -R^T ]  (3x12).
     """
     ta = _checked(ta, "d_invapply_wrt_pose: ta", *_POSE)
-    r = ta[:3, :3]
-    t = ta[:3, 3]
-    d = _checked(p, "d_invapply_wrt_pose: p", (3,)) - t
     out = np.zeros((3, 12))
-    out[:, :9] = np.kron(np.eye(3), d[None, :])
-    out[:, 9:] = -r.T
+    out[:, :9] = _kron(_EYE3, (_checked(p, "d_invapply_wrt_pose: p", (3,)) - ta[:3, 3])[None, :])
+    out[:, 9:] = -ta[:3, :3].T
     return out

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BehindCameraError, GeometryError
-from .manifold_jac import jacob_p_ominus_expeD_de
-from .matderiv import _checked, _hat3, _typed
+from .manifold_jac import _expe_point, _p_ominus_expeD
+from .matderiv import _checked, _typed
 
 _MIN_DEPTH = 1e-8
 
@@ -54,6 +54,11 @@ def project(k, p):
     p = _checked(p, "project: p", (3,))
     _typed(k, "project: k", CameraIntrinsics)
     _check_depth(p[2], "project")
+    return _project(k, p)
+
+
+def _project(k, p):
+    """:func:`project` of a float 3-vector p in front of the camera, unchecked."""
     return np.array([k.cx + k.fx * p[0] / p[2],
                      k.cy + k.fy * p[1] / p[2]])
 
@@ -63,6 +68,11 @@ def dproject_dp(k, p):
     p = _checked(p, "dproject_dp: p", (3,))
     _typed(k, "dproject_dp: k", CameraIntrinsics)
     _check_depth(p[2], "dproject_dp")
+    return _dproject_dp(k, p)
+
+
+def _dproject_dp(k, p):
+    """:func:`dproject_dp` of a float 3-vector p in front of the camera, unchecked."""
     x, y, z = p
     return np.array([[k.fx / z, 0.0, -k.fx * x / z ** 2],
                      [0.0, k.fy / z, -k.fy * y / z ** 2]])
@@ -81,11 +91,8 @@ def project_pose_point(k, a, p):
     r = m[:3, :3]
     g = r @ p + m[:3, 3]
     _check_depth(g[2], "project_pose_point")
-    dh = dproject_dp(k, g)
-    pixel = project(k, g)
-    j_eps = dh @ np.hstack([np.eye(3), -_hat3(g)])
-    j_p = dh @ r
-    return pixel, j_eps, j_p
+    dh = _dproject_dp(k, g)
+    return _project(k, g), dh @ _expe_point(g), dh @ r
 
 
 def project_inv_pose_point(k, a, p):
@@ -101,8 +108,5 @@ def project_inv_pose_point(k, a, p):
     r = m[:3, :3]
     local = r.T @ (p - m[:3, 3])
     _check_depth(local[2], "project_inv_pose_point")
-    dh = dproject_dp(k, local)
-    pixel = project(k, local)
-    j_eps = dh @ jacob_p_ominus_expeD_de(a, p)
-    j_p = dh @ r.T
-    return pixel, j_eps, j_p
+    dh = _dproject_dp(k, local)
+    return _project(k, local), dh @ _p_ominus_expeD(r, p), dh @ r.T

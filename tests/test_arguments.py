@@ -252,7 +252,22 @@ def test_every_raw_array_function_is_swept():
 @settings(max_examples=30)
 @given(data=st.data())
 def test_malformed_argument_raises_geometry_error(fn, name, data):
-    kwargs = _good(fn)
+    _sweep(fn, name, data)
+
+
+# jacob_AexpeDp_de's approx=True branch once returned a value for any a
+@pytest.mark.parametrize("name", ["a", "d", "p"])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_approx_branch_checks_every_array_argument(name, data):
+    _sweep(manifold_jac.jacob_AexpeDp_de, name, data, approx=True)
+
+
+def _sweep(fn, name, data, **fixed):
+    """One drawn value of parameter name in a call of fn with good values
+    elsewhere (and the keyword arguments fixed): a GeometryError that
+    names the parameter, or a finite result for a well-formed value."""
+    kwargs = dict(_good(fn), **fixed)
     shapes = SPECS[fn][name][0]
     value = data.draw(_values(shapes), label=name)
     kwargs[name] = value
@@ -396,6 +411,14 @@ def test_wrong_object_raises_geometry_error(fn, name, value):
      "check_catalog: seed must be an integer >= 0"),
     (lambda: matderiv.unvec(np.arange(12.0), "ab"), "unvec: shape must be an integer >= 0"),
     (lambda: matderiv.unvec(np.arange(12.0), None), "unvec: shape must be an integer >= 0"),
+    (lambda: manifold_jac.jacob_AexpeDp_de(None, M4, P3[1], approx=True),
+     "jacob_AexpeDp_de: a must be a finite 4x4 or 3x4"),
+    (lambda: manifold_jac.jacob_AexpeDp_de(np.full((4, 4), np.nan), M4, P3[1], approx=True),
+     "jacob_AexpeDp_de: a must be a finite 4x4 or 3x4"),
+    (lambda: manifold_jac.jacob_AexpeDp_de(M4, M4, P3[1], approx="yes"),
+     "jacob_AexpeDp_de: approx must be a bool"),
+    (lambda: manifold_jac.jacob_AexpeDp_de(M4, M4, P3[1], approx=1),
+     "jacob_AexpeDp_de: approx must be a bool"),
     (lambda: chi2(None), "chi2: g must be a PoseGraph"),
     (lambda: build_normal_equations("g"), "build_normal_equations: g must be a PoseGraph"),
     (lambda: step(None, SolverConfig()), "step: g must be a PoseGraph"),

@@ -16,7 +16,9 @@ from rigidkit import (EdgeErrorSE2, EdgeErrorSE3, HomPose, HomPose2,
                       manifold_numeric_jacobian, numeric_jacobian, pose_to_vec12,
                       se2_exp, se2_pseudo_exp, se3_pseudo_exp, se3_pseudo_log,
                       so3_exp)
+from rigidkit import numcheck
 from rigidkit.core import _quat_from_rotation
+from rigidkit.matderiv import d_inverse_wrt_pose, inverse_rt, transpose_permutation
 from rigidkit.lie import _log_quat
 
 DLOG_FLAT = np.array([
@@ -166,6 +168,43 @@ def test_sandwich_increment_two_route_equality():
         assert np.abs(j - route2).max() < 1e-12
         # the documented definition, which the block product computes
         assert np.abs(j - np.kron(np.eye(4), a.mat[:3, :3]) @ jacob_expeD_de(d)).max() <= 1e-14
+
+
+def _close(x, ref):
+    return np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_block_products_equal_their_former_definitions(seed):
+    """The Jacobians that multiply 3x3 blocks equal the chains of whole
+    matrices they replace, and the matderiv Jacobians equal the kron and
+    transpose_permutation forms of their docstrings, at the catalog's
+    configurations."""
+    def drawn(unit):
+        return numcheck._configurations(unit, seed, 100)[1]
+
+    eye3 = np.eye(3)
+    for d, p1, p2 in drawn("manifold.edge_error_se3.j1"):
+        out = edge_error_se3(d, p1, p2)
+        d_inv = inverse_rt(d.mat)
+        b = inverse_rt(p1.mat) @ p2.mat
+        dlog = dpseudolog_se3(d_inv @ b)
+        assert _close(out.jac1, dlog @ d_compose_wrt_A(b) @ -jacob_Dexpe_de(d_inv))
+        assert _close(out.jac2, dlog @ jacob_Dexpe_de(d_inv @ b))
+    for a, d, p in drawn("manifold.jacob_p_ominus_AexpeD_de"):
+        chain = d_invapply_wrt_pose(a.mat @ d.mat, p) @ jacob_AexpeD_de(a, d)
+        assert _close(jacob_p_ominus_AexpeD_de(a, d, p), chain)
+        assert _close(jacob_Dexpe_de(d), np.kron(np.eye(4), d.mat[:3, :3]) @ dexp_se3_at_zero())
+        assert _close(jacob_expeD_de(d), np.kron(d.mat.T, eye3) @ dexp_se3_at_zero())
+    for a, p in drawn("matderiv.d_invapply_wrt_pose"):
+        m, r, t = a.mat, a.mat[:3, :3], a.mat[:3, 3]
+        assert np.array_equal(d_compose_wrt_A(m), np.kron(m.T, eye3))
+        assert np.array_equal(d_compose_wrt_B(m), np.kron(np.eye(4), r))
+        assert np.array_equal(d_apply_wrt_pose(p), np.kron(np.append(p, 1.0)[None], eye3))
+        assert np.array_equal(d_invapply_wrt_pose(m, p),
+                              np.hstack([np.kron(eye3, (p - t)[None]), -r.T]))
+        assert np.array_equal(d_inverse_wrt_pose(m), np.block([
+            [transpose_permutation(3, 3), np.zeros((9, 3))], [np.kron(eye3, -t[None]), -r.T]]))
 
 
 def test_point_increment_chains():
