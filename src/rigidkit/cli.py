@@ -29,10 +29,9 @@ import numpy as np
 
 from . import __version__
 from . import g2o as g2o_io
-from .core import (_KIND_DIM, EulerPose, GaussianPose, HomPose, HomPose2,
-                   QuatPose, convert_gaussian, matrix_to_quat, matrix_to_ypr,
-                   pose_kind, quat_to_matrix, quat_to_ypr, ypr_to_matrix,
-                   ypr_to_quat)
+from .core import (_CONVERSIONS, _KIND_DIM, EulerPose, GaussianPose, HomPose,
+                   HomPose2, QuatPose, convert_gaussian, matrix_to_ypr,
+                   pose_kind, quat_to_matrix, ypr_to_matrix)
 from .errors import GeometryError
 from .geometry import (GaussianPoint3, compose_point_matrix, compose_point_quat,
                        compose_point_ypr, compose_pose_matrix, compose_pose_quat,
@@ -153,16 +152,6 @@ def _echo_json(obj):
     click.echo(json.dumps(obj, indent=2))
 
 
-_CONVERT = {
-    ("ypr", "quat"): ypr_to_quat,
-    ("ypr", "matrix"): ypr_to_matrix,
-    ("quat", "ypr"): quat_to_ypr,
-    ("quat", "matrix"): quat_to_matrix,
-    ("matrix", "ypr"): matrix_to_ypr,
-    ("matrix", "quat"): matrix_to_quat,
-}
-
-
 class _Main(click.Group):
     """click's group, but every error prints one ``error: ...`` line on
     stderr and sets the exit code: 1 for malformed input, including a
@@ -224,7 +213,7 @@ def convert(target, degrees, infile):
         return
     pose = _pose_from_json(obj, "pose", degrees=degrees)
     kind = pose_kind(pose)
-    result = pose if kind == target else _CONVERT[(kind, target)](pose)
+    result = pose if kind == target else _CONVERSIONS[(kind, target)][0](pose)
     _echo_json(_pose_to_json(result, degrees=degrees))
 
 

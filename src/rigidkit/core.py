@@ -27,6 +27,8 @@ import numpy as np
 from .errors import GeometryError, SingularConfigurationError
 from .matderiv import _EYE3, _EYE4, _POSE, _checked, _const, _row_norms, _typed
 
+# |qr qy - qx qz| above this (pitch within about 6.3e-4 rad of +-pi/2):
+# the band where jacobian_quat_to_ypr refuses the Euler chart's Jacobian
 _GIMBAL_DELTA = 0.5 - 1e-7
 
 
@@ -431,22 +433,26 @@ def _rotation_from_unit_quat(qr, qx, qy, qz):
 def _angles_from_rotation(r):
     """(yaw, pitch, roll) from a 3x3 array, defined entrywise (no checks).
 
-    Works on slightly non-orthonormal input; the degenerate branches fire
-    when the (1,1)/(2,1) column part vanishes (|pitch| = pi/2).
+    The one Euler extraction: matrix_to_ypr, quat_to_ypr and
+    compose_pose_ypr read their angles here.  Works on slightly
+    non-orthonormal input.  Where r00^2 + r10^2 <= 1e-12 (|pitch| within
+    1e-6 of pi/2, where jacobian_ypr_wrt_matrix raises), rounding in the
+    entries of size cos(pitch) decides yaw and roll apart, so yaw -+ roll
+    is read from entries of size 1 + |sin(pitch)| instead, and the rebuilt
+    rotation keeps r to rounding.  Nearer than 1e-9, roll is fixed to
+    zero, which moves the rebuilt rotation by a few times that distance.
     """
-    k = r[0, 0] * r[0, 0] + r[1, 0] * r[1, 0]
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    k = r00 * r00 + r10 * r10
     sk = np.sqrt(k)
-    pitch = np.arctan2(-r[2, 0], sk)
-    if sk < 1e-9:
-        roll = 0.0
-        if r[2, 0] < 0.0:  # pitch = +pi/2
-            yaw = np.arctan2(r[1, 2], r[0, 2])
-        else:
-            yaw = np.arctan2(-r[1, 2], -r[0, 2])
-    else:
-        yaw = np.arctan2(r[1, 0], r[0, 0])
-        roll = np.arctan2(r[2, 1], r[2, 2])
-    return yaw, pitch, roll
+    pitch = np.arctan2(-r20, sk)
+    if k > 1e-12:
+        return np.arctan2(r10, r00), pitch, np.arctan2(r21, r22)
+    roll = 0.0 if sk < 1e-9 else np.arctan2(r21, r22)
+    if r20 < 0.0:  # pitch near +pi/2: (1 + sin(pitch)) (cos, sin)(yaw - roll)
+        return roll + np.arctan2(r12 - r01, r02 + r11), pitch, roll
+    # pitch near -pi/2: (1 - sin(pitch)) (cos, sin)(yaw + roll)
+    return np.arctan2(-r01 - r12, r11 - r02) - roll, pitch, roll
 
 
 # Largest-pivot quaternion extraction.  With pivot k (the largest of tr,
@@ -678,23 +684,14 @@ def _ypr_to_quat_rate(p):
 
 
 def quat_to_ypr(p):
-    """Quaternion pose -> Euler pose.
+    """Quaternion pose -> Euler pose: matrix_to_ypr(quat_to_matrix(p)).
 
-    The quaternion is normalized internally.  Within the gimbal band
-    (|qr*qy - qx*qz| above 0.5 - 1e-7) the dedicated |pitch| = pi/2
-    branches fire, with roll fixed to zero.
+    The quaternion is normalized internally, and the angles are read off
+    its rotation matrix by the extraction matrix_to_ypr uses, pole branch
+    included, so both give the same bits.
     """
-    qr, qx, qy, qz = _normalized(_typed(p, "quat_to_ypr: p", QuatPose).q.vec)[0].tolist()
-    delta = qr * qy - qx * qz
-    if delta <= -_GIMBAL_DELTA:
-        yaw = 2.0 * np.arctan2(qx, qr)
-        return EulerPose(p.x, p.y, p.z, yaw, -0.5 * np.pi, 0.0)
-    if delta >= _GIMBAL_DELTA:
-        yaw = -2.0 * np.arctan2(qx, qr)
-        return EulerPose(p.x, p.y, p.z, yaw, 0.5 * np.pi, 0.0)
-    yaw = np.arctan2(2.0 * (qr * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
-    pitch = np.arcsin(min(1.0, max(-1.0, 2.0 * delta)))
-    roll = np.arctan2(2.0 * (qr * qx + qy * qz), 1.0 - 2.0 * (qx * qx + qy * qy))
+    u = _normalized(_typed(p, "quat_to_ypr: p", QuatPose).q.vec)[0]
+    yaw, pitch, roll = _angles_from_rotation(_rotation_from_unit_quat(*u.tolist()))
     return EulerPose(p.x, p.y, p.z, yaw, pitch, roll)
 
 
@@ -864,55 +861,42 @@ def convert_gaussian(src, target):
     kind = _typed(src, "convert_gaussian: src", GaussianPose).kind
     if kind == target:
         return GaussianPose(src.mean, src.cov)
-    mean, jac = _CONVERSIONS[(kind, target)](src.mean)
+    convert, rate = _CONVERSIONS[(kind, target)]
+    mean, jac = convert(src.mean), rate(src.mean)
     cov = jac @ src.cov @ jac.T
     return GaussianPose(mean, 0.5 * (cov + cov.T))
 
 
-def _conv_ypr_quat(p):
-    """The mean and the Jacobian of its own representative.
+def _ypr_to_quat_mean_rate(p):
+    """The 7x6 Jacobian of the mean ypr_to_quat(p) returns.
 
-    The Jacobian differentiates the half-angle formulas at p, and the mean
-    is that representative or its negative (the canonical qr >= 0 choice);
-    a covariance propagated around the mean needs the derivative of the
-    mean's sign, or the translation-rotation cross terms come out wrong.
+    jacobian_ypr_to_quat differentiates the half-angle formulas at p, and
+    the mean is that representative or its negative (the canonical
+    qr >= 0 choice); a covariance propagated around the mean needs the
+    derivative of the mean's sign, or the translation-rotation cross terms
+    come out wrong.
     """
-    mean = ypr_to_quat(p)
     jac = jacobian_ypr_to_quat(p)
-    if np.dot(_quat_components_from_angles(p.yaw, p.pitch, p.roll), mean.q.vec) < 0.0:
+    if _quat_components_from_angles(p.yaw, p.pitch, p.roll)[0] < 0.0:
         jac[3:] = -jac[3:]
-    return mean, jac
+    return jac
 
 
-def _conv_quat_ypr(p):
-    return quat_to_ypr(p), jacobian_quat_to_ypr(p)
-
-
-def _conv_ypr_matrix(p):
-    return ypr_to_matrix(p), jacobian_matrix_wrt_ypr(p)
-
-
-def _conv_matrix_ypr(m):
-    return matrix_to_ypr(m), jacobian_ypr_wrt_matrix(m)
-
-
-def _conv_quat_matrix(p):
-    return quat_to_matrix(p), jacobian_matrix_wrt_quat(p)
-
-
-def _conv_matrix_quat(m):
-    mean = matrix_to_quat(m)
+def _matrix_to_quat_rate(m):
+    """7x12 derivative of :func:`matrix_to_quat` in the 12-vector view."""
     jac = np.zeros((7, 12))
     jac[:3, 9:] = _EYE3
     jac[3:, :9] = _quat_from_rotation_rate(m.mat[:3, :3])[1]
-    return mean, jac
+    return jac
 
 
+# (source, target): (conversion, its Jacobian), both of the source pose;
+# convert_gaussian and ``rigidkit convert`` read this table
 _CONVERSIONS = {
-    ("ypr", "quat"): _conv_ypr_quat,
-    ("quat", "ypr"): _conv_quat_ypr,
-    ("ypr", "matrix"): _conv_ypr_matrix,
-    ("matrix", "ypr"): _conv_matrix_ypr,
-    ("quat", "matrix"): _conv_quat_matrix,
-    ("matrix", "quat"): _conv_matrix_quat,
+    ("ypr", "quat"): (ypr_to_quat, _ypr_to_quat_mean_rate),
+    ("quat", "ypr"): (quat_to_ypr, jacobian_quat_to_ypr),
+    ("ypr", "matrix"): (ypr_to_matrix, jacobian_matrix_wrt_ypr),
+    ("matrix", "ypr"): (matrix_to_ypr, jacobian_ypr_wrt_matrix),
+    ("quat", "matrix"): (quat_to_matrix, jacobian_matrix_wrt_quat),
+    ("matrix", "quat"): (matrix_to_quat, _matrix_to_quat_rate),
 }

@@ -195,8 +195,6 @@ def _compose_quat_vecs(v1, v2):
     """
     q1r, q2r = v1[3:], v2[3:]
     n1 = np.linalg.norm(q1r)
-    if n1 < 1e-12:
-        raise GeometryError("pose composition: zero-norm quaternion operand")
     rot1 = _rotation_from_unit_quat(*(q1r / n1).tolist())
     t2 = v2[:3]
     t = v1[:3] + rot1 @ t2
@@ -205,8 +203,6 @@ def _compose_quat_vecs(v1, v2):
     l1, l2 = q1r.tolist(), q2r.tolist()
     h = _hamilton(l1, l2)
     hn = np.linalg.norm(h)
-    if hn < 1e-12:
-        raise GeometryError("pose composition produced a zero-norm quaternion")
     jn_h = _norm_jacobian(h)
 
     j1 = np.zeros((7, 7))

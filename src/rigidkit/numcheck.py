@@ -243,7 +243,9 @@ def _rot_ypr(a):
 
 def _ypr(r):
     """(yaw, pitch, roll) rows of the (N, 3, 3) matrices r: the smooth branch
-    of core._angles_from_rotation (the samplers stay off |pitch| = pi/2)."""
+    of core._angles_from_rotation, the one Euler extraction, which
+    matrix_to_ypr and quat_to_ypr share (the samplers stay off
+    |pitch| = pi/2)."""
     sk = np.sqrt(r[:, 0, 0] * r[:, 0, 0] + r[:, 1, 0] * r[:, 1, 0])
     return np.stack([np.arctan2(r[:, 1, 0], r[:, 0, 0]), np.arctan2(-r[:, 2, 0], sk),
                      np.arctan2(r[:, 2, 1], r[:, 2, 2])], axis=-1)
@@ -295,12 +297,8 @@ def _project(k, p):
 
 
 def _ypr_from_quatvec(v):
-    qr, qx, qy, qz = _unit(v[:, 3:]).T
-    return np.column_stack([
-        v[:, :3],
-        np.arctan2(2.0 * (qr * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz)),
-        np.arcsin(2.0 * (qr * qy - qx * qz)),
-        np.arctan2(2.0 * (qr * qx + qy * qz), 1.0 - 2.0 * (qx * qx + qy * qy))])
+    """quat_to_ypr of each row of v (N, 7): the angles of its rotation."""
+    return np.concatenate([v[:, :3], _ypr(_rot_quat(_unit(v[:, 3:])))], axis=1)
 
 
 def _quatvec_from_ypr(v):

@@ -17,9 +17,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rigidkit
-from rigidkit import (EulerPose, QuatPose, Quaternion, check_catalog,
-                      compose_pose_quat, compose_pose_ypr, se3_exp, ypr_to_matrix,
-                      ypr_to_quat)
+from rigidkit import (EulerPose, GaussianPose, GeometryError, HomPose, QuatPose,
+                      Quaternion, check_catalog, compose_pose_quat, compose_pose_ypr,
+                      convert_gaussian, matrix_to_quat, matrix_to_ypr,
+                      pose_param_vector, quat_to_matrix, quat_to_ypr, se3_exp,
+                      ypr_to_matrix, ypr_to_quat)
 from rigidkit import cli
 from rigidkit.cli import main
 
@@ -136,6 +138,52 @@ def test_convert_gimbal_lock_is_domain_error(runner):
     payload["cov"] = (1e-8 * np.eye(7)).tolist()
     res = _run(runner, ["convert", "--to", "ypr"], stdin=json.dumps(payload))
     assert res.exit_code == 2  # covariance needs the singular Jacobian
+
+
+# source poses by name: (JSON pose, its covariance, the pose the library reads)
+_POLE_YPR = EulerPose(0.2, 0.1, -0.4, 1.1, 0.5 * math.pi - 5e-5, -2.3)
+_SOURCES = {
+    "ypr": YPR,
+    "quat": {"type": "quat", "data": list(ypr_to_quat(EulerPose(*YPR["data"])).vec)},
+    "matrix": {"type": "matrix", "data": list(ypr_to_matrix(EulerPose(*YPR["data"])).mat.ravel())},
+    # within 1e-4 rad of a pole, in the band where jacobian_quat_to_ypr raises
+    "quat-near-pole": {"type": "quat", "data": list(ypr_to_quat(_POLE_YPR).vec)},
+}
+# the library's conversion of each (source, target) pair
+_LIBRARY = {("ypr", "quat"): ypr_to_quat, ("ypr", "matrix"): ypr_to_matrix,
+            ("quat", "ypr"): quat_to_ypr, ("quat", "matrix"): quat_to_matrix,
+            ("matrix", "ypr"): matrix_to_ypr, ("matrix", "quat"): matrix_to_quat}
+
+
+def _pose_data(p):
+    return (p.mat.ravel() if isinstance(p, HomPose) else p.vec).tolist()
+
+
+@pytest.mark.parametrize("with_cov", [False, True], ids=["mean", "cov"])
+@pytest.mark.parametrize("source, target", [
+    (s, t) for s in _SOURCES for t in ("ypr", "quat", "matrix") if t != s.split("-")[0]])
+def test_convert_prints_what_the_library_gives(runner, source, target, with_cov):
+    payload = dict(_SOURCES[source])
+    kind = payload["type"]
+    pose = {"ypr": EulerPose.from_vec, "quat": QuatPose.from_vec,
+            "matrix": lambda v: HomPose(np.reshape(v, (4, 4)))}[kind](np.array(payload["data"]))
+    if not with_cov:
+        out = _run_json(runner, ["convert", "--to", target], payload)
+        assert out == {"type": target, "data": _pose_data(_LIBRARY[(kind, target)](pose))}
+        return
+    dim = len(pose_param_vector(pose))
+    a = np.random.default_rng(dim).normal(size=(dim, dim))
+    payload["cov"] = (1e-4 * (a @ a.T + a.T @ a)).tolist()
+    res = _run(runner, ["convert", "--to", target], stdin=json.dumps(payload))
+    try:
+        want = convert_gaussian(GaussianPose(pose, np.array(payload["cov"])), target)
+    except GeometryError as exc:
+        assert source == "quat-near-pole" and target == "ypr"
+        assert (res.exit_code, res.output) == (2, "error: %s\n" % exc)
+        return
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == {"type": target, "data": _pose_data(want.mean),
+                                      "cov": want.cov.tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import rand_euler, rand_quat_pose, safe_quat_pose
@@ -237,6 +237,48 @@ def test_quat_to_matrix_equals_angle_route():
         direct = quat_to_matrix(q).mat
         via = ypr_to_matrix(quat_to_ypr(q)).mat
         assert np.abs(direct - via).max() < 1e-9
+
+
+# a pose near a pole of the Euler chart: pitch side * (pi/2 - gap), with the
+# gap drawn log-uniformly from [1e-12, 1e-2]
+_near_pole = st.builds(
+    lambda side, exponent, yaw, roll: EulerPose(0.5, -1.0, 2.0, yaw,
+                                                side * (0.5 * math.pi - 10.0 ** exponent), roll),
+    st.sampled_from([-1.0, 1.0]), st.floats(-12.0, -2.0), st.floats(-3.1, 3.1),
+    st.floats(-3.1, 3.1))
+
+
+@given(_near_pole)
+# inside 1e-6 of each pole, where yaw and roll come apart from yaw -+ roll,
+# and just outside 1e-9, where roll is no longer fixed to zero
+@example(EulerPose(0.5, -1.0, 2.0, 0.0, -(0.5 * math.pi - 1e-9), 1.0))
+@example(EulerPose(0.5, -1.0, 2.0, 2.0, -(0.5 * math.pi - 2e-8), -1.4))
+@example(EulerPose(0.5, -1.0, 2.0, -2.5, 0.5 * math.pi - 3e-7, 0.8))
+def test_quat_to_ypr_near_pole_rebuilds_the_rotation(p):
+    # the former quaternion formulas snapped to the pole within 6.3e-4 rad
+    # of it, off by up to the gap; the matrix route keeps the rotation
+    q = ypr_to_quat(p)
+    e = quat_to_ypr(q)
+    assert np.abs(ypr_to_matrix(e).mat - quat_to_matrix(q).mat).max() < 1e-8
+    assert e.vec.tobytes() == matrix_to_ypr(quat_to_matrix(q)).vec.tobytes()
+    m = ypr_to_matrix(p)
+    assert np.abs(ypr_to_matrix(matrix_to_ypr(m)).mat - m.mat).max() < 1e-8
+
+
+# any QuatPose: a quaternion up to 9e-7 off unit length, in any direction or
+# near a pole
+_any_quat_pose = st.one_of(
+    st.builds(lambda q, scale: QuatPose(0.3, -0.2, 0.1,
+                                        Quaternion(*(scale * q / np.linalg.norm(q)))),
+              st.tuples(*[st.floats(-2.0, 2.0)] * 4).map(np.array)
+              .filter(lambda q: np.linalg.norm(q) > 0.1),
+              st.floats(1.0 - 9e-7, 1.0 + 9e-7)),
+    _near_pole.map(ypr_to_quat))
+
+
+@given(_any_quat_pose)
+def test_quat_to_ypr_is_the_matrix_route_bit_for_bit(q):
+    assert quat_to_ypr(q).vec.tobytes() == matrix_to_ypr(quat_to_matrix(q)).vec.tobytes()
 
 
 def test_gimbal_up_branch():

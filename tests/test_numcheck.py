@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import rand_hompose
-from rigidkit import (CameraIntrinsics, EulerPose, HomPose, apply_vec12, check_catalog,
+from rigidkit import (CameraIntrinsics, EulerPose, HomPose, QuatPose, apply_vec12, check_catalog,
                       compose_point_quat, compose_point_ypr, compose_pose_quat, compose_pose_ypr,
                       edge_error_se2, edge_error_se3, inv_compose_point_quat, inverse_rt,
                       jacob_Dexpe_de, jacob_expeD_de, manifold_numeric_jacobian, numeric_jacobian,
                       pose_to_vec12, project, project_inv_pose_point, project_pose_point,
                       quat_to_ypr, se2_pseudo_exp, se2_pseudo_log, se3_pseudo_exp,
                       se3_pseudo_log, so3_exp, so3_exp_quat, so3_log, vec12_to_pose,
-                      ypr_to_matrix)
+                      ypr_to_matrix, ypr_to_quat)
 from rigidkit import numcheck
 from rigidkit.core import _angles_from_rotation
 from rigidkit.errors import GeometryError
@@ -290,6 +290,8 @@ def _stand_ins(rng):
         "so3_exp_quat": (numcheck._so3_exp_quat, lambda w: so3_exp_quat(w).vec, rotvecs),
         "project": (lambda x: numcheck._project(kv, x), lambda x: project(k, x), front),
         "angles": (numcheck._ypr, _angles_from_rotation, near_rotations),
+        "quat_to_ypr": (numcheck._ypr_from_quatvec, lambda v: quat_to_ypr(QuatPose.from_vec(v)).vec,
+                        [ypr_to_quat(_ypr_pose(rng)).vec for _ in range(n)]),
         "project_pose_point": (lambda x: numcheck._project(kv, numcheck._act(a.mat, x)),
                                lambda x: project_pose_point(k, a, x)[0],
                                [r.T @ (g - t) for g in front]),
@@ -306,7 +308,8 @@ def _stand_ins(rng):
 
 
 @pytest.mark.parametrize("name", [
-    "so3_exp_quat", "project", "angles", "project_pose_point", "project_inv_pose_point",
+    "so3_exp_quat", "project", "angles", "quat_to_ypr", "project_pose_point",
+    "project_inv_pose_point",
     "apply_vec12.pose", "apply_vec12.point", "pose_to_vec12", "vec12_to_pose"])
 def test_stand_in_equals_the_library_row_by_row(name):
     # each check must differentiate the value the library returns: on the
