@@ -27,9 +27,10 @@ import numpy as np
 from .errors import GeometryError, SingularConfigurationError
 from .matderiv import _EYE3, _EYE4, _POSE, _checked, _const, _row_norms, _typed
 
-# |qr qy - qx qz| above this (pitch within about 6.3e-4 rad of +-pi/2):
-# the band where jacobian_quat_to_ypr refuses the Euler chart's Jacobian
-_GIMBAL_DELTA = 0.5 - 1e-7
+# r00^2 + r10^2 (cos^2(pitch) on a rotation) at or below this, |pitch|
+# within 1e-6 rad of pi/2: the Euler extraction takes its pole branch and
+# every Euler-angle Jacobian refuses
+_POLE_K = 1e-12
 
 
 def wrap_angle(a):
@@ -435,24 +436,51 @@ def _angles_from_rotation(r):
 
     The one Euler extraction: matrix_to_ypr, quat_to_ypr and
     compose_pose_ypr read their angles here.  Works on slightly
-    non-orthonormal input.  Where r00^2 + r10^2 <= 1e-12 (|pitch| within
-    1e-6 of pi/2, where jacobian_ypr_wrt_matrix raises), rounding in the
-    entries of size cos(pitch) decides yaw and roll apart, so yaw -+ roll
-    is read from entries of size 1 + |sin(pitch)| instead, and the rebuilt
-    rotation keeps r to rounding.  Nearer than 1e-9, roll is fixed to
-    zero, which moves the rebuilt rotation by a few times that distance.
+    non-orthonormal input.  Where r00^2 + r10^2 <= _POLE_K (|pitch| within
+    1e-6 of pi/2, the one band where :func:`_angles_rate`, and so every
+    Euler-angle Jacobian, raises), rounding in the entries of size
+    cos(pitch) decides yaw and roll apart, so yaw -+ roll is read from
+    entries of size 1 + |sin(pitch)| instead, and the rebuilt rotation
+    keeps r to rounding.  Nearer than 1e-9, roll is fixed to zero, which
+    moves the rebuilt rotation by a few times that distance.
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
     k = r00 * r00 + r10 * r10
     sk = np.sqrt(k)
     pitch = np.arctan2(-r20, sk)
-    if k > 1e-12:
+    if k > _POLE_K:
         return np.arctan2(r10, r00), pitch, np.arctan2(r21, r22)
     roll = 0.0 if sk < 1e-9 else np.arctan2(r21, r22)
     if r20 < 0.0:  # pitch near +pi/2: (1 + sin(pitch)) (cos, sin)(yaw - roll)
         return roll + np.arctan2(r12 - r01, r02 + r11), pitch, roll
     # pitch near -pi/2: (1 - sin(pitch)) (cos, sin)(yaw + roll)
     return np.arctan2(-r01 - r12, r11 - r02) - roll, pitch, roll
+
+
+def _angles_rate(r):
+    """3x9 derivative of :func:`_angles_from_rotation` by vec(r) (column
+    major) at a 3x3 array r: the one Euler-angle derivative, which
+    jacobian_ypr_wrt_matrix, jacobian_quat_to_ypr and compose_pose_ypr
+    chain.
+
+    Raises SingularConfigurationError where the extraction takes its pole
+    branch (r00^2 + r10^2 <= _POLE_K) or the roll's atan2 has no
+    derivative (r21^2 + r22^2 <= _POLE_K); on a rotation both sums are
+    cos^2(pitch).
+    """
+    (r00, _, _), (r10, _, _), (r20, r21, r22) = r.tolist()
+    k = r00 * r00 + r10 * r10
+    m33 = r21 * r21 + r22 * r22
+    if k <= _POLE_K or m33 <= _POLE_K:
+        raise SingularConfigurationError(
+            "Euler-angle Jacobian undefined within 1e-6 rad of |pitch| = pi/2")
+    sk = math.sqrt(k)
+    kp = k + r20 * r20
+    ang = np.zeros((3, 9))
+    ang[0, :2] = -r10 / k, r00 / k
+    ang[1, :3] = r00 * r20 / (sk * kp), r10 * r20 / (sk * kp), -sk / kp
+    ang[2, 5::3] = r22 / m33, -r21 / m33
+    return ang
 
 
 # Largest-pivot quaternion extraction.  With pivot k (the largest of tr,
@@ -553,33 +581,6 @@ def _norm_jacobian(qvec):
     return (n2 * _EYE4 - qvec[:, None] * qvec) / (n2 * math.sqrt(n2))
 
 
-def _ypr_rate_block(q):
-    """3x4 derivative of the (yaw, pitch, roll) extraction at a unit q,
-    four Python floats.
-
-    Raises in the gimbal band where the Euler chart is singular.
-    """
-    qr, qx, qy, qz = q
-    delta = qr * qy - qx * qz
-    if abs(delta) > _GIMBAL_DELTA:
-        raise SingularConfigurationError(
-            "quaternion-to-Euler Jacobian undefined near |pitch| = pi/2")
-    s = math.sqrt(1.0 - 4.0 * delta * delta)
-    return np.array([
-        _atan2_rate(2.0 * (qr * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz),
-                    (qz, qy, qx, qr), (0.0, 0.0, -4.0 * qy, -4.0 * qz)),
-        [2.0 * a / s for a in (qy, -qz, qr, -qx)],
-        _atan2_rate(2.0 * (qr * qx + qy * qz), 1.0 - 2.0 * (qx * qx + qy * qy),
-                    (qx, qr, qz, qy), (0.0, -4.0 * qx, -4.0 * qy, 0.0))])
-
-
-def _atan2_rate(n, d, half_dn, dd):
-    """The derivative of atan2(n, d), (d dn - n dd) / (n^2 + d^2), as a list,
-    from Python floats n and d and sequences of dn / 2 and dd."""
-    e = n * n + d * d
-    return [(d * (2.0 * a) - n * b) / e for a, b in zip(half_dn, dd)]
-
-
 # ---------------------------------------------------------------------------
 # conversions
 
@@ -655,11 +656,7 @@ def jacobian_ypr_to_quat(p):
     canonical sign flip is a discrete representative choice and is not
     part of the map.
     """
-    return _ypr_to_quat_rate(_typed(p, "jacobian_ypr_to_quat: p", EulerPose))
-
-
-def _ypr_to_quat_rate(p):
-    """:func:`jacobian_ypr_to_quat` of an EulerPose p, unchecked."""
+    _typed(p, "jacobian_ypr_to_quat: p", EulerPose)
     cy, sy = math.cos(0.5 * p.yaw), math.sin(0.5 * p.yaw)
     cp, sp = math.cos(0.5 * p.pitch), math.sin(0.5 * p.pitch)
     cr, sr = math.cos(0.5 * p.roll), math.sin(0.5 * p.roll)
@@ -698,15 +695,20 @@ def quat_to_ypr(p):
 def jacobian_quat_to_ypr(p):
     """6x7 derivative of :func:`quat_to_ypr` (normalization chained).
 
+    The derivative of the route the value takes:
+    jacobian_ypr_wrt_matrix(quat_to_matrix(p)) @ jacobian_matrix_wrt_quat(p),
+    the extraction's rate at R(q/|q|) times d vec(R) by q.
+
     Raises
     ------
     SingularConfigurationError
-        In the gimbal band, where the Euler angles are not a chart.
+        Where jacobian_ypr_wrt_matrix of the same rotation raises: |pitch|
+        within 1e-6 rad of pi/2, where the extraction takes its pole branch.
     """
     u, jn = _normalized(_typed(p, "jacobian_quat_to_ypr: p", QuatPose).q.vec)
     out = np.zeros((6, 7))
     out[:3, :3] = _EYE3
-    out[3:, 3:] = _ypr_rate_block(u.tolist()) @ jn
+    out[3:, 3:] = _angles_rate(_rotation_from_unit_quat(*u.tolist())) @ (_QUAT_RATE @ u) @ jn
     return out
 
 
@@ -746,28 +748,14 @@ def jacobian_ypr_wrt_matrix(m):
     Raises
     ------
     SingularConfigurationError
-        When the pitch or roll extraction is at a singular configuration
-        (first column aligned with z, or third row's yz part vanishing).
+        Within 1e-6 rad of |pitch| = pi/2, where the extraction takes its
+        pole branch (first column within 1e-6 of the z axis), or where the
+        third row's yz part is as short.
     """
-    r = _checked(m, "jacobian_ypr_wrt_matrix: m", *_POSE)[:3, :3]
-    k = r[0, 0] * r[0, 0] + r[1, 0] * r[1, 0]
-    m33 = r[2, 1] * r[2, 1] + r[2, 2] * r[2, 2]
-    if k <= 1e-12 or m33 <= 1e-12:
-        raise SingularConfigurationError(
-            "Euler-from-matrix Jacobian undefined at |pitch| = pi/2")
-    sk = np.sqrt(k)
-    kp = k + r[2, 0] * r[2, 0]
+    r = _checked(m, "jacobian_ypr_wrt_matrix: m", *_POSE)
     out = np.zeros((6, 12))
     out[:3, 9:] = _EYE3
-    ang = np.zeros((3, 9))
-    ang[0, 0] = -r[1, 0] / k
-    ang[0, 1] = r[0, 0] / k
-    ang[1, 0] = r[0, 0] * r[2, 0] / (sk * kp)
-    ang[1, 1] = r[1, 0] * r[2, 0] / (sk * kp)
-    ang[1, 2] = -sk / kp
-    ang[2, 5] = r[2, 2] / m33
-    ang[2, 8] = -r[2, 1] / m33
-    out[3:, :9] = ang
+    out[3:, :9] = _angles_rate(r[:3, :3])
     return out
 
 

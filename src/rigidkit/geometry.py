@@ -30,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_QUAT_RATE, EulerPose, GaussianPose, HomPose, QuatPose,
-                   _angles_from_rotation, _checked_covariance, _norm_jacobian, _normalized,
-                   _quat_components_from_angles, _rotation_from_angles,
-                   _rotation_from_unit_quat, _rotation_raw_quat_rate, _rotation_ypr_rate,
-                   _ypr_rate_block, _ypr_to_quat_rate)
+                   _angles_from_rotation, _angles_rate, _checked_covariance, _norm_jacobian,
+                   _normalized, _rotation_from_angles, _rotation_from_unit_quat,
+                   _rotation_raw_quat_rate, _rotation_ypr_rate)
 from .errors import GeometryError
 from .matderiv import _EYE3, _checked, _const, _inverse_rt, _typed
 
@@ -184,25 +183,28 @@ def _hamilton_wrt_right(q1):
     ])
 
 
-def _compose_quat_vecs(v1, v2):
-    """Composition on raw 7-vectors, without the canonical sign flip.
+def compose_pose_quat(p1, p2):
+    """Compose two quaternion poses.
 
-    Returns the raw normalized 7-vector and the two 7x7 Jacobians of the
-    smooth map (translate-and-rotate, Hamilton product, final
-    normalization evaluated at the unnormalized product).  Operating on
-    plain vectors keeps one consistent double-cover representative, which
-    matters when a caller chains this with other raw-representative maps.
+    Returns
+    -------
+    (QuatPose, jac1, jac2)
+        jac1, jac2 are the (7, 7) derivatives w.r.t. p1 and p2 of the
+        composition map (translate-and-rotate, Hamilton product, final
+        normalization evaluated at the unnormalized product).  When the
+        canonical qr >= 0 choice flips the returned quaternion, the
+        quaternion rows are flipped with it, so covariances propagated
+        around the returned mean stay consistent.
     """
-    q1r, q2r = v1[3:], v2[3:]
-    n1 = np.linalg.norm(q1r)
-    rot1 = _rotation_from_unit_quat(*(q1r / n1).tolist())
-    t2 = v2[:3]
-    t = v1[:3] + rot1 @ t2
+    q1r = _typed(p1, "compose_pose_quat: p1", QuatPose).q.vec
+    q2r = _typed(p2, "compose_pose_quat: p2", QuatPose).q.vec
+    rot1 = _rotation_from_unit_quat(*(q1r / np.linalg.norm(q1r)).tolist())
+    t2 = np.array([p2.x, p2.y, p2.z])
+    t = np.array([p1.x, p1.y, p1.z]) + rot1 @ t2
 
     # Python floats: the same operations as on numpy scalars, faster
     l1, l2 = q1r.tolist(), q2r.tolist()
     h = _hamilton(l1, l2)
-    hn = np.linalg.norm(h)
     jn_h = _norm_jacobian(h)
 
     j1 = np.zeros((7, 7))
@@ -214,67 +216,50 @@ def _compose_quat_vecs(v1, v2):
     j2[:3, :3] = rot1
     j2[3:, 3:] = jn_h @ _hamilton_wrt_right(l1)
 
-    return np.concatenate([t, h / hn]), j1, j2
-
-
-def compose_pose_quat(p1, p2):
-    """Compose two quaternion poses.
-
-    Returns
-    -------
-    (QuatPose, jac1, jac2)
-        jac1, jac2 are the (7, 7) derivatives w.r.t. p1 and p2 of the
-        composition map.  When the canonical qr >= 0 choice flips the
-        returned quaternion, the quaternion rows are flipped with it, so
-        covariances propagated around the returned mean stay consistent.
-    """
-    v, j1, j2 = _compose_quat_vecs(_typed(p1, "compose_pose_quat: p1", QuatPose).vec,
-                                   _typed(p2, "compose_pose_quat: p2", QuatPose).vec)
-    if v[3] < 0.0:
-        j1 = j1.copy()
-        j2 = j2.copy()
-        j1[3:, :] = -j1[3:, :]
-        j2[3:, :] = -j2[3:, :]
-    return QuatPose.from_vec(v), j1, j2
+    h = h / np.linalg.norm(h)
+    if h[0] < 0.0:
+        j1[3:] = -j1[3:]
+        j2[3:] = -j2[3:]
+    return QuatPose.from_vec(np.concatenate([t, h])), j1, j2
 
 
 def compose_pose_ypr(p1, p2):
     """Compose two Euler poses.
 
-    The value is computed through the rotation matrices; the (6, 6)
-    Jacobians chain Euler->quat, the quaternion composition and
-    quat->Euler (evaluated at the composed quaternion, one consistent
-    double-cover representative throughout).
+    The value is read through the rotation matrices: t1 + R1 t2, and the
+    angles of R1 R2 by the extraction matrix_to_ypr uses.  The (6, 6)
+    Jacobians differentiate that route: d vec(R1 R2) from each operand's
+    d vec(R), then the extraction's derivative at R1 R2, the one
+    jacobian_ypr_wrt_matrix has.
 
     Raises
     ------
     SingularConfigurationError
-        If the composed pose lies in the gimbal band of the Euler chart.
+        Where jacobian_ypr_wrt_matrix of R1 R2 raises: the composed pitch
+        within 1e-6 rad of +-pi/2, where the extraction takes its pole
+        branch.
     """
     _typed(p1, "compose_pose_ypr: p1", EulerPose)
     _typed(p2, "compose_pose_ypr: p2", EulerPose)
     r1 = _rotation_from_angles(p1.yaw, p1.pitch, p1.roll)
     r2 = _rotation_from_angles(p2.yaw, p2.pitch, p2.roll)
-    t = np.array([p1.x, p1.y, p1.z]) + r1 @ np.array([p2.x, p2.y, p2.z])
-    yaw, pitch, roll = _angles_from_rotation(r1 @ r2)
+    t2 = np.array([p2.x, p2.y, p2.z])
+    t = np.array([p1.x, p1.y, p1.z]) + r1 @ t2
+    r = r1 @ r2
+    yaw, pitch, roll = _angles_from_rotation(r)
     value = EulerPose(t[0], t[1], t[2], yaw, pitch, roll)
 
-    # Raw half-angle components, not QuatPose: the canonical sign flip is
-    # a representative choice outside the smooth map, and every link of
-    # the chain below must sit on the same representative.
-    v1 = np.concatenate(
-        [[p1.x, p1.y, p1.z], _quat_components_from_angles(p1.yaw, p1.pitch, p1.roll)]
-    )
-    v2 = np.concatenate(
-        [[p2.x, p2.y, p2.z], _quat_components_from_angles(p2.yaw, p2.pitch, p2.roll)]
-    )
-    h, jq1, jq2 = _compose_quat_vecs(v1, v2)
-    hq = h[3:]
-    to_ypr = np.zeros((6, 7))
-    to_ypr[:3, :3] = _EYE3
-    to_ypr[3:, 3:] = _ypr_rate_block(hq.tolist()) @ _norm_jacobian(hq)
-    j1 = to_ypr @ jq1 @ _ypr_to_quat_rate(p1)
-    j2 = to_ypr @ jq2 @ _ypr_to_quat_rate(p2)
+    ang = _angles_rate(r)
+    d1 = _rotation_ypr_rate(p1.yaw, p1.pitch, p1.roll)
+    d2 = _rotation_ypr_rate(p2.yaw, p2.pitch, p2.roll).reshape(3, 3, 3)
+    # column j of R1 R2 is sum_k r2[k, j] col_k(R1), and also R1 col_j(R2)
+    j1 = np.zeros((6, 6))
+    j1[:3, :3] = _EYE3
+    j1[:3, 3:] = _rotate_rate(d1, t2)
+    j1[3:, 3:] = ang @ (r2.T @ d1.reshape(3, 9)).reshape(9, 3)
+    j2 = np.zeros((6, 6))
+    j2[:3, :3] = r1
+    j2[3:, 3:] = ang @ (r1 @ d2).reshape(9, 3)
     return value, j1, j2
 
 

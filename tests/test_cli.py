@@ -17,9 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rigidkit
-from rigidkit import (EulerPose, GaussianPose, GeometryError, HomPose, QuatPose,
-                      Quaternion, check_catalog, compose_pose_quat, compose_pose_ypr,
-                      convert_gaussian, matrix_to_quat, matrix_to_ypr,
+from rigidkit import (EulerPose, GaussianPose, HomPose, QuatPose, Quaternion,
+                      SingularConfigurationError, check_catalog, compose_pose_quat,
+                      compose_pose_ypr, convert_gaussian, matrix_to_quat, matrix_to_ypr,
                       pose_param_vector, quat_to_matrix, quat_to_ypr, se3_exp,
                       ypr_to_matrix, ypr_to_quat)
 from rigidkit import cli
@@ -140,14 +140,22 @@ def test_convert_gimbal_lock_is_domain_error(runner):
     assert res.exit_code == 2  # covariance needs the singular Jacobian
 
 
-# source poses by name: (JSON pose, its covariance, the pose the library reads)
-_POLE_YPR = EulerPose(0.2, 0.1, -0.4, 1.1, 0.5 * math.pi - 5e-5, -2.3)
+def _pole_quat(gap):
+    return {"type": "quat", "data": list(ypr_to_quat(
+        EulerPose(0.2, 0.1, -0.4, 1.1, 0.5 * math.pi - gap, -2.3)).vec)}
+
+
+# source poses by name, as the JSON that convert reads
 _SOURCES = {
     "ypr": YPR,
     "quat": {"type": "quat", "data": list(ypr_to_quat(EulerPose(*YPR["data"])).vec)},
     "matrix": {"type": "matrix", "data": list(ypr_to_matrix(EulerPose(*YPR["data"])).mat.ravel())},
-    # within 1e-4 rad of a pole, in the band where jacobian_quat_to_ypr raises
-    "quat-near-pole": {"type": "quat", "data": list(ypr_to_quat(_POLE_YPR).vec)},
+    # 5e-5 rad from a pole, outside the 1e-6 rad band where the Euler-angle
+    # Jacobians raise: its covariance converts to ypr
+    "quat-near-pole": _pole_quat(5e-5),
+    # 3e-7 rad from a pole, inside that band: with a covariance, --to ypr
+    # is a domain error
+    "quat-at-pole": _pole_quat(3e-7),
 }
 # the library's conversion of each (source, target) pair
 _LIBRARY = {("ypr", "quat"): ypr_to_quat, ("ypr", "matrix"): ypr_to_matrix,
@@ -175,12 +183,13 @@ def test_convert_prints_what_the_library_gives(runner, source, target, with_cov)
     a = np.random.default_rng(dim).normal(size=(dim, dim))
     payload["cov"] = (1e-4 * (a @ a.T + a.T @ a)).tolist()
     res = _run(runner, ["convert", "--to", target], stdin=json.dumps(payload))
-    try:
-        want = convert_gaussian(GaussianPose(pose, np.array(payload["cov"])), target)
-    except GeometryError as exc:
-        assert source == "quat-near-pole" and target == "ypr"
-        assert (res.exit_code, res.output) == (2, "error: %s\n" % exc)
+    gauss = GaussianPose(pose, np.array(payload["cov"]))
+    if (source, target) == ("quat-at-pole", "ypr"):
+        with pytest.raises(SingularConfigurationError) as exc:
+            convert_gaussian(gauss, target)
+        assert (res.exit_code, res.output) == (2, "error: %s\n" % exc.value)
         return
+    want = convert_gaussian(gauss, target)
     assert res.exit_code == 0, res.output
     assert json.loads(res.output) == {"type": target, "data": _pose_data(want.mean),
                                       "cov": want.cov.tolist()}

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import rand_euler, rand_quat_pose, safe_quat_pose
 from rigidkit import (EulerPose, GaussianPose, GeometryError, HomPose,
                       HomPose2, Quaternion, QuatPose,
-                      SingularConfigurationError, convert_gaussian,
+                      SingularConfigurationError, compose_pose_ypr, convert_gaussian,
+                      d_compose_wrt_A, d_compose_wrt_B,
                       jacobian_matrix_wrt_quat, jacobian_matrix_wrt_ypr,
                       jacobian_quat_to_ypr, jacobian_ypr_to_quat,
                       jacobian_ypr_wrt_matrix, matrix_to_quat, matrix_to_ypr,
@@ -239,13 +240,19 @@ def test_quat_to_matrix_equals_angle_route():
         assert np.abs(direct - via).max() < 1e-9
 
 
-# a pose near a pole of the Euler chart: pitch side * (pi/2 - gap), with the
-# gap drawn log-uniformly from [1e-12, 1e-2]
-_near_pole = st.builds(
-    lambda side, exponent, yaw, roll: EulerPose(0.5, -1.0, 2.0, yaw,
-                                                side * (0.5 * math.pi - 10.0 ** exponent), roll),
-    st.sampled_from([-1.0, 1.0]), st.floats(-12.0, -2.0), st.floats(-3.1, 3.1),
-    st.floats(-3.1, 3.1))
+def _pole_pose(side, gap, yaw, roll):
+    return EulerPose(0.5, -1.0, 2.0, yaw, side * (0.5 * math.pi - gap), roll)
+
+
+def _poses_near_pole(lowest):
+    """Poses at pitch side * (pi/2 - gap), the gap drawn log-uniformly from
+    [10^lowest, 1e-2]."""
+    return st.builds(lambda side, e, yaw, roll: _pole_pose(side, 10.0 ** e, yaw, roll),
+                     st.sampled_from([-1.0, 1.0]), st.floats(lowest, -2.0),
+                     st.floats(-3.1, 3.1), st.floats(-3.1, 3.1))
+
+
+_near_pole = _poses_near_pole(-12.0)
 
 
 @given(_near_pole)
@@ -279,6 +286,47 @@ _any_quat_pose = st.one_of(
 @given(_any_quat_pose)
 def test_quat_to_ypr_is_the_matrix_route_bit_for_bit(q):
     assert quat_to_ypr(q).vec.tobytes() == matrix_to_ypr(quat_to_matrix(q)).vec.tobytes()
+
+
+def _refuses_alike(jac, chain, r):
+    """jac() raises SingularConfigurationError exactly where chain() does,
+    which is where the extraction of the rotation r takes its pole branch
+    (r00^2 + r10^2 <= 1e-12), and elsewhere equals it to rounding relative
+    to its largest entry (the entries grow like 1/cos(pitch) towards a pole)."""
+    try:
+        want = chain()
+    except SingularConfigurationError:
+        assert r[0, 0] ** 2 + r[1, 0] ** 2 <= 1e-12
+        with pytest.raises(SingularConfigurationError):
+            jac()
+        return
+    assert r[0, 0] ** 2 + r[1, 0] ** 2 > 1e-12
+    assert np.abs(jac() - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@given(_poses_near_pole(-9.0).map(ypr_to_quat),
+       st.builds(EulerPose, *[st.floats(-2.0, 2.0)] * 3, st.floats(-3.1, 3.1),
+                 st.floats(-1.5, 1.5), st.floats(-3.1, 3.1)))
+# just outside and inside the 1e-6 rad band, and at 1e-4
+@example(ypr_to_quat(_pole_pose(1.0, 2e-6, 0.4, -0.8)), EulerPose(0.1, 0.2, 0.3, 1.0, -0.5, 2.0))
+@example(ypr_to_quat(_pole_pose(-1.0, 5e-7, -2.0, 1.3)), EulerPose(0.1, 0.2, 0.3, 1.0, -0.5, 2.0))
+@example(ypr_to_quat(_pole_pose(1.0, 1e-4, 2.5, 0.3)), EulerPose(-1.0, 0.0, 0.5, -0.3, 1.2, 0.7))
+def test_euler_jacobians_refuse_in_one_band(q, p1):
+    # every Euler-angle Jacobian differentiates the one extraction, so it
+    # refuses exactly where jacobian_ypr_wrt_matrix of the same rotation does
+    m = quat_to_matrix(q)
+    _refuses_alike(lambda: jacobian_quat_to_ypr(q),
+                   lambda: jacobian_ypr_wrt_matrix(m) @ jacobian_matrix_wrt_quat(q), m.mat)
+
+    # p1 then p1^-1 q: the composed rotation is q's, to rounding
+    m1 = ypr_to_matrix(p1)
+    p2 = matrix_to_ypr(HomPose(np.linalg.inv(m1.mat) @ m.mat))
+    m2 = ypr_to_matrix(p2)
+    m12 = HomPose.from_rt(m1.mat[:3, :3] @ m2.mat[:3, :3], (m1.mat @ m2.mat)[:3, 3])
+    _refuses_alike(lambda: np.hstack(compose_pose_ypr(p1, p2)[1:]),
+                   lambda: jacobian_ypr_wrt_matrix(m12) @ np.hstack(
+                       [d_compose_wrt_A(m2.mat) @ jacobian_matrix_wrt_ypr(p1),
+                        d_compose_wrt_B(m1.mat) @ jacobian_matrix_wrt_ypr(p2)]), m12.mat)
 
 
 def test_gimbal_up_branch():
